@@ -1,9 +1,10 @@
 # Development and CI entry points. `make check` is what every PR must
 # pass: vet, the ANC invariant linter, build, the full test suite, the
 # race detector, a short fuzz smoke over the corruption-facing decoders,
-# the bench and serving-layer smokes, the replication failover smoke,
-# the observability smoke, the cache and analytics smokes, and the
-# end-to-end trace smoke.
+# and the bench and serving-layer smokes. The acceptance loops of the
+# replication, observability, cache, analytics and tracing subsystems
+# (TestReplFailover, TestObsSmoke, TestCacheSmoke, TestAnalyticsSmoke,
+# TestTraceSmoke) are ordinary tests: `make test` and `make race` run them.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -14,9 +15,9 @@ ANCLINT := bin/anclint
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -X anc/internal/obs.BuildVersion=$(VERSION)
 
-.PHONY: check vet lint lint-force lint-json tools build test race fuzz-smoke bench-smoke serve-smoke repl-smoke obs-smoke cache-smoke analytics-smoke trace-smoke bench clean
+.PHONY: check vet lint lint-force lint-json tools build test race fuzz-smoke bench-smoke serve-smoke bench clean
 
-check: vet lint build test race fuzz-smoke bench-smoke serve-smoke repl-smoke obs-smoke cache-smoke analytics-smoke trace-smoke
+check: vet lint build test race fuzz-smoke bench-smoke serve-smoke
 
 vet:
 	$(GO) vet ./...
@@ -99,43 +100,6 @@ bench-smoke:
 serve-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkServe$$' -benchtime 1x .
 	test -s BENCH_serve.json
-
-# repl-smoke is the failover acceptance loop: a primary replicating to
-# two followers over TCP is killed mid-stream, one follower is promoted,
-# the other retargets to it, and both ends must converge to byte-identical
-# checkpoints — under the race detector, on every PR.
-repl-smoke:
-	$(GO) test -race ./internal/serve/repl -run '^TestReplFailover$$' -count=1
-
-# obs-smoke scrapes the fully instrumented stack like a Prometheus would:
-# WAL-backed server with the metrics listener on, real ingest and queries,
-# then /metrics must surface series from every layer (serve, wal, pyramid,
-# core) — see DESIGN.md §12.
-obs-smoke:
-	$(GO) test -run '^TestObsSmoke$$' -count=1 .
-
-# cache-smoke is the materialized clustering cache's acceptance loop
-# (DESIGN.md §15): every level's cached Clusters/EvenClusters must be
-# byte-identical to a forced recompute, repeat queries must hit, and the
-# hit/miss counters must account for exactly the queries made.
-cache-smoke:
-	$(GO) test -run '^TestCacheSmoke$$' -count=1 .
-
-# analytics-smoke is the analytics subsystem's acceptance loop
-# (DESIGN.md §16): TieRank must match the closed-form eigenvector on a
-# star graph (and serve the repeat query from the rank snapshot cache),
-# and the evolution diff must reproduce a golden
-# split/merge/birth/death/grow event sequence field for field.
-analytics-smoke:
-	$(GO) test -run '^TestAnalyticsSmoke$$' -count=1 .
-
-# trace-smoke is the tracing subsystem's acceptance loop (DESIGN.md
-# §17): a traced client over TCP must yield one server-side trace under
-# the client's ID stitching queue-wait, WAL append + fsync, core apply,
-# pyramid repair and the reply — and the trace must round-trip over the
-# wire through the traces op, while untraced connections stay untouched.
-trace-smoke:
-	$(GO) test -run '^TestTraceSmoke$$' -count=1 .
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

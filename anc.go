@@ -37,7 +37,6 @@ import (
 
 	"anc/internal/analytics"
 	"anc/internal/cluster"
-	clustercache "anc/internal/cluster/cache"
 	"anc/internal/core"
 	"anc/internal/graph"
 	"anc/internal/obs"
@@ -267,11 +266,6 @@ func (nw *Network) EvenClusters(level int) [][]int {
 // automatically.
 func (nw *Network) EnableClusterCache() { nw.inner.EnableClusterCache() }
 
-// clusterCache enables and returns the materialized clustering cache —
-// the probe handle the concurrent facades keep so cache hits bypass their
-// locks entirely.
-func (nw *Network) clusterCache() *clustercache.Cache { return nw.inner.EnableClusterCache() }
-
 // CacheStats returns the clustering cache's cumulative hit, miss and
 // invalidation totals; zeros when the cache was never enabled.
 func (nw *Network) CacheStats() (hits, misses, invalidations uint64) {
@@ -377,7 +371,7 @@ type ClusterEvent struct {
 
 // Watch enables real-time change reporting for node v (the paper's
 // Remarks feature): subsequent Activate calls record a ClusterEvent
-// whenever v's connectivity at any level flips. Drain retrieves them.
+// whenever v's connectivity at any level flips. DrainEvents retrieves them.
 // The first Watch call pays a one-time O(K·log n·m) vote-index build.
 // Watching an out-of-range node is a no-op (and does not build the vote
 // index).
@@ -396,20 +390,11 @@ func (nw *Network) Unwatch(v int) {
 	}
 }
 
-// Drain returns and clears the accumulated cluster events for all watched
-// nodes, in occurrence order. Events beyond the watcher's buffer cap
-// (see core.DefaultEventCap) are dropped; use DrainEvents to observe the
-// drop count.
-func (nw *Network) Drain() []ClusterEvent {
-	evs, _ := nw.drain()
-	return evs
-}
-
-// DrainEvents is Drain plus the number of events dropped on buffer
-// overflow since the previous drain.
-func (nw *Network) DrainEvents() ([]ClusterEvent, uint64) { return nw.drain() }
-
-func (nw *Network) drain() ([]ClusterEvent, uint64) {
+// DrainEvents returns and clears the accumulated cluster events for all
+// watched nodes, in occurrence order, plus the number of events dropped on
+// buffer overflow since the previous drain (the watcher's buffer is capped;
+// see core.DefaultEventCap).
+func (nw *Network) DrainEvents() ([]ClusterEvent, uint64) {
 	w := nw.inner.Watcher()
 	if w == nil {
 		return nil, 0
@@ -437,7 +422,7 @@ func (nw *Network) drain() ([]ClusterEvent, uint64) {
 func (nw *Network) Instrument(reg *obs.Registry) { nw.inner.Instrument(reg) }
 
 // WatcherDrops returns the cumulative number of cluster events dropped on
-// watcher buffer overflow over the network's lifetime. Unlike the per-Drain
+// watcher buffer overflow over the network's lifetime. Unlike the per-drain
 // count of DrainEvents it is never reset, so operators can observe loss
 // without consuming events. Zero when Watch was never called.
 func (nw *Network) WatcherDrops() uint64 { return nw.inner.WatcherDrops() }
@@ -517,11 +502,6 @@ type EvolutionEvent struct {
 // already. NewConcurrent, NewDurable and Recover enable it
 // automatically.
 func (nw *Network) EnableAnalytics() { nw.inner.EnableAnalytics() }
-
-// rankCache enables analytics and returns the TieRank snapshot cache —
-// the probe handle the concurrent facades keep so cached ranks bypass
-// their locks entirely.
-func (nw *Network) rankCache() *analytics.RankCache { return nw.inner.EnableAnalytics() }
 
 // RankStats returns the TieRank snapshot cache's cumulative hit, miss
 // and invalidation totals — the analytics twin of CacheStats. Lock-free;

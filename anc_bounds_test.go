@@ -47,7 +47,7 @@ func TestQueriesSafeOnBadNodeIDs(t *testing.T) {
 	}
 	// Watch on a bad ID must not have built the vote index: watching a
 	// real node afterwards still works and drains cleanly.
-	if evs := net.Drain(); len(evs) != 0 {
+	if evs, _ := net.DrainEvents(); len(evs) != 0 {
 		t.Fatalf("events without any valid watch: %v", evs)
 	}
 	net.Watch(0)

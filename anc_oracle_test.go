@@ -57,7 +57,7 @@ func TestFacadeWatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	evs := net.Drain()
+	evs, _ := net.DrainEvents()
 	if len(evs) == 0 {
 		t.Fatal("no events after heavy bridge activity")
 	}
@@ -71,7 +71,7 @@ func TestFacadeWatch(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		net.Activate(0, 1, 8+float64(i)*0.01)
 	}
-	if evs := net.Drain(); len(evs) != 0 {
+	if evs, _ := net.DrainEvents(); len(evs) != 0 {
 		t.Fatalf("events after Unwatch: %v", evs)
 	}
 }

@@ -6,8 +6,8 @@
 // The graph file is a whitespace-separated edge list ("u v" per line, #
 // comments); an optional -stream file ("u v t" per line) is replayed into
 // the index before serving starts. Node IDs on the wire are the graph
-// file's original IDs (translated at the server boundary to the dense
-// internal ones); they must fit in uint32.
+// file's original IDs (the serving layer translates them to the dense
+// internal ones at its codec boundary); they must fit in uint32.
 //
 // Usage:
 //
@@ -116,7 +116,7 @@ func main() {
 		logger.Fatal(err)
 	}
 	net, ids, err := anc.LoadEdgeList(f, cfg)
-	f.Close()
+	f.Close() //anclint:ignore droppederr read-only load; a close error cannot lose data
 	if err != nil {
 		logger.Fatal(err)
 	}
@@ -202,11 +202,6 @@ func main() {
 		backend = cnet
 	}
 
-	backend, err = translated(backend, ids)
-	if err != nil {
-		logger.Fatal(err)
-	}
-
 	scfg := serve.Config{
 		MaxInflight:    *maxInflight,
 		IngestQueue:    *ingestQueue,
@@ -216,6 +211,7 @@ func main() {
 		MetricsAddr:    *metricsAddr,
 		SlowQuery:      *slowQuery,
 		Tracer:         tracer,
+		Labels:         ids, // the wire speaks the graph file's IDs
 	}
 	if replNode != nil {
 		scfg.Repl = replNode

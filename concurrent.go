@@ -2,11 +2,7 @@ package anc
 
 import (
 	"io"
-	"sync"
-	"sync/atomic"
 
-	"anc/internal/analytics"
-	clustercache "anc/internal/cluster/cache"
 	"anc/internal/obs"
 	"anc/internal/obs/trace"
 )
@@ -14,34 +10,20 @@ import (
 // ConcurrentNetwork wraps a Network with a readers–writer lock so that
 // clustering queries can run concurrently with each other while
 // activations serialize — the deployment shape of the paper's online
-// scenario (one ingest stream, many query clients). All methods mirror
-// Network.
+// scenario (one ingest stream, many query clients). The query surface is
+// the embedded lock layer's (see lockedNetwork); this type adds in-memory
+// ingest, zoom views and Save.
 type ConcurrentNetwork struct {
-	mu  sync.RWMutex
-	net *Network
-	// acts is atomic, not mu-guarded: writers already hold the exclusive
-	// lock when bumping it, but Activations() reads it lock-free so metric
-	// scrapes never queue behind a long batch ingest.
-	acts atomic.Uint64
-	// cache is the materialized clustering cache, probed before the lock:
-	// hits are served from an atomically swapped immutable snapshot, so
-	// repeat queries never queue behind ingest. Invalidations fire inside
-	// UpdateEdges — always under the exclusive lock — so a hit can never
-	// observe state newer than the last write that completed before the
-	// probe (see DESIGN.md §15).
-	cache *clustercache.Cache
-	// rank is the TieRank snapshot cache, probed before the lock like
-	// cache: a valid snapshot serves the whole query lock-free, and it is
-	// invalidated on every ingest — always under the exclusive lock — so
-	// a hit can never observe stale relative weights (DESIGN.md §16).
-	rank *analytics.RankCache
+	lockedNetwork
 }
 
 // NewConcurrent wraps an existing network and enables its materialized
 // clustering cache and analytics layer. The caller must not keep using
 // the wrapped network directly.
 func NewConcurrent(net *Network) *ConcurrentNetwork {
-	return &ConcurrentNetwork{net: net, cache: net.clusterCache(), rank: net.rankCache()}
+	c := &ConcurrentNetwork{}
+	c.wrap(net)
+	return c
 }
 
 // Activate records an interaction (exclusive lock).
@@ -50,7 +32,7 @@ func (c *ConcurrentNetwork) Activate(u, v int, t float64) error {
 	defer c.mu.Unlock()
 	err := c.net.Activate(u, v, t)
 	if err == nil {
-		c.acts.Add(1)
+		c.acts++
 	}
 	return err
 }
@@ -72,15 +54,10 @@ func (c *ConcurrentNetwork) ActivateBatchTraced(batch []Activation, sp trace.Spa
 	defer c.mu.Unlock()
 	err := c.net.ActivateBatchTraced(batch, sp)
 	if err == nil {
-		c.acts.Add(uint64(len(batch)))
+		c.acts += uint64(len(batch))
 	}
 	return err
 }
-
-// Activations returns how many activations have been applied through this
-// wrapper. It is a lock-free atomic read, so health endpoints and metric
-// scrapes can poll it without queueing behind ingest.
-func (c *ConcurrentNetwork) Activations() uint64 { return c.acts.Load() }
 
 // Instrument attaches the wrapped network's observability handles to reg
 // (see Network.Instrument). It takes the exclusive lock: attachment
@@ -89,145 +66,6 @@ func (c *ConcurrentNetwork) Instrument(reg *obs.Registry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.net.Instrument(reg)
-}
-
-// Snapshot finalizes buffered work (exclusive lock).
-func (c *ConcurrentNetwork) Snapshot() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.net.Snapshot()
-}
-
-// Clusters reports all clusters at a level. A cache hit is served
-// lock-free from the materialized snapshot; only a miss takes the shared
-// lock to recompute (and store for the next caller).
-//
-//anclint:ignore lockdiscipline cache probe is lock-free by design; the snapshot is internally synchronized and the miss path locks
-func (c *ConcurrentNetwork) Clusters(level int) [][]int {
-	if cl, ok := c.cache.Power(level); ok {
-		return toInts(cl.Clusters)
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.net.Clusters(level)
-}
-
-// EvenClusters reports all even-clustering clusters at a level. Like
-// Clusters, a cache hit bypasses the lock entirely.
-//
-//anclint:ignore lockdiscipline cache probe is lock-free by design; the snapshot is internally synchronized and the miss path locks
-func (c *ConcurrentNetwork) EvenClusters(level int) [][]int {
-	if cl, ok := c.cache.Even(level); ok {
-		return toInts(cl.Clusters)
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.net.EvenClusters(level)
-}
-
-// ClustersUncached is Clusters with a forced recompute under the shared
-// lock, bypassing the materialized cache — the equivalence baseline for
-// tests and the cache A/B benchmark.
-func (c *ConcurrentNetwork) ClustersUncached(level int) [][]int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.net.ClustersUncached(level)
-}
-
-// EvenClustersUncached is EvenClusters with a forced recompute under the
-// shared lock, bypassing the cache.
-func (c *ConcurrentNetwork) EvenClustersUncached(level int) [][]int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.net.EvenClustersUncached(level)
-}
-
-// CacheStats returns the clustering cache's cumulative hit, miss and
-// invalidation totals. Lock-free: the counters are atomics, so metric
-// scrapes never queue behind ingest.
-func (c *ConcurrentNetwork) CacheStats() (hits, misses, invalidations uint64) {
-	return c.cache.Stats()
-}
-
-// RankStats returns the TieRank snapshot cache's cumulative hit, miss
-// and invalidation totals — the analytics twin of CacheStats. Lock-free.
-func (c *ConcurrentNetwork) RankStats() (hits, misses, invalidations uint64) {
-	return c.rank.Stats()
-}
-
-// TieRank answers a centrality query (see Network.TieRank). When a
-// cached rank snapshot is valid the query is served without the lock: a
-// global-only query (level -1) needs nothing else, and a per-cluster
-// query additionally probes the materialized clustering snapshot. Only
-// a miss on either takes the shared lock to compute (and store for the
-// next caller).
-//
-//anclint:ignore lockdiscipline cache probe is lock-free by design; the snapshots are internally synchronized and the miss path locks
-func (c *ConcurrentNetwork) TieRank(level, k int) TieRankResult {
-	if r, ok := c.rank.Get(); ok {
-		if level < 0 {
-			return tieRankResult(r, nil, -1, k)
-		}
-		if cl, ok := c.cache.Power(level); ok {
-			return tieRankResult(r, cl, level, k)
-		}
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.net.TieRank(level, k)
-}
-
-// Evolution reads the buffered cluster-evolution events after the given
-// cursor (shared lock: the read is non-draining, so concurrent readers
-// are safe; only ingest appends to the ring).
-func (c *ConcurrentNetwork) Evolution(since uint64) ([]EvolutionEvent, uint64, uint64) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.net.Evolution(since)
-}
-
-// SmallestClusterOf reports the finest-granularity cluster containing v
-// (shared lock).
-func (c *ConcurrentNetwork) SmallestClusterOf(v int) []int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.net.SmallestClusterOf(v)
-}
-
-// ClusterOf reports the local cluster of v (shared lock).
-func (c *ConcurrentNetwork) ClusterOf(v, level int) []int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.net.ClusterOf(v, level)
-}
-
-// EstimateDistance answers a sketch distance query (shared lock).
-func (c *ConcurrentNetwork) EstimateDistance(u, v int) float64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.net.EstimateDistance(u, v)
-}
-
-// Similarity reads the current similarity of an edge (shared lock).
-func (c *ConcurrentNetwork) Similarity(u, v int) (float64, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.net.Similarity(u, v)
-}
-
-// Activeness reads the current time-decayed activeness of an edge (shared
-// lock).
-func (c *ConcurrentNetwork) Activeness(u, v int) (float64, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.net.Activeness(u, v)
-}
-
-// EstimateAttraction answers an attraction-strength query (shared lock).
-func (c *ConcurrentNetwork) EstimateAttraction(u, v int) float64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.net.EstimateAttraction(u, v)
 }
 
 // ConcurrentView is a zoomable navigator over a ConcurrentNetwork. Zoom
@@ -271,101 +109,11 @@ func (v *ConcurrentView) ClusterOf(x int) []int {
 	return v.view.ClusterOf(x)
 }
 
-// Watch enables real-time change reporting for node v. It takes the
-// EXCLUSIVE lock, not the shared one: the first Watch call mutates the
-// index (it builds the vote-tracking structures via EnableVoteTracking),
-// so it cannot run concurrently with readers.
-func (c *ConcurrentNetwork) Watch(v int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.net.Watch(v)
-}
-
-// Unwatch stops watching v (exclusive lock: it mutates the watch set read
-// by the ingest path).
-func (c *ConcurrentNetwork) Unwatch(v int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.net.Unwatch(v)
-}
-
-// Drain returns and clears the accumulated cluster events. It takes the
-// EXCLUSIVE lock because draining mutates the watcher's event buffer.
-func (c *ConcurrentNetwork) Drain() []ClusterEvent {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.net.Drain()
-}
-
-// DrainEvents is Drain plus the overflow-drop count (exclusive lock).
-func (c *ConcurrentNetwork) DrainEvents() ([]ClusterEvent, uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.net.DrainEvents()
-}
-
 // Close releases the index worker pool (exclusive lock).
 func (c *ConcurrentNetwork) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.net.Close()
-}
-
-// N returns the node count.
-func (c *ConcurrentNetwork) N() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.net.N()
-}
-
-// M returns the relation-graph edge count.
-func (c *ConcurrentNetwork) M() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.net.M()
-}
-
-// Now returns the current network time — the largest activation timestamp
-// seen (shared lock).
-func (c *ConcurrentNetwork) Now() float64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.net.Now()
-}
-
-// SqrtLevel returns the Θ(√n) granularity level.
-func (c *ConcurrentNetwork) SqrtLevel() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.net.SqrtLevel()
-}
-
-// Levels returns the number of granularity levels.
-func (c *ConcurrentNetwork) Levels() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.net.Levels()
-}
-
-// Stats returns an aggregate snapshot of the network's shape and ingest
-// progress in one shared-lock acquisition — the health-endpoint read.
-func (c *ConcurrentNetwork) Stats() Stats {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	hits, misses, inv := c.cache.Stats()
-	return Stats{
-		Nodes:              c.net.N(),
-		Edges:              c.net.M(),
-		Levels:             c.net.Levels(),
-		SqrtLevel:          c.net.SqrtLevel(),
-		Activations:        c.acts.Load(),
-		Now:                c.net.Now(),
-		WatcherDrops:       c.net.WatcherDrops(),
-		CacheHits:          hits,
-		CacheMisses:        misses,
-		CacheInvalidations: inv,
-		EvolutionDrops:     c.net.EvolutionDrops(),
-	}
 }
 
 // Save snapshots the network (exclusive lock: Save flushes buffers).

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,8 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"anc/internal/analytics"
-	clustercache "anc/internal/cluster/cache"
 	"anc/internal/graph"
 	"anc/internal/obs"
 	"anc/internal/obs/trace"
@@ -86,8 +85,9 @@ func (c DurableConfig) walOptions() wal.Options {
 // so the activation stream survives a crash: Activate logs the record
 // first (fsynced per the configured policy) and only then applies it to
 // the in-memory network — log-then-apply — so the durable history is
-// always a superset of the applied one. Queries take a shared lock and run
-// concurrently, activations serialize, mirroring ConcurrentNetwork.
+// always a superset of the applied one. The query surface and its locking
+// are the embedded lock layer's (see lockedNetwork) — the same one
+// ConcurrentNetwork embeds; this type adds only the log.
 //
 // The directory holds numbered WAL segments plus checkpoint-<index>.snap
 // files, where <index> is the count of logged WAL frames the checkpoint
@@ -95,25 +95,16 @@ func (c DurableConfig) walOptions() wal.Options {
 // ActivateBatch chunk). Recover loads the newest checkpoint that passes
 // its CRC and replays the WAL tail from exactly that index.
 type DurableNetwork struct {
-	mu              sync.RWMutex
-	net             *Network
+	lockedNetwork
 	w               *wal.Writer
 	dir             string
 	cfg             DurableConfig
 	met             *durableMetrics // nil unless cfg.Obs was set; all methods nil-safe
 	sinceCheckpoint int
-	acts            uint64
 	closed          bool
-	// cache is the materialized clustering cache, probed before the lock
-	// by Clusters/EvenClusters — see ConcurrentNetwork.cache and
-	// DESIGN.md §15 for the synchronization argument.
-	cache *clustercache.Cache
-	// rank is the TieRank snapshot cache, probed before the lock by
-	// TieRank — see ConcurrentNetwork.rank and DESIGN.md §16.
-	rank *analytics.RankCache
 	// fsyncAccum collects, under mu, the wall-clock seconds the WAL spent
-	// in fsync while the current batch was being appended (the writer is
-	// only driven with mu held). A traced batch reads it to attribute its
+	// in fsync while the current frame was being appended (the writer is
+	// only driven with mu held). A traced frame reads it to attribute its
 	// fsync share as a wal.fsync leaf span.
 	fsyncAccum float64
 	// traces remembers which trace ID each recently appended WAL frame was
@@ -140,13 +131,11 @@ type traceRing struct {
 	pos int
 }
 
-func (r *traceRing) record(first, next, id uint64) {
+func (r *traceRing) record(index, id uint64) {
 	r.mu.Lock()
-	for i := first; i < next; i++ {
-		r.idx[r.pos] = i + 1
-		r.ids[r.pos] = id
-		r.pos = (r.pos + 1) % traceRingSize
-	}
+	r.idx[r.pos] = index + 1
+	r.ids[r.pos] = id
+	r.pos = (r.pos + 1) % traceRingSize
 	r.mu.Unlock()
 }
 
@@ -163,22 +152,50 @@ func (r *traceRing) lookup(index uint64) uint64 {
 
 const activationRecordSize = 16 // u uint32, v uint32, t float64 bits
 
-func encodeActivation(u, v int, t float64) []byte {
-	var b [activationRecordSize]byte
-	binary.LittleEndian.PutUint32(b[0:4], uint32(u))
-	binary.LittleEndian.PutUint32(b[4:8], uint32(v))
-	binary.LittleEndian.PutUint64(b[8:16], math.Float64bits(t))
-	return b[:]
+// encodeFrame serializes acts as one WAL frame payload: a 16-byte record
+// per activation, so a lone Activate and a one-element batch log the same
+// bytes.
+func encodeFrame(acts []Activation) []byte {
+	frame := make([]byte, len(acts)*activationRecordSize)
+	for i, a := range acts {
+		rec := frame[i*activationRecordSize:]
+		binary.LittleEndian.PutUint32(rec[0:4], uint32(a.U))
+		binary.LittleEndian.PutUint32(rec[4:8], uint32(a.V))
+		binary.LittleEndian.PutUint64(rec[8:16], math.Float64bits(a.T))
+	}
+	return frame
 }
 
-func decodeActivation(b []byte) (u, v int, t float64, err error) {
-	if len(b) != activationRecordSize {
-		return 0, 0, 0, fmt.Errorf("anc: activation record of %d bytes", len(b))
+// decodeFrame is encodeFrame's inverse, shared by Recover and ApplyFrame
+// so local replay and wire replay cannot drift.
+func decodeFrame(rec []byte) ([]Activation, error) {
+	if len(rec) == 0 || len(rec)%activationRecordSize != 0 {
+		return nil, fmt.Errorf("anc: frame of %d bytes", len(rec))
 	}
-	u = int(binary.LittleEndian.Uint32(b[0:4]))
-	v = int(binary.LittleEndian.Uint32(b[4:8]))
-	t = math.Float64frombits(binary.LittleEndian.Uint64(b[8:16]))
-	return u, v, t, nil
+	acts := make([]Activation, len(rec)/activationRecordSize)
+	for i := range acts {
+		b := rec[i*activationRecordSize:]
+		acts[i] = Activation{
+			U: int(binary.LittleEndian.Uint32(b[0:4])),
+			V: int(binary.LittleEndian.Uint32(b[4:8])),
+			T: math.Float64frombits(binary.LittleEndian.Uint64(b[8:16])),
+		}
+	}
+	return acts, nil
+}
+
+// applyFrame applies one WAL frame's activations to net. It is the one
+// statement of the frame→apply rule: a 16-byte frame is an Activate, a
+// longer one a batch through the batched pipeline. The two differ
+// observably under ANCOR (the batch pipeline flushes reinforcement at batch
+// end, Activate only at interval boundaries), so live ingest, Recover's
+// replay and a follower's ApplyFrame all come through here — the state
+// after a frame is a function of the frame alone.
+func applyFrame(net *Network, acts []Activation, sp trace.SpanHandle) error {
+	if len(acts) == 1 {
+		return net.Activate(acts[0].U, acts[0].V, acts[0].T)
+	}
+	return net.ActivateBatchTraced(acts, sp)
 }
 
 func checkpointName(index uint64) string {
@@ -222,27 +239,34 @@ func NewDurable(net *Network, dir string, cfg DurableConfig) (*DurableNetwork, e
 	if len(cps) > 0 {
 		return nil, fmt.Errorf("anc: %s already holds durable state; use Recover", dir)
 	}
-	net.Instrument(cfg.Obs)
-	d := &DurableNetwork{net: net, dir: dir, cfg: cfg, met: newDurableMetrics(cfg.Obs),
-		cache: net.clusterCache(), rank: net.rankCache()}
 	// Checkpoint first, then open the log: recovery requires a checkpoint
 	// to replay onto, so an empty WAL without one is never observable.
-	if err := d.writeCheckpoint(0); err != nil {
+	if err := writeCheckpoint(dir, 0, net.Save); err != nil {
 		return nil, err
 	}
+	return openDurable(net, dir, 0, cfg)
+}
+
+// openDurable is the constructor tail shared by NewDurable, Recover and
+// RestoreDurable. net already holds the state that checkpoint-<index> plus
+// any replayed WAL tail describe; the tail instruments it, puts it behind
+// the lock layer and opens the log at index.
+func openDurable(net *Network, dir string, index uint64, cfg DurableConfig) (*DurableNetwork, error) {
+	net.Instrument(cfg.Obs)
+	d := &DurableNetwork{dir: dir, cfg: cfg, met: newDurableMetrics(cfg.Obs)}
+	d.wrap(net)
 	opts := cfg.walOptions()
-	opts.OnFsync = d.noteFsync
-	w, err := wal.OpenWriter(dir, 0, opts)
+	// The facade exists before the writer, so the fsync hook binds to it
+	// directly. It runs on the appending goroutine, which holds d.mu, so the
+	// plain field add is safe.
+	opts.OnFsync = func(seconds float64) { d.fsyncAccum += seconds }
+	w, err := wal.OpenWriter(dir, index, opts)
 	if err != nil {
 		return nil, err
 	}
 	d.w = w
 	return d, nil
 }
-
-// noteFsync is the WAL's fsync-duration hook. It runs on the appending
-// goroutine, which holds d.mu, so the plain field add is safe.
-func (d *DurableNetwork) noteFsync(seconds float64) { d.fsyncAccum += seconds }
 
 // Recover rebuilds the durable network persisted in dir: it loads the
 // newest checkpoint whose CRC verifies (falling back to the previous one
@@ -279,18 +303,11 @@ func Recover(dir string, cfg DurableConfig) (*DurableNetwork, error) {
 		}
 		var replayed uint64
 		next, err := wal.Replay(dir, cp.index, func(_ uint64, rec []byte) error {
-			acts, err := decodeFrameActs(rec)
+			acts, err := decodeFrame(rec)
 			if err != nil {
 				return err
 			}
-			if len(acts) == 1 {
-				// A per-op frame replays through Activate, a group-committed
-				// batch frame through the same batched pipeline that produced
-				// it — replay mirrors ingest exactly.
-				if err := net.Activate(acts[0].U, acts[0].V, acts[0].T); err != nil {
-					return err
-				}
-			} else if err := net.ActivateBatch(acts); err != nil {
+			if err := applyFrame(net, acts, trace.SpanHandle{}); err != nil {
 				return err
 			}
 			replayed += uint64(len(acts))
@@ -305,33 +322,23 @@ func Recover(dir string, cfg DurableConfig) (*DurableNetwork, error) {
 		// any checkpoint yet, so it must survive on disk until the next
 		// checkpoint — passing next would let OpenWriter discard it as
 		// stale, losing acknowledged records on the next crash.
-		var d *DurableNetwork // the fsync hook captures it; nil until this attempt succeeds
-		opts := cfg.walOptions()
-		opts.OnFsync = func(seconds float64) {
-			if d != nil {
-				d.noteFsync(seconds)
-			}
-		}
-		w, err := wal.OpenWriter(dir, cp.index, opts)
+		// The tail instruments only now, after the replay, so recovered
+		// history does not inflate the live ingest counters; the replayed
+		// volume is reported through the dedicated recovery metrics instead.
+		d, err := openDurable(net, dir, cp.index, cfg)
 		if err != nil {
 			return nil, err
 		}
-		if w.NextIndex() != next {
+		if d.w.NextIndex() != next {
 			// The writer's scan and the replay disagree on where the log
 			// ends — the directory changed underneath us. Fall back rather
 			// than append at an inconsistent position.
-			w.Close()
-			lastErr = fmt.Errorf("anc: wal end moved during recovery: replayed to %d, writer at %d", next, w.NextIndex())
+			d.w.Close()
+			lastErr = fmt.Errorf("anc: wal end moved during recovery: replayed to %d, writer at %d", next, d.w.NextIndex())
 			continue
 		}
-		// Instrument only after the replay so recovered history does not
-		// inflate the live ingest counters; the replayed volume is reported
-		// through the dedicated recovery metrics instead.
-		net.Instrument(cfg.Obs)
-		met := newDurableMetrics(cfg.Obs)
-		met.recovered(replayed)
-		d = &DurableNetwork{net: net, w: w, dir: dir, cfg: cfg, met: met, acts: replayed,
-			cache: net.clusterCache(), rank: net.rankCache()}
+		d.met.recovered(replayed)
+		d.acts = replayed
 		return d, nil
 	}
 	return nil, fmt.Errorf("anc: no usable checkpoint in %s: %w", dir, lastErr)
@@ -346,6 +353,27 @@ func loadCheckpoint(path string) (*Network, error) {
 	return Load(f)
 }
 
+// checkIngest validates acts against the ingest contract of
+// Network.Activate — existing edges, finite non-decreasing timestamps
+// starting no earlier than Now — without modifying anything. The durable
+// layer runs it before logging, so replay never sees a record the network
+// would reject.
+func (nw *Network) checkIngest(acts []Activation) error {
+	g := nw.inner.Graph()
+	prev := nw.Now()
+	for i, a := range acts {
+		if a.U < 0 || a.V < 0 || a.U >= g.N() || a.V >= g.N() ||
+			g.FindEdge(graph.NodeID(a.U), graph.NodeID(a.V)) == graph.None {
+			return fmt.Errorf("anc: batch[%d]: no edge (%d, %d)", i, a.U, a.V)
+		}
+		if math.IsNaN(a.T) || math.IsInf(a.T, 0) || a.T < prev {
+			return fmt.Errorf("anc: batch[%d]: invalid activation timestamp %v (previous %v)", i, a.T, prev)
+		}
+		prev = a.T
+	}
+	return nil
+}
+
 // Activate validates the record, appends it to the WAL and then applies it
 // to the in-memory network (log-then-apply). A nil return means the
 // activation is applied and — under SyncAlways — durable; under
@@ -354,30 +382,7 @@ func loadCheckpoint(path string) (*Network, error) {
 func (d *DurableNetwork) Activate(u, v int, t float64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
-	// Validate before logging, so replay never sees a record the network
-	// would reject (the ingest contract of Network.Activate).
-	g := d.net.inner.Graph()
-	if u < 0 || v < 0 || u >= g.N() || v >= g.N() || g.FindEdge(graph.NodeID(u), graph.NodeID(v)) == graph.None {
-		return fmt.Errorf("anc: no edge (%d, %d)", u, v)
-	}
-	if math.IsNaN(t) || math.IsInf(t, 0) || t < d.net.Now() {
-		return fmt.Errorf("anc: invalid activation timestamp %v (now %v)", t, d.net.Now())
-	}
-	if _, err := d.w.Append(encodeActivation(u, v, t)); err != nil {
-		return fmt.Errorf("anc: wal: %w", err)
-	}
-	if err := d.net.Activate(u, v, t); err != nil {
-		return err
-	}
-	d.acts++
-	d.sinceCheckpoint++
-	if d.cfg.CheckpointEvery > 0 && d.sinceCheckpoint >= d.cfg.CheckpointEvery {
-		return d.checkpointLocked()
-	}
-	return nil
+	return d.ingestLocked([]Activation{{U: u, V: v, T: t}}, trace.SpanHandle{})
 }
 
 // maxBatchFrame bounds how many activations go into one WAL frame: 1<<16
@@ -388,13 +393,15 @@ const maxBatchFrame = 1 << 16
 // ActivateBatch is the group-commit ingest path: the whole batch is
 // validated, encoded into a single WAL frame (one Append — under
 // SyncAlways one fsync instead of one per activation), and then applied to
-// the in-memory network through the batched pipeline. A nil return means
-// every activation in the batch is applied and, under SyncAlways, durable
-// as a unit; validation failures reject the batch before anything is
-// logged, and WAL errors leave the in-memory network unchanged.
-//anclint:ignore lockdiscipline pure delegation with a zero span; ActivateBatchTraced takes the lock itself
+// the in-memory network exactly as replay will apply that frame. A nil
+// return means every activation in the batch is applied and, under
+// SyncAlways, durable as a unit; validation failures reject the batch
+// before anything is logged, and WAL errors leave the in-memory network
+// unchanged.
 func (d *DurableNetwork) ActivateBatch(batch []Activation) error {
-	return d.ActivateBatchTraced(batch, trace.SpanHandle{}) //anclint:ignore lockdiscipline no lock is held here; the traced variant acquires it
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.ingestLocked(batch, trace.SpanHandle{})
 }
 
 // ActivateBatchTraced is ActivateBatch under an in-flight request span: the
@@ -406,25 +413,34 @@ func (d *DurableNetwork) ActivateBatch(batch []Activation) error {
 func (d *DurableNetwork) ActivateBatchTraced(batch []Activation, sp trace.SpanHandle) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.ingestLocked(batch, sp)
+}
+
+// ingestLocked is local ingest under d.mu: the whole batch is validated
+// before its first frame is logged, so a batch that spans several frames
+// is still rejected as a unit; each frame is then committed in turn.
+func (d *DurableNetwork) ingestLocked(batch []Activation, sp trace.SpanHandle) error {
 	if d.closed {
 		return ErrClosed
 	}
-	if len(batch) == 0 {
-		return nil
+	if err := d.net.checkIngest(batch); err != nil {
+		return err
 	}
-	// Validate everything before logging, so replay never sees a record
-	// the network would reject.
-	g := d.net.inner.Graph()
-	prev := d.net.Now()
-	for i, a := range batch {
-		if g.FindEdge(graph.NodeID(a.U), graph.NodeID(a.V)) == graph.None {
-			return fmt.Errorf("anc: batch[%d]: no edge (%d, %d)", i, a.U, a.V)
+	for off := 0; off < len(batch); off += maxBatchFrame {
+		chunk := batch[off:min(off+maxBatchFrame, len(batch))]
+		if err := d.commitFrame(chunk, encodeFrame(chunk), sp); err != nil {
+			return err
 		}
-		if math.IsNaN(a.T) || math.IsInf(a.T, 0) || a.T < prev {
-			return fmt.Errorf("anc: batch[%d]: invalid activation timestamp %v (previous %v)", i, a.T, prev)
-		}
-		prev = a.T
 	}
+	return nil
+}
+
+// commitFrame is the durable layer's one write path, shared by local
+// ingest and ApplyFrame: append the frame to the WAL, apply it (through
+// applyFrame, the same call Recover's replay makes), count it, and
+// checkpoint when the configured cadence is due. The caller holds d.mu
+// exclusively and has validated acts, of which payload is the encoding.
+func (d *DurableNetwork) commitFrame(acts []Activation, payload []byte, sp trace.SpanHandle) error {
 	timed := d.met != nil || sp.Active()
 	var walStart time.Time
 	if timed {
@@ -432,48 +448,32 @@ func (d *DurableNetwork) ActivateBatchTraced(batch []Activation, sp trace.SpanHa
 	}
 	wsp := sp.StartChild("wal.append")
 	d.fsyncAccum = 0
-	first := d.w.NextIndex()
-	for off := 0; off < len(batch); off += maxBatchFrame {
-		end := off + maxBatchFrame
-		if end > len(batch) {
-			end = len(batch)
-		}
-		frame := make([]byte, (end-off)*activationRecordSize)
-		for i, a := range batch[off:end] {
-			rec := frame[i*activationRecordSize:]
-			binary.LittleEndian.PutUint32(rec[0:4], uint32(a.U))
-			binary.LittleEndian.PutUint32(rec[4:8], uint32(a.V))
-			binary.LittleEndian.PutUint64(rec[8:16], math.Float64bits(a.T))
-		}
-		if _, err := d.w.Append(frame); err != nil {
-			wsp.Fail()
-			wsp.End()
-			return fmt.Errorf("anc: wal: %w", err)
-		}
+	index, err := d.w.Append(payload)
+	if err != nil {
+		wsp.Fail()
+		wsp.End()
+		return fmt.Errorf("anc: wal: %w", err)
 	}
-	if wsp.Active() {
-		wsp.AnnotateInt("frames", int64(d.w.NextIndex()-first))
-		if d.fsyncAccum > 0 {
-			wsp.Leaf("wal.fsync", time.Duration(d.fsyncAccum*float64(time.Second)))
-		}
+	if wsp.Active() && d.fsyncAccum > 0 {
+		wsp.Leaf("wal.fsync", time.Duration(d.fsyncAccum*float64(time.Second)))
 	}
 	wsp.End()
 	if timed {
 		d.met.walAppend(time.Since(walStart).Seconds())
 	}
 	if tid := sp.TraceID(); tid != 0 {
-		d.traces.record(first, d.w.NextIndex(), tid)
+		d.traces.record(index, tid)
 	}
 	csp := sp.StartChild("core.apply")
-	if err := d.net.ActivateBatchTraced(batch, csp); err != nil {
+	if err := applyFrame(d.net, acts, csp); err != nil {
 		csp.Fail()
 		csp.End()
 		return err
 	}
 	csp.End()
-	d.met.batchLogged(len(batch))
-	d.acts += uint64(len(batch))
-	d.sinceCheckpoint += len(batch)
+	d.met.batchLogged(len(acts))
+	d.acts += uint64(len(acts))
+	d.sinceCheckpoint += len(acts)
 	if d.cfg.CheckpointEvery > 0 && d.sinceCheckpoint >= d.cfg.CheckpointEvery {
 		return d.checkpointLocked()
 	}
@@ -508,7 +508,7 @@ func (d *DurableNetwork) Checkpoint() error {
 
 func (d *DurableNetwork) checkpointLocked() error {
 	t := d.met.checkpointStart()
-	if err := d.writeCheckpoint(d.w.NextIndex()); err != nil {
+	if err := writeCheckpoint(d.dir, d.w.NextIndex(), d.net.Save); err != nil {
 		return err
 	}
 	d.sinceCheckpoint = 0
@@ -529,16 +529,17 @@ func (d *DurableNetwork) checkpointLocked() error {
 	return nil
 }
 
-// writeCheckpoint persists the network state as checkpoint-<index>.snap
-// via the write-temp / fsync / rename dance. Note Save flushes buffered
+// writeCheckpoint persists whatever write produces — Network.Save, or a
+// snapshot shipped by a primary — as dir/checkpoint-<index>.snap via the
+// write-temp / fsync / rename dance. Note Save flushes buffered
 // reinforcement (Snapshot semantics) before serializing.
-func (d *DurableNetwork) writeCheckpoint(index uint64) error {
-	tmp := filepath.Join(d.dir, "checkpoint.tmp")
+func writeCheckpoint(dir string, index uint64, write func(io.Writer) error) error {
+	tmp := filepath.Join(dir, "checkpoint.tmp")
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := d.net.Save(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -552,10 +553,10 @@ func (d *DurableNetwork) writeCheckpoint(index uint64) error {
 		os.Remove(tmp)
 		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(d.dir, checkpointName(index))); err != nil {
+	if err := os.Rename(tmp, filepath.Join(dir, checkpointName(index))); err != nil {
 		return err
 	}
-	syncDir(d.dir)
+	syncDir(dir)
 	return nil
 }
 
@@ -622,229 +623,3 @@ func (d *DurableNetwork) DurableActivations() uint64 {
 //
 //anclint:ignore lockdiscipline deliberately unsynchronized escape hatch; the doc comment transfers the locking obligation to the caller
 func (d *DurableNetwork) Unwrap() *Network { return d.net }
-
-// Snapshot finalizes buffered work on the wrapped network (exclusive
-// lock). Note that under ANCF this mutates state outside the log; only the
-// activation history itself is replayed on recovery.
-func (d *DurableNetwork) Snapshot() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.net.Snapshot()
-}
-
-// N returns the node count.
-func (d *DurableNetwork) N() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.net.N()
-}
-
-// M returns the relation-graph edge count.
-func (d *DurableNetwork) M() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.net.M()
-}
-
-// Levels returns the number of granularity levels.
-func (d *DurableNetwork) Levels() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.net.Levels()
-}
-
-// SqrtLevel returns the Θ(√n) granularity level.
-func (d *DurableNetwork) SqrtLevel() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.net.SqrtLevel()
-}
-
-// Now returns the current network time.
-func (d *DurableNetwork) Now() float64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.net.Now()
-}
-
-// Clusters reports all clusters at a level. A cache hit is served
-// lock-free from the materialized snapshot; only a miss takes the shared
-// lock to recompute (and store for the next caller).
-//
-//anclint:ignore lockdiscipline cache probe is lock-free by design; the snapshot is internally synchronized and the miss path locks
-func (d *DurableNetwork) Clusters(level int) [][]int {
-	if cl, ok := d.cache.Power(level); ok {
-		return toInts(cl.Clusters)
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.net.Clusters(level)
-}
-
-// EvenClusters reports all even-clustering clusters at a level. Like
-// Clusters, a cache hit bypasses the lock entirely.
-//
-//anclint:ignore lockdiscipline cache probe is lock-free by design; the snapshot is internally synchronized and the miss path locks
-func (d *DurableNetwork) EvenClusters(level int) [][]int {
-	if cl, ok := d.cache.Even(level); ok {
-		return toInts(cl.Clusters)
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.net.EvenClusters(level)
-}
-
-// ClustersUncached is Clusters with a forced recompute under the shared
-// lock, bypassing the materialized cache — the equivalence baseline for
-// tests and the cache A/B benchmark.
-func (d *DurableNetwork) ClustersUncached(level int) [][]int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.net.ClustersUncached(level)
-}
-
-// EvenClustersUncached is EvenClusters with a forced recompute under the
-// shared lock, bypassing the cache.
-func (d *DurableNetwork) EvenClustersUncached(level int) [][]int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.net.EvenClustersUncached(level)
-}
-
-// CacheStats returns the clustering cache's cumulative hit, miss and
-// invalidation totals. Lock-free: the counters are atomics, so metric
-// scrapes never queue behind ingest.
-func (d *DurableNetwork) CacheStats() (hits, misses, invalidations uint64) {
-	return d.cache.Stats()
-}
-
-// RankStats returns the TieRank snapshot cache's cumulative hit, miss
-// and invalidation totals — the analytics twin of CacheStats. Lock-free.
-func (d *DurableNetwork) RankStats() (hits, misses, invalidations uint64) {
-	return d.rank.Stats()
-}
-
-// TieRank answers a centrality query (see Network.TieRank and
-// ConcurrentNetwork.TieRank). A valid rank snapshot — plus, for a
-// per-cluster query, a valid clustering snapshot — serves the query
-// lock-free; only a miss takes the shared lock.
-//
-//anclint:ignore lockdiscipline cache probe is lock-free by design; the snapshots are internally synchronized and the miss path locks
-func (d *DurableNetwork) TieRank(level, k int) TieRankResult {
-	if r, ok := d.rank.Get(); ok {
-		if level < 0 {
-			return tieRankResult(r, nil, -1, k)
-		}
-		if cl, ok := d.cache.Power(level); ok {
-			return tieRankResult(r, cl, level, k)
-		}
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.net.TieRank(level, k)
-}
-
-// Evolution reads the buffered cluster-evolution events after the given
-// cursor (shared lock; the read is non-draining).
-func (d *DurableNetwork) Evolution(since uint64) ([]EvolutionEvent, uint64, uint64) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.net.Evolution(since)
-}
-
-// ClusterOf reports the local cluster of v (shared lock).
-func (d *DurableNetwork) ClusterOf(v, level int) []int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.net.ClusterOf(v, level)
-}
-
-// SmallestClusterOf reports the finest-granularity cluster containing v
-// (shared lock).
-func (d *DurableNetwork) SmallestClusterOf(v int) []int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.net.SmallestClusterOf(v)
-}
-
-// Similarity reads the current similarity of an edge (shared lock).
-func (d *DurableNetwork) Similarity(u, v int) (float64, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.net.Similarity(u, v)
-}
-
-// EstimateDistance answers a sketch distance query (shared lock).
-func (d *DurableNetwork) EstimateDistance(u, v int) float64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.net.EstimateDistance(u, v)
-}
-
-// EstimateAttraction answers an attraction-strength query (shared lock).
-func (d *DurableNetwork) EstimateAttraction(u, v int) float64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.net.EstimateAttraction(u, v)
-}
-
-// Activeness reads the current time-decayed activeness of an edge (shared
-// lock).
-func (d *DurableNetwork) Activeness(u, v int) (float64, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.net.Activeness(u, v)
-}
-
-// Watch enables real-time change reporting for node v (exclusive lock:
-// the first Watch builds the vote-tracking structures). Watch state is in
-// memory only — it is not replayed by Recover.
-func (d *DurableNetwork) Watch(v int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.net.Watch(v)
-}
-
-// Unwatch stops watching v (exclusive lock: it mutates the watch set read
-// by the ingest path).
-func (d *DurableNetwork) Unwatch(v int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.net.Unwatch(v)
-}
-
-// Drain returns and clears the accumulated cluster events (exclusive
-// lock: draining mutates the watcher's event buffer).
-func (d *DurableNetwork) Drain() []ClusterEvent {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.net.Drain()
-}
-
-// DrainEvents is Drain plus the overflow-drop count (exclusive lock).
-func (d *DurableNetwork) DrainEvents() ([]ClusterEvent, uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.net.DrainEvents()
-}
-
-// Stats returns an aggregate snapshot of the network's shape and ingest
-// progress in one shared-lock acquisition — the health-endpoint read.
-func (d *DurableNetwork) Stats() Stats {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	hits, misses, inv := d.cache.Stats()
-	return Stats{
-		Nodes:              d.net.N(),
-		Edges:              d.net.M(),
-		Levels:             d.net.Levels(),
-		SqrtLevel:          d.net.SqrtLevel(),
-		Activations:        d.acts,
-		Now:                d.net.Now(),
-		WatcherDrops:       d.net.WatcherDrops(),
-		CacheHits:          hits,
-		CacheMisses:        misses,
-		CacheInvalidations: inv,
-		EvolutionDrops:     d.net.EvolutionDrops(),
-	}
-}

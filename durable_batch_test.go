@@ -1,7 +1,11 @@
 package anc
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
+
+	"anc/internal/wal"
 )
 
 // batchStream groups a testStream into batches of the given size.
@@ -65,11 +69,11 @@ func TestDurableBatchRejectedAtomically(t *testing.T) {
 	}
 	framesBefore := d.LoggedActivations()
 	bad := [][]Activation{
-		{{U: 0, V: 1, T: 6}, {U: 3, V: 9, T: 6}},  // no such edge
-		{{U: 0, V: 1, T: 4}},                      // before current time
-		{{U: 0, V: 1, T: 8}, {U: 0, V: 1, T: 7}},  // decreasing inside batch
-		{{U: -1, V: 1, T: 9}},                     // negative node
-		{{U: 0, V: 1 << 20, T: 9}},                // out-of-range node
+		{{U: 0, V: 1, T: 6}, {U: 3, V: 9, T: 6}}, // no such edge
+		{{U: 0, V: 1, T: 4}},                     // before current time
+		{{U: 0, V: 1, T: 8}, {U: 0, V: 1, T: 7}}, // decreasing inside batch
+		{{U: -1, V: 1, T: 9}},                    // negative node
+		{{U: 0, V: 1 << 20, T: 9}},               // out-of-range node
 	}
 	for i, b := range bad {
 		if err := d.ActivateBatch(b); err == nil {
@@ -119,4 +123,90 @@ func TestDurableBatchCheckpointing(t *testing.T) {
 	defer rec.Close()
 	// Checkpointing rescales mid-stream, so equality is to 1e-9 here.
 	assertEquivalent(t, rec, referenceNetwork(t, stream, len(stream)), false)
+}
+
+// TestDurableFrameReplayParity: a frame's apply rule is a function of the
+// frame alone, and live ingest obeys it. For every method, a mix of
+// Activate, one-element and n-element ActivateBatch calls — several
+// timestamps inside one ReinforceInterval, so ANCOR's flush points matter —
+// must leave the live network, a Recovered one and a second network fed the
+// same frames through ApplyFrame with byte-identical Save output. (A
+// one-element batch once ran the batch pipeline live but replayed through
+// Activate, and ANCOR diverged.)
+func TestDurableFrameReplayParity(t *testing.T) {
+	for _, m := range []Method{ANCO, ANCOR, ANCF} {
+		t.Run(fmt.Sprint(m), func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Method = m
+			open := func(dir string) *DurableNetwork {
+				n, edges := barbell()
+				net, err := NewNetwork(n, edges, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d, err := NewDurable(net, dir, DurableConfig{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return d
+			}
+			save := func(d *DurableNetwork) []byte {
+				var buf bytes.Buffer
+				if err := d.Unwrap().Save(&buf); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes()
+			}
+
+			dir := t.TempDir()
+			live := open(dir)
+			_, edges := barbell()
+			stream := testStream(edges, 90)
+			for i := range stream {
+				stream[i][2] = 0.4 * float64(i+1) // 12 timestamps per ReinforceInterval (5)
+			}
+			acts := batchStream(stream, len(stream))[0]
+			for i := 0; i < len(acts); {
+				var err error
+				switch i % 9 {
+				case 0:
+					err = live.Activate(acts[i].U, acts[i].V, acts[i].T)
+					i++
+				case 1, 2, 3:
+					err = live.ActivateBatch(acts[i : i+1])
+					i++
+				default:
+					err = live.ActivateBatch(acts[i : i+5])
+					i += 5
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			applied := open(t.TempDir())
+			defer applied.Close()
+			if _, err := wal.Replay(dir, 0, func(index uint64, rec []byte) error {
+				return applied.ApplyFrame(index, rec)
+			}); err != nil {
+				t.Fatal(err)
+			}
+
+			want := save(live)
+			if err := live.Close(); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := Recover(dir, DurableConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rec.Close()
+			if !bytes.Equal(save(rec), want) {
+				t.Error("Recover diverged from the live network")
+			}
+			if !bytes.Equal(save(applied), want) {
+				t.Error("ApplyFrame replica diverged from the live network")
+			}
+		})
+	}
 }

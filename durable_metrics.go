@@ -10,12 +10,12 @@ type durableMetrics struct {
 	// checkpointSeconds observes the full checkpoint operation: snapshot
 	// write + fsync + rename + retention pruning + WAL truncation.
 	checkpointSeconds *obs.Histogram
-	// batchRecords observes the size of each group-committed ActivateBatch
-	// in activation records — the distribution that explains fsync
-	// amortization.
+	// batchRecords observes the size of each committed WAL frame in
+	// activation records (1 for an Activate) — the distribution that
+	// explains fsync amortization.
 	batchRecords *obs.Histogram
-	// walAppendSeconds observes the WAL stage of each group-committed
-	// batch — framing plus Append plus any policy fsyncs — one stage of the
+	// walAppendSeconds observes the WAL stage of each committed frame
+	// — Append plus any policy fsyncs — one stage of the
 	// per-request ingest breakdown (queue-wait / wal / fsync / repair /
 	// reply; see DESIGN.md §17).
 	walAppendSeconds *obs.Histogram

@@ -50,7 +50,8 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	report("phase 1 (steady in-community traffic)", net.Drain())
+	evs, _ := net.DrainEvents()
+	report("phase 1 (steady in-community traffic)", evs)
 
 	// Snapshot to a buffer (stands in for a file) and restore.
 	var buf bytes.Buffer
@@ -74,7 +75,8 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	report("phase 2 (restored network, communities 0 and 1 merging)", restored.Drain())
+	evs, _ = restored.DrainEvents()
+	report("phase 2 (restored network, communities 0 and 1 merging)", evs)
 
 	// Final state: are the watched users in one cluster now?
 	level := restored.SqrtLevel()

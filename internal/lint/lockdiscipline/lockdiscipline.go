@@ -7,12 +7,17 @@
 // load.
 //
 // Concretely, for each struct type T with a field `mu` of type
-// sync.Mutex or sync.RWMutex, and each exported pointer-receiver method
-// of T whose body reads or writes receiver fields other than mu:
+// sync.Mutex or sync.RWMutex — declared directly or promoted from an
+// embedded struct, as the facades get theirs from the shared lock layer —
+// and each exported pointer-receiver method of T whose body reads or
+// writes receiver fields other than mu:
 //
 //  1. the first statement must be recv.mu.Lock() or recv.mu.RLock();
 //  2. the second must be the matching defer recv.mu.Unlock()/RUnlock();
-//  3. no statement may call an exported method on recv.
+//  3. no statement may call an exported method of a guarded type on recv,
+//     whether declared on T or promoted from the embedded struct that
+//     brought the mutex (recv.M() and recv.Embedded.M() alike): both lock
+//     the same mu.
 //
 // Unexported methods (the *Locked helpers) are exempt from 1–2 and are
 // the sanctioned way to share code between locked entry points.
@@ -58,14 +63,15 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			if tname == nil || !guarded[tname] {
 				continue
 			}
-			checkMethod(pass, fd, tname)
+			checkMethod(pass, fd, tname, guarded)
 		}
 	}
 	return nil, nil
 }
 
 // guardedTypes returns the named struct types of the package that carry a
-// field `mu` of type sync.Mutex or sync.RWMutex.
+// field `mu` of type sync.Mutex or sync.RWMutex, directly or promoted
+// through embedding — whatever recv.mu resolves to.
 func guardedTypes(pass *analysis.Pass) map[*types.TypeName]bool {
 	out := map[*types.TypeName]bool{}
 	scope := pass.Pkg.Scope()
@@ -74,15 +80,12 @@ func guardedTypes(pass *analysis.Pass) map[*types.TypeName]bool {
 		if !ok {
 			continue
 		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok {
+		if _, ok := tn.Type().Underlying().(*types.Struct); !ok {
 			continue
 		}
-		for i := 0; i < st.NumFields(); i++ {
-			fld := st.Field(i)
-			if fld.Name() == "mu" && isSyncMutex(fld.Type()) {
-				out[tn] = true
-			}
+		mu, _, _ := types.LookupFieldOrMethod(tn.Type(), true, pass.Pkg, "mu")
+		if fld, ok := mu.(*types.Var); ok && fld.IsField() && isSyncMutex(fld.Type()) {
+			out[tn] = true
 		}
 	}
 	return out
@@ -104,15 +107,7 @@ func receiverType(pass *analysis.Pass, fd *ast.FuncDecl) *types.TypeName {
 	if len(fd.Recv.List) == 0 {
 		return nil
 	}
-	t := pass.TypeOf(fd.Recv.List[0].Type)
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return nil
-	}
-	return named.Obj()
+	return namedOf(pass.TypeOf(fd.Recv.List[0].Type))
 }
 
 func recvName(fd *ast.FuncDecl) string {
@@ -122,7 +117,7 @@ func recvName(fd *ast.FuncDecl) string {
 	return fd.Recv.List[0].Names[0].Name
 }
 
-func checkMethod(pass *analysis.Pass, fd *ast.FuncDecl, tname *types.TypeName) {
+func checkMethod(pass *analysis.Pass, fd *ast.FuncDecl, tname *types.TypeName, guarded map[*types.TypeName]bool) {
 	recv := recvName(fd)
 	if recv == "" || recv == "_" {
 		return
@@ -145,7 +140,7 @@ func checkMethod(pass *analysis.Pass, fd *ast.FuncDecl, tname *types.TypeName) {
 	// exported ones by rule 1, so scan all exported bodies plus any body
 	// that locks.
 	if exported || firstIsLock(fd, recv) != "" {
-		flagSelfCalls(pass, fd, tname, recv)
+		flagSelfCalls(pass, fd, tname, recv, guarded)
 	}
 }
 
@@ -253,8 +248,10 @@ func muCallName(e ast.Expr, recv string, names ...string) string {
 }
 
 // flagSelfCalls reports calls to exported methods on the receiver — a
-// self-deadlock while the lock is held.
-func flagSelfCalls(pass *analysis.Pass, fd *ast.FuncDecl, tname *types.TypeName, recv string) {
+// self-deadlock while the lock is held. The callee may be declared on T or
+// promoted from an embedded guarded struct, and may be reached as recv.M()
+// or through the embedded field, recv.Embedded.M().
+func flagSelfCalls(pass *analysis.Pass, fd *ast.FuncDecl, tname *types.TypeName, recv string, guarded map[*types.TypeName]bool) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -264,17 +261,14 @@ func flagSelfCalls(pass *analysis.Pass, fd *ast.FuncDecl, tname *types.TypeName,
 		if !ok {
 			return true
 		}
-		id, ok := sel.X.(*ast.Ident)
-		if !ok || id.Name != recv {
+		if !sel.Sel.IsExported() || !onReceiver(pass, sel.X, recv) {
 			return true
 		}
-		if sel.Sel.Name == "mu" || !sel.Sel.IsExported() {
-			return true
-		}
-		// recv.Method(...): confirm it is a method of T, not a field
-		// holding a func.
+		// Confirm it is a method (not a field holding a func) whose own
+		// receiver is a guarded type: T itself, or the embedded struct T's
+		// mu is promoted from.
 		if fn, ok := pass.ObjectOf(sel.Sel).(*types.Func); ok {
-			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil && guarded[namedOf(sig.Recv().Type())] {
 				pass.Reportf(call.Pos(),
 					"%s.%s calls exported method %s while holding %s.mu — RWMutex is not reentrant, this self-deadlocks",
 					tname.Name(), fd.Name.Name, sel.Sel.Name, recv)
@@ -282,4 +276,33 @@ func flagSelfCalls(pass *analysis.Pass, fd *ast.FuncDecl, tname *types.TypeName,
 		}
 		return true
 	})
+}
+
+// onReceiver reports whether e is recv itself or a chain of embedded
+// fields hanging off it (recv.Embedded, recv.Outer.Inner, ...).
+func onReceiver(pass *analysis.Pass, e ast.Expr, recv string) bool {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return x.Name == recv
+		case *ast.SelectorExpr:
+			if fld, ok := pass.ObjectOf(x.Sel).(*types.Var); !ok || !fld.Embedded() {
+				return false
+			}
+			e = x.X
+		default:
+			return false
+		}
+	}
+}
+
+// namedOf returns the type name behind t after one pointer deref, or nil.
+func namedOf(t types.Type) *types.TypeName {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj()
+	}
+	return nil
 }

@@ -59,3 +59,28 @@ func (m *Mixed) Both() int { // want "touches guarded state but does not start w
 	_ = m.acts.Load()
 	return m.n
 }
+
+// A struct that embeds a guarded struct is guarded by the promoted mu: its
+// own methods answer to the same three rules.
+type Embedder struct {
+	Wrapper
+	extra int
+}
+
+func (e *Embedder) Unlocked() int { // want "touches guarded state but does not start with e.mu.Lock/RLock"
+	return e.extra
+}
+
+// Promoted exported methods lock the very mutex the caller holds, reached
+// by promotion or through the embedded field.
+func (e *Embedder) PromotedSelfCall() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.extra + e.Size() // want "calls exported method Size while holding e.mu"
+}
+
+func (e *Embedder) EmbeddedFieldSelfCall() int {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.extra + e.Wrapper.Size() // want "calls exported method Size while holding e.mu"
+}

@@ -56,3 +56,41 @@ func (c *Counting) Bump(n uint64) {
 	c.st.n++
 	c.acts.Add(n)
 }
+
+// A facade embedding the guarded struct locks through the promoted mu and
+// reaches the embedded state directly (or via unexported helpers) — never
+// through the embedded struct's exported, self-locking methods.
+type Logged struct {
+	Guarded
+	log []int
+}
+
+func (l *Logged) Append(n int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.log = append(l.log, n)
+	l.st.n += n
+}
+
+func (l *Logged) Total() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.log) + l.lenLocked()
+}
+
+// An embedded struct without a mutex promotes no lock: its exported
+// methods are ordinary calls, not self-deadlocks.
+type plain struct{ k int }
+
+func (p *plain) K() int { return p.k }
+
+type Mixin struct {
+	mu sync.Mutex
+	plain
+}
+
+func (m *Mixin) Get() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.K()
+}

@@ -3,6 +3,7 @@ package serve
 import (
 	"testing"
 
+	"anc"
 	"anc/internal/obs"
 )
 
@@ -50,6 +51,20 @@ func TestHotPathAllocs(t *testing.T) {
 		off.wroteBytes(1)
 	}); n != 0 {
 		t.Errorf("nil serverMetrics: %v allocs/op, want 0", n)
+	}
+
+	// No label table (the dense path): the two translate calls every
+	// request now passes through must cost nothing.
+	var dense *labelTable
+	req := &Request{Op: OpActivateBatch, Batch: []anc.Activation{{U: 0, V: 1, T: 1}}, Node: 3, U: 4, V: 5}
+	resp := &Response{Members: []int{0, 1}, Clusters: [][]int{{2, 3}}}
+	if n := testing.AllocsPerRun(1000, func() {
+		if err := dense.toDense(req); err != nil {
+			t.Fatal(err)
+		}
+		dense.toLabels(resp)
+	}); n != 0 {
+		t.Errorf("nil labelTable: %v allocs/op, want 0", n)
 	}
 }
 

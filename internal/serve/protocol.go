@@ -30,11 +30,10 @@
 // backend's shared lock while all ingest funnels through the server's
 // single writer goroutine.
 //
-// Node IDs on the wire are the dense IDs 0..n-1 of the served network.
-// A server fronting an edge list with arbitrary original IDs translates
-// at its boundary (ancserve wraps its backend to speak the file's IDs);
-// an in-process server over a directly constructed graph serves the
-// dense IDs as-is.
+// Node IDs on the wire are the dense IDs 0..n-1 of the served network,
+// unless the server was given the graph file's label table (Config.Labels,
+// as ancserve does): it then speaks the file's original IDs, translating
+// at the codec boundary (labels.go).
 package serve
 
 import (

@@ -73,10 +73,10 @@ type Replicator interface {
 }
 
 // TracedBackend is the optional tracing surface a Backend may expose
-// (DurableNetwork does, through repl.Node and the ancserve ID
-// translator): an ActivateBatch that records its WAL-append, fsync and
-// core-apply stages as children of the request's span. The writer
-// goroutine uses it only for requests that are actually being traced.
+// (DurableNetwork does, also through repl.Node): an ActivateBatch that
+// records its WAL-append, fsync and core-apply stages as children of the
+// request's span. The writer goroutine uses it only for requests that are
+// actually being traced.
 type TracedBackend interface {
 	ActivateBatchTraced(batch []anc.Activation, sp trace.SpanHandle) error
 }
@@ -136,6 +136,12 @@ type Config struct {
 	// cannot flood the log.
 	SlowQuery time.Duration
 
+	// Labels, when non-nil, is the served graph file's label table — the
+	// original → dense node-ID map anc.LoadEdgeList returns — and makes the
+	// wire speak the file's original IDs (see labels.go). Start fails if a
+	// label does not fit the wire's uint32 node width.
+	Labels map[int64]int32
+
 	// Repl, when non-nil, enables the replication ops: OpReplSubscribe
 	// streams WAL frames to followers, OpReplStatus/OpStats report
 	// replication health, OpPromote flips a follower to accepting writes,
@@ -189,6 +195,7 @@ type ingestReq struct {
 type Server struct {
 	cfg     Config
 	backend Backend
+	labels  *labelTable // nil unless cfg.Labels needs translating; set by Start
 
 	lis      net.Listener
 	ingestCh chan ingestReq
@@ -238,6 +245,10 @@ func New(backend Backend, cfg Config) *Server {
 // Start listens on addr (e.g. "127.0.0.1:0" for an ephemeral port) and
 // serves in background goroutines until Shutdown or Kill.
 func (s *Server) Start(addr string) error {
+	var err error
+	if s.labels, err = newLabelTable(s.cfg.Labels); err != nil {
+		return err
+	}
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -664,6 +675,12 @@ func (s *Server) handleRequest(st *connState, req *Request, sp trace.SpanHandle)
 		return s.errReply(req.ID, ErrCodeShuttingDown, "server is draining")
 	}
 
+	// Still on the connection goroutine, before anything else can hold
+	// the request: file labels become dense IDs in place.
+	if err := s.labels.toDense(req); err != nil {
+		return s.errReply(req.ID, ErrCodeRejected, err.Error())
+	}
+
 	// Admission gate: a slot must free up before the deadline.
 	select {
 	case s.gate <- struct{}{}:
@@ -860,5 +877,6 @@ func (s *Server) execQuery(st *connState, req *Request) []byte {
 	default:
 		return s.errReply(req.ID, ErrCodeBadRequest, fmt.Sprintf("unknown op %d", req.Op))
 	}
+	s.labels.toLabels(resp)
 	return EncodeResponse(req.Op, resp)
 }

@@ -3,13 +3,12 @@ package anc
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"anc/internal/obs/trace"
-	"anc/internal/wal"
 )
 
 // This file is the durable layer's replication surface: the hooks a
@@ -60,37 +59,19 @@ func (d *DurableNetwork) NewestCheckpoint() (index uint64, path string, ok bool,
 	return cp.index, cp.path, true, nil
 }
 
-// decodeFrameActs decodes one WAL frame payload into the activations it
-// carries: a single 16-byte record (per-op Activate) or n×16 bytes (a
-// group-committed batch). It is the one decoder shared by Recover and
-// ApplyFrame, so local replay and wire replay cannot drift.
-func decodeFrameActs(rec []byte) ([]Activation, error) {
-	if len(rec) == 0 || len(rec)%activationRecordSize != 0 {
-		return nil, fmt.Errorf("anc: frame of %d bytes", len(rec))
-	}
-	acts := make([]Activation, len(rec)/activationRecordSize)
-	for i := range acts {
-		u, v, t, err := decodeActivation(rec[i*activationRecordSize : (i+1)*activationRecordSize])
-		if err != nil {
-			return nil, err
-		}
-		acts[i] = Activation{U: u, V: v, T: t}
-	}
-	return acts, nil
-}
-
 // ApplyFrame ingests one replicated WAL frame: the follower's write path.
 // The raw payload is appended to the local WAL byte-for-byte and then
-// applied through the same pipeline Recover uses (a 16-byte payload via
-// Activate, larger via ActivateBatch), so a follower's log and state are
-// exactly what a local run of the same history would have produced —
-// which is what makes convergence checkable by comparing Save bytes.
+// applied through the same write path as local ingest (commitFrame), so a
+// follower's log and state are exactly what a local run of the same
+// history would have produced — which is what makes convergence checkable
+// by comparing Save bytes.
 //
 // index must equal the local log's next index; anything else is a gap or
 // a duplicate and is rejected with ErrFrameGap wrapping detail, leaving
 // the state untouched. Duplicates are the caller's business to skip
 // (replication sessions may legitimately replay an overlap after a
 // reconnect).
+//
 //anclint:ignore lockdiscipline pure delegation with a zero span; ApplyFrameTraced takes the lock itself
 func (d *DurableNetwork) ApplyFrame(index uint64, payload []byte) error {
 	return d.ApplyFrameTraced(index, payload, trace.SpanHandle{}) //anclint:ignore lockdiscipline no lock is held here; the traced variant acquires it
@@ -109,42 +90,14 @@ func (d *DurableNetwork) ApplyFrameTraced(index uint64, payload []byte, sp trace
 	if next := d.w.NextIndex(); index != next {
 		return fmt.Errorf("%w: frame %d, log at %d", ErrFrameGap, index, next)
 	}
-	acts, err := decodeFrameActs(payload)
+	acts, err := decodeFrame(payload)
 	if err != nil {
 		return err
 	}
-	// Log-then-apply, exactly like Activate/ActivateBatch: the durable
-	// history stays a superset of the applied one.
-	wsp := sp.StartChild("wal.append")
-	d.fsyncAccum = 0
-	if _, err := d.w.Append(payload); err != nil {
-		wsp.Fail()
-		wsp.End()
-		return fmt.Errorf("anc: wal: %w", err)
-	}
-	if wsp.Active() && d.fsyncAccum > 0 {
-		wsp.Leaf("wal.fsync", time.Duration(d.fsyncAccum*float64(time.Second)))
-	}
-	wsp.End()
-	csp := sp.StartChild("core.apply")
-	if len(acts) == 1 {
-		err = d.net.Activate(acts[0].U, acts[0].V, acts[0].T)
-	} else {
-		err = d.net.ActivateBatchTraced(acts, csp)
-	}
-	if err != nil {
-		csp.Fail()
-		csp.End()
+	if err := d.net.checkIngest(acts); err != nil {
 		return err
 	}
-	csp.End()
-	d.met.batchLogged(len(acts))
-	d.acts += uint64(len(acts))
-	d.sinceCheckpoint += len(acts)
-	if d.cfg.CheckpointEvery > 0 && d.sinceCheckpoint >= d.cfg.CheckpointEvery {
-		return d.checkpointLocked()
-	}
-	return nil
+	return d.commitFrame(acts, payload, sp)
 }
 
 // ErrFrameGap is wrapped by ApplyFrame when the offered frame index does
@@ -176,40 +129,16 @@ func RestoreDurable(snapshot []byte, index uint64, dir string, cfg DurableConfig
 			}
 		}
 	}
-	tmp := filepath.Join(dir, "checkpoint.tmp")
-	if err := os.WriteFile(tmp, snapshot, 0o644); err != nil {
-		return nil, err
-	}
-	f, err := os.Open(tmp)
+	err = writeCheckpoint(dir, index, func(w io.Writer) error {
+		_, err := w.Write(snapshot)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	f.Close() //anclint:ignore droppederr read-only handle reopened for fsync; a close error cannot lose data
-	if err := os.Rename(tmp, filepath.Join(dir, checkpointName(index))); err != nil {
-		return nil, err
-	}
-	syncDir(dir)
 	net, err := loadCheckpoint(filepath.Join(dir, checkpointName(index)))
 	if err != nil {
 		return nil, err
 	}
-	net.Instrument(cfg.Obs)
-	var d *DurableNetwork // the fsync hook captures it; nil until construction below
-	opts := cfg.walOptions()
-	opts.OnFsync = func(seconds float64) {
-		if d != nil {
-			d.noteFsync(seconds)
-		}
-	}
-	w, err := wal.OpenWriter(dir, index, opts)
-	if err != nil {
-		return nil, err
-	}
-	d = &DurableNetwork{net: net, w: w, dir: dir, cfg: cfg, met: newDurableMetrics(cfg.Obs),
-		cache: net.clusterCache(), rank: net.rankCache()}
-	return d, nil
+	return openDurable(net, dir, index, cfg)
 }

@@ -17,7 +17,7 @@ type Stats struct {
 	// Now is the network time: the largest activation timestamp seen.
 	Now float64
 	// WatcherDrops is the cumulative count of cluster events dropped on
-	// watcher buffer overflow — never reset by Drain, so loss is observable
+	// watcher buffer overflow — never reset by DrainEvents, so loss is observable
 	// without consuming events. Zero when Watch was never called.
 	WatcherDrops uint64
 	// CacheHits, CacheMisses and CacheInvalidations are the materialized
