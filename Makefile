@@ -87,11 +87,15 @@ fuzz-smoke:
 # dynamic half of the //anclint:hotpath contract (DESIGN.md §14): the
 # AllocsPerRun gates assert every annotated kernel runs at 0 allocs/op,
 # and the hot-path benchmarks run under -benchmem so a regression is
-# visible in the output.
+# visible in the output. The writer's two kernels ride the same gate: the
+# pyramid repair (relink/probe/markChanged, 0 allocs per update) and the
+# power/even extraction (a constant number of allocations whatever the
+# cluster count), with the orphaned-hub and Power benchmarks beside them.
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkIngest$$' -benchtime 1x .
-	$(GO) test -run '^TestHotPathAllocs$$' -count=1 ./internal/serve ./internal/obs ./internal/obs/trace ./internal/decay ./internal/cluster/cache ./internal/analytics
+	$(GO) test -run '^TestHotPathAllocs$$' -count=1 ./internal/serve ./internal/obs ./internal/obs/trace ./internal/decay ./internal/cluster/cache ./internal/analytics ./internal/pyramid ./internal/cluster
 	$(GO) test -run '^$$' -bench '^BenchmarkHotPath' -benchtime 100x -benchmem ./internal/serve ./internal/obs ./internal/obs/trace ./internal/decay ./internal/cluster/cache ./internal/analytics
+	$(GO) test -run '^$$' -bench '^(BenchmarkUpdateEdgesHub|BenchmarkPower)$$' -benchtime 20x -benchmem ./internal/pyramid ./internal/cluster
 
 # serve-smoke drives the serving layer once end to end on an ephemeral
 # port: concurrent TCP ingest + queries into a WAL-backed network, graceful

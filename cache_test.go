@@ -3,6 +3,7 @@ package anc
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -205,5 +206,95 @@ func TestCacheConcurrentSwapStress(t *testing.T) {
 		if got, want := canonClusters(c.EvenClusters(level)), canonClusters(c.EvenClustersUncached(level)); got != want {
 			t.Fatalf("after stress, EvenClusters(%d) diverges from recompute", level)
 		}
+	}
+}
+
+// TestTrackedLevelSwappedNotDropped pins the publication rule of the
+// evolution tracker's level (DESIGN.md §15, "replace"): a flip there does
+// not invalidate — the writer recomputes the level before it releases the
+// lock and swaps it in — so once the level has been filled, a lock-free
+// probe never finds the slot empty, however hot the writer runs, and every
+// snapshot it does find is a whole partition of [0, n). Two alternating hot
+// edge sets with the clock jumping between batches keep the √n level
+// flipping. Run under -race by make race.
+func TestTrackedLevelSwappedNotDropped(t *testing.T) {
+	net, edges := seededCacheNetwork(t, 13, 64)
+	c := NewConcurrent(net)
+	defer c.Close()
+	n, level := c.N(), c.SqrtLevel()
+	c.Clusters(level) // first fill
+	first, ok := c.cache.Power(level)
+	if !ok {
+		t.Fatal("Clusters did not fill the tracked level")
+	}
+
+	var empty, broken, probes atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		seen := make([]int, n)
+		for round := 1; ; round++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			probes.Add(1)
+			cl, ok := c.cache.Power(level)
+			if !ok {
+				empty.Add(1)
+				continue
+			}
+			members := 0
+			for _, cluster := range cl.Clusters {
+				for _, v := range cluster {
+					if seen[v] == round {
+						broken.Add(1)
+					}
+					seen[v] = round
+					members++
+				}
+			}
+			if members != n {
+				broken.Add(1)
+			}
+		}
+	}()
+
+	swaps, last, now := 0, first, 0.0
+	for i := 0; i < 300; i++ {
+		hot := edges[(i%2)*12 : (i%2)*12+12]
+		now += 3
+		batch := make([]Activation, 0, 2*len(hot))
+		for j := 0; j < 2*len(hot); j++ {
+			e := hot[j%len(hot)]
+			batch = append(batch, Activation{U: e[0], V: e[1], T: now})
+		}
+		if err := c.ActivateBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if cl, _ := c.cache.Power(level); cl != last {
+			swaps, last = swaps+1, cl
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	if swaps < 30 {
+		t.Fatalf("the tracked level was republished %d times in 300 batches: the workload does not flip it", swaps)
+	}
+	if e, b := empty.Load(), broken.Load(); e != 0 || b != 0 {
+		t.Fatalf("%d probes: %d found the tracked level empty, %d found a clustering that does not partition [0, %d)", probes.Load(), e, b, n)
+	}
+	if got, want := canonClusters(c.Clusters(level)), canonClusters(c.ClustersUncached(level)); got != want {
+		t.Fatalf("after the writer stopped, Clusters(%d) diverges from recompute:\n got %s\nwant %s", level, got, want)
+	}
+	if got, want := canonClusters(c.EvenClusters(level)), canonClusters(c.EvenClustersUncached(level)); got != want {
+		t.Fatalf("after the writer stopped, EvenClusters(%d) diverges from recompute", level)
+	}
+	if _, _, inv := c.CacheStats(); inv != 0 {
+		t.Fatalf("%d invalidations with only the tracked level ever filled, want 0", inv)
 	}
 }

@@ -39,11 +39,7 @@ type Index struct {
 func Build(g *graph.Graph, w func(e graph.EdgeID) float64) *Index {
 	n := g.N()
 	ix := &Index{labels: make([][]label, n)}
-	order := g.DegreeRank()
-	rankOf := make([]int32, n)
-	for r, v := range order {
-		rankOf[v] = int32(r)
-	}
+	order, rankOf := g.DegreeRank(), g.DegreePos()
 	dist := make([]float64, n)
 	for i := range dist {
 		dist[i] = math.Inf(1)

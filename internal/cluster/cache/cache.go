@@ -7,7 +7,7 @@
 //
 // The cache is one atomic.Pointer to an immutable snapshot holding, per
 // granularity level, the materialized power and even Clustering (nil when
-// not yet computed or invalidated). The three operations:
+// not yet computed or invalidated). The four operations:
 //
 //   - Hit (Power/Even): a single atomic load plus a slice index. No locks,
 //     no allocation — annotated //anclint:hotpath and gated by the
@@ -23,6 +23,13 @@
 //     the two-phase protocol sound without generation counters: a store
 //     publishing a result computed from pre-write state cannot clobber an
 //     invalidation that the write just issued.
+//   - Replace (ReplacePower): copy-on-write swap of one level's power entry
+//     for a fresh recompute, the even entry cleared. Exclusive-writer
+//     context only, like invalidation. It is for a level the writer
+//     recomputes anyway before it releases the lock (the evolution
+//     tracker's): that level is not invalidated on flip, so lock-free
+//     probes keep hitting the pre-write snapshot until the swap instead of
+//     missing and queueing behind the writer.
 //
 // # Correctness contract
 //
@@ -36,7 +43,10 @@
 //
 // Readers that probe the cache without the lock may observe the snapshot
 // from just before a concurrent write commits; that is the same answer a
-// query linearized immediately before the write would get.
+// query linearized immediately before the write would get. A level that is
+// replaced instead of invalidated stretches that window from "until the
+// flip" to "until the writer's swap", both inside the same exclusive
+// section, so the linearization point is the same.
 package cache
 
 import (
@@ -206,6 +216,23 @@ func (c *Cache) Invalidate(level int) {
 			return
 		}
 	}
+}
+
+// ReplacePower swaps in cl, the recompute at the current index state, as
+// the power clustering of level and clears the level's even entry — the
+// writer-side publication for a level whose flips were not invalidated.
+// Exclusive-writer context only: no store or invalidation can be in flight,
+// so one clone and one Store suffice. Counted as neither hit, miss nor
+// invalidation: no probe failed and no reader will recompute.
+func (c *Cache) ReplacePower(level int, cl *cluster.Clustering) {
+	if c == nil || cl == nil {
+		return
+	}
+	level = c.clamp(level)
+	nw := c.snap.Load().clone()
+	nw.power[level-1] = cl
+	nw.even[level-1] = nil
+	c.snap.Store(nw)
 }
 
 // InvalidateAll drops every level — the wholesale reset after an index

@@ -84,20 +84,21 @@ func Even(ix *pyramid.Index, level int) *Clustering {
 	for i := range labels {
 		labels[i] = -1
 	}
-	var clusters [][]graph.NodeID
-	var queue []graph.NodeID
+	slab := make([]graph.NodeID, 0, g.N())
+	queue := make([]graph.NodeID, 0, g.N())
+	count := 0
 	for v := 0; v < g.N(); v++ {
 		if labels[v] >= 0 {
 			continue
 		}
-		id := int32(len(clusters))
+		id := int32(count)
+		count++
 		labels[v] = id
-		queue = append(queue[:0], graph.NodeID(v))
-		var members []graph.NodeID
+		queue = append(queue, graph.NodeID(v))
 		for len(queue) > 0 {
 			x := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
-			members = append(members, x)
+			slab = append(slab, x)
 			for _, h := range g.Neighbors(x) {
 				if labels[h.To] < 0 && keep(h.Edge) {
 					labels[h.To] = id
@@ -105,9 +106,27 @@ func Even(ix *pyramid.Index, level int) *Clustering {
 				}
 			}
 		}
-		clusters = append(clusters, members)
 	}
-	return &Clustering{Labels: labels, Clusters: clusters}
+	return &Clustering{Labels: labels, Clusters: carve(slab, labels, count)}
+}
+
+// carve cuts the member slab of a finished search into its clusters. Both
+// searches emit a cluster's members contiguously and label them before
+// moving on, so a cluster is a maximal run of one label. Every member list
+// is a three-index sub-slice: a caller's append reallocates instead of
+// writing into the next cluster. One allocation, whatever the count.
+func carve(slab []graph.NodeID, labels []int32, count int) [][]graph.NodeID {
+	clusters := make([][]graph.NodeID, count)
+	for a := 0; a < len(slab); {
+		id := labels[slab[a]]
+		b := a + 1
+		for b < len(slab) && labels[slab[b]] == id {
+			b++
+		}
+		clusters[id] = slab[a:b:b]
+		a = b
+	}
+	return clusters
 }
 
 // Power reports the power clustering (the paper's DirectedCluster) at the
@@ -121,29 +140,26 @@ func Power(ix *pyramid.Index, level int) *Clustering {
 	g := ix.Graph()
 	memo := newKeepMemo(g.M(), voteKeep(ix, level))
 	keep := memo.Keep
-	rank := g.DegreeRank()
-	pos := make([]int32, g.N()) // rank position of each node
-	for i, v := range rank {
-		pos[v] = int32(i)
-	}
+	rank, pos := g.DegreeRank(), g.DegreePos()
 	labels := make([]int32, g.N())
 	for i := range labels {
 		labels[i] = -1
 	}
-	var clusters [][]graph.NodeID
-	var stack []graph.NodeID
+	slab := make([]graph.NodeID, 0, g.N())
+	stack := make([]graph.NodeID, 0, g.N())
+	count := 0
 	for _, v := range rank {
 		if labels[v] >= 0 {
 			continue
 		}
-		id := int32(len(clusters))
+		id := int32(count)
+		count++
 		labels[v] = id
-		stack = append(stack[:0], v)
-		var members []graph.NodeID
+		stack = append(stack, v)
 		for len(stack) > 0 {
 			x := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			members = append(members, x)
+			slab = append(slab, x)
 			for _, h := range g.Neighbors(x) {
 				// Follow the edge only in its high-rank -> low-rank direction.
 				if pos[x] < pos[h.To] && labels[h.To] < 0 && keep(h.Edge) {
@@ -152,9 +168,8 @@ func Power(ix *pyramid.Index, level int) *Clustering {
 				}
 			}
 		}
-		clusters = append(clusters, members)
 	}
-	return &Clustering{Labels: labels, Clusters: clusters}
+	return &Clustering{Labels: labels, Clusters: carve(slab, labels, count)}
 }
 
 // Local answers the local cluster query of Problem 1(2): the cluster

@@ -8,7 +8,7 @@ import (
 	"anc/internal/pyramid"
 )
 
-func benchIndex(b *testing.B, n int) *pyramid.Index {
+func benchIndex(b testing.TB, n int) *pyramid.Index {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
 	gb := graph.NewBuilder(n)
@@ -44,10 +44,14 @@ func BenchmarkEven(b *testing.B) {
 	}
 }
 
-// BenchmarkPower measures power clustering (DirectedCluster).
+// BenchmarkPower measures power clustering (DirectedCluster) — run inside
+// every ingest call by the evolution tracker. make bench-smoke runs it with
+// -benchmem: a per-call degree sort or per-cluster member slices show up as
+// allocs/op far above TestHotPathAllocs' constant.
 func BenchmarkPower(b *testing.B) {
 	ix := benchIndex(b, 4096)
 	l := pyramid.SqrtLevel(4096)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Power(ix, l)

@@ -278,3 +278,26 @@ func TestPowerOrderDeterminism(t *testing.T) {
 		t.Fatal("power clustering not deterministic")
 	}
 }
+
+// TestClusterSlabDoesNotBleed pins the three-index carve: member lists share
+// one slab, so a caller appending to one cluster must get a fresh array
+// instead of overwriting the first member of the next.
+func TestClusterSlabDoesNotBleed(t *testing.T) {
+	g, w := twoCliques(t)
+	ix := buildIndex(t, g, w, 4, 7)
+	for _, cl := range []*Clustering{Power(ix, ix.Levels()), Even(ix, ix.Levels())} {
+		if cl.NumClusters() < 2 {
+			t.Fatalf("fixture yields %d clusters, need at least 2", cl.NumClusters())
+		}
+		for i, members := range cl.Clusters {
+			if len(members) == 0 || cap(members) != len(members) {
+				t.Fatalf("cluster %d: len %d cap %d, want a full non-empty sub-slice", i, len(members), cap(members))
+			}
+		}
+		next := cl.Clusters[1][0]
+		_ = append(cl.Clusters[0], -7)
+		if cl.Clusters[1][0] != next {
+			t.Fatal("append to cluster 0 overwrote cluster 1")
+		}
+	}
+}

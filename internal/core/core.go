@@ -244,7 +244,7 @@ func (nw *Network) Activate(e graph.EdgeID, t float64) error {
 		nw.ix.UpdateEdge(e, nw.sim.ActivateNoReinforce(e, t))
 	case ANCOR:
 		if t >= nw.lastFlush+nw.opts.ReinforceInterval {
-			nw.Flush()
+			nw.flush()
 			nw.lastFlush = t
 		}
 		nw.ix.UpdateEdge(e, nw.sim.ActivateNoReinforce(e, t))
@@ -314,7 +314,7 @@ func (nw *Network) ActivateBatchTraced(batch []Activation, sp trace.SpanHandle) 
 			// reinforcement reads exact similarities, then flush as the
 			// per-op path would.
 			nw.settleBatch(sp)
-			nw.Flush()
+			nw.flush()
 			nw.lastFlush = a.T
 		}
 		nw.sim.BumpNoReinforce(a.Edge)
@@ -325,7 +325,7 @@ func (nw *Network) ActivateBatchTraced(batch []Activation, sp trace.SpanHandle) 
 	}
 	nw.settleBatch(sp)
 	if nw.opts.Method == ANCOR {
-		nw.Flush()
+		nw.flush()
 		nw.lastFlush = nw.clock.Now()
 	}
 	nw.Stats.Activations += int64(len(batch))
@@ -417,9 +417,15 @@ func (nw *Network) addPending(e graph.EdgeID) {
 
 // Flush applies one local reinforcement pass to every pending trigger edge
 // and pushes the resulting weight changes into the index incrementally.
-// ANCOR calls it automatically at interval boundaries; it is exported for
-// end-of-stream synchronization.
+// ANCOR does the same automatically at interval boundaries; Flush is the
+// entry point for end-of-stream synchronization.
 func (nw *Network) Flush() {
+	nw.flush()
+	nw.afterRepair()
+}
+
+// flush is Flush inside an ingest call, whose own afterRepair follows.
+func (nw *Network) flush() {
 	if len(nw.pending) == 0 {
 		return
 	}
@@ -451,7 +457,6 @@ func (nw *Network) Flush() {
 func (nw *Network) Snapshot() error {
 	if nw.opts.Method != ANCF {
 		nw.Flush()
-		nw.afterRepair()
 		return nil
 	}
 	for r := 0; r < nw.opts.Rep; r++ {
@@ -486,17 +491,23 @@ func (nw *Network) Snapshot() error {
 }
 
 // afterRepair is the analytics hook at the end of every mutating entry
-// point (Activate, ActivateBatch, Snapshot): any activation moves
+// point (Activate, ActivateBatch, Flush, Snapshot): any activation moves
 // relative edge weights, so the cached TieRank eigenvector is dropped
 // unconditionally; the evolution tracker diffs only when a vote flip
 // touched its level — clusterings are a pure function of vote pass
-// states, so no flip means no transition to report. Exclusive-writer
-// context, like the cache invalidations it extends.
+// states, so no flip means no transition to report. The recompute the diff
+// needs is also what the clustering cache serves at that level from now
+// on: it replaces the pre-write entry, which the flip deliberately left in
+// place (see EnableClusterCache). Exclusive-writer context, like the cache
+// invalidations it extends.
 func (nw *Network) afterRepair() {
 	nw.rank.Invalidate()
 	if nw.evoDirty {
 		nw.evoDirty = false
-		nw.evo.Observe(nw.Clusters(nw.evo.Level()), nw.clock.Now())
+		level := nw.evo.Level()
+		cl := cluster.Power(nw.ix, level)
+		nw.cache.ReplacePower(level, cl)
+		nw.evo.Observe(cl, nw.clock.Now())
 	}
 }
 
@@ -513,7 +524,15 @@ func (nw *Network) EnableClusterCache() *clustercache.Cache {
 	}
 	c := clustercache.New(nw.ix.Levels())
 	vt := nw.ix.EnableVoteTracking()
-	vt.OnFlip(func(l int, _ graph.EdgeID, _ bool) { c.Invalidate(l) })
+	vt.OnFlip(func(l int, _ graph.EdgeID, _ bool) {
+		// The evolution tracker's level is recomputed by afterRepair before
+		// the writer lets go, and swapped in there; dropping it here would
+		// only make lock-free readers miss and queue behind the writer.
+		// (Level is 0, no level, until EnableAnalytics.)
+		if l != nw.evo.Level() {
+			c.Invalidate(l)
+		}
+	})
 	c.Instrument(nw.reg)
 	nw.cache = c
 	return c

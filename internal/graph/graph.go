@@ -36,6 +36,8 @@ type Graph struct {
 	adj     []Half  // len 2m
 	srcs    []NodeID
 	dsts    []NodeID // endpoints by edge ID, srcs[e] < dsts[e]
+	rank    []NodeID // nodes by decreasing degree, ties by increasing ID
+	rankPos []int32  // inverse of rank: rankPos[rank[i]] == i
 }
 
 // Edge is an undirected edge given by its two endpoints.
@@ -121,6 +123,30 @@ func (b *Builder) Build() *Graph {
 	// already sorted by neighbor ID: for list of node w, entries with
 	// To < w come from edges (To, w) sorted by To, then entries with
 	// To > w come from edges (w, To) sorted by To.
+
+	// Degree rank by counting sort: one bucket per degree in decreasing
+	// order, nodes within a bucket in scan (increasing ID) order.
+	maxDeg := int32(0)
+	for _, d := range deg {
+		if d > maxDeg {
+			maxDeg = d
+		}
+	}
+	next := make([]int32, maxDeg+2) // next[b]: next free rank of bucket b = maxDeg - degree
+	for _, d := range deg {
+		next[maxDeg-d+1]++
+	}
+	for b := 1; b < len(next); b++ {
+		next[b] += next[b-1]
+	}
+	g.rank = make([]NodeID, n)
+	g.rankPos = make([]int32, n)
+	for v, d := range deg {
+		b := maxDeg - d
+		g.rank[next[b]] = NodeID(v)
+		g.rankPos[v] = next[b]
+		next[b]++
+	}
 	return g
 }
 
@@ -217,17 +243,10 @@ func (g *Graph) Edges() []Edge {
 
 // DegreeRank returns all nodes sorted by decreasing degree, ties broken by
 // increasing node ID — the search order of power clustering (Section V-B).
-func (g *Graph) DegreeRank() []NodeID {
-	order := make([]NodeID, g.N())
-	for i := range order {
-		order[i] = NodeID(i)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		du, dv := g.Degree(order[i]), g.Degree(order[j])
-		if du != dv {
-			return du > dv
-		}
-		return order[i] < order[j]
-	})
-	return order
-}
+// The graph is immutable, so the order is computed once in Build; the
+// returned slice is shared and must not be modified.
+func (g *Graph) DegreeRank() []NodeID { return g.rank }
+
+// DegreePos returns the inverse of DegreeRank: DegreePos()[v] is the rank
+// position of node v. Shared like DegreeRank; must not be modified.
+func (g *Graph) DegreePos() []int32 { return g.rankPos }

@@ -227,6 +227,49 @@ func TestDegreeRank(t *testing.T) {
 	if rank[1] != 0 || rank[2] != 1 {
 		t.Fatalf("tie order wrong: %v", rank)
 	}
+
+	// The rank is computed once in Build: every call hands out the same
+	// backing array, and DegreePos is its inverse.
+	if again := g.DegreeRank(); &again[0] != &rank[0] {
+		t.Fatal("DegreeRank returned a different backing array on the second call")
+	}
+	for i, v := range rank {
+		if g.DegreePos()[v] != int32(i) {
+			t.Fatalf("DegreePos[%d] = %d, want %d", v, g.DegreePos()[v], i)
+		}
+	}
+
+	// The counting sort must reproduce the comparison sort it replaced —
+	// decreasing degree, ties by increasing ID — on graphs with few distinct
+	// degrees (so most nodes tie), isolated nodes included.
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(300)
+		b := NewBuilder(n)
+		for i := rng.Intn(2 * n); i > 0; i-- {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				b.AddEdge(NodeID(u), NodeID(v))
+			}
+		}
+		g := b.Build()
+		want := make([]NodeID, n)
+		for i := range want {
+			want[i] = NodeID(i)
+		}
+		sort.Slice(want, func(i, j int) bool {
+			du, dv := g.Degree(want[i]), g.Degree(want[j])
+			if du != dv {
+				return du > dv
+			}
+			return want[i] < want[j]
+		})
+		if got := g.DegreeRank(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (n=%d, m=%d): counting sort %v, comparison sort %v", trial, n, g.M(), got, want)
+		}
+	}
+	if r := NewBuilder(0).Build().DegreeRank(); len(r) != 0 {
+		t.Fatalf("empty graph has rank %v", r)
+	}
 }
 
 func TestReadWriteEdgeListRoundTrip(t *testing.T) {

@@ -312,7 +312,7 @@ func (ix *Index) UpdateEdges(edges []graph.EdgeID, newWeights []float64) {
 		})
 		if ix.votes != nil {
 			for slot := range ix.voteChanged {
-				ix.votes.applyBatch(slot/ix.levels, slot%ix.levels+1, changed, ix.voteChanged[slot])
+				ix.votes.applyBatch(slot/ix.levels, slot%ix.levels+1, ix.voteChanged[slot])
 			}
 			ix.votes.flushFlips()
 		}
@@ -326,7 +326,7 @@ func (ix *Index) UpdateEdges(edges []graph.EdgeID, newWeights []float64) {
 				ix.met.partitionRepaired()
 			}
 			if ix.votes != nil {
-				ix.votes.applyBatch(p, l+1, changed, moved)
+				ix.votes.applyBatch(p, l+1, moved)
 			}
 		}
 	}
@@ -398,14 +398,12 @@ func (ix *Index) Validate() string {
 
 // MemoryBytes estimates the resident size of the index structures
 // (excluding the graph itself, as in Exp 4): seed assignments, distances,
-// parent/children forests, the shared weight slice, and the Dijkstra
-// scratches (one per worker plus the serial one — no longer one per
-// partition).
+// parent forests, the shared weight slice, and the Dijkstra scratches (one
+// per worker plus the serial one — no longer one per partition).
 func (ix *Index) MemoryBytes() int64 {
 	n := int64(ix.g.N())
-	perPartition := n*4 + n*8 + n*4 + // seedOf + dist + parent
-		n*24 + n*4 // children slice headers + entries (≈ n edges in forest)
-	perScratch := n*8 + n*4 + n*4 // heap prio + heap pos + stamp
+	perPartition := n*4 + n*8 + n*4           // seedOf + dist + parent: 16 B per node
+	perScratch := n*8 + n*4 + n*4 + n*4 + n*4 // heap prio + heap pos + stamp + entry seed + changed
 	scratches := int64(1)
 	if ix.pool != nil {
 		scratches += int64(poolSize(ix.cfg.K * ix.levels))

@@ -15,8 +15,8 @@ type Metrics struct {
 	UpdateSeconds *obs.Histogram
 	// ReconstructSeconds observes full Reconstruct rebuilds.
 	ReconstructSeconds *obs.Histogram
-	// RepairedPartitions counts partition repair passes that actually moved
-	// nodes — the paper's "affected set is non-empty" case (Lemma 12).
+	// RepairedPartitions counts partition repair passes that moved at least
+	// one node to another seed — the passes the vote tracker has to follow.
 	RepairedPartitions *obs.Counter
 }
 
@@ -34,7 +34,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		ReconstructSeconds: reg.Histogram("anc_pyramid_reconstruct_seconds",
 			"full index reconstruction time in seconds", nil),
 		RepairedPartitions: reg.Counter("anc_pyramid_repaired_partitions_total",
-			"partition repair passes that moved at least one node"),
+			"partition repair passes that moved at least one node to another seed"),
 	}
 }
 

@@ -18,19 +18,20 @@ import (
 
 // Partition is one Voronoi partition: a seed set, the seed assignment of
 // every node, the (anchored) distance of every node to its seed, and the
-// shortest-path forest rooted at the seeds, stored with parent and children
-// pointers so Algorithm 3 can enumerate an orphaned subtree in time
-// proportional to its size. The Dijkstra working state lives in a scratch
-// shared per worker (see pool.go), not in the partition.
+// shortest-path forest rooted at the seeds, stored as parent pointers only.
+// Algorithm 3 enumerates an orphaned subtree by scanning each orphaned
+// node's adjacency for neighbours whose parent it is — Σ deg over the
+// subtree, the cost the boundary seeding pays for the same nodes anyway
+// (Lemma 12). The Dijkstra working state lives in a scratch shared per
+// worker (see pool.go), not in the partition.
 type Partition struct {
 	g       *graph.Graph
 	weights []float64 // shared with the owning Index; indexed by edge ID
 	seeds   []graph.NodeID
 
-	seedOf   []graph.NodeID // seed of v; None if unreachable from all seeds
-	dist     []float64      // anchored dist(seed, v); +Inf if unreachable
-	parent   []graph.NodeID // SPT parent; None for seeds and unreachable
-	children [][]graph.NodeID
+	seedOf []graph.NodeID // seed of v; None if unreachable from all seeds
+	dist   []float64      // anchored dist(seed, v); +Inf if unreachable
+	parent []graph.NodeID // SPT parent; None for seeds and unreachable
 }
 
 // newPartition builds a Voronoi partition over g for the given seed set,
@@ -38,13 +39,12 @@ type Partition struct {
 func newPartition(g *graph.Graph, weights []float64, seeds []graph.NodeID, s *scratch) *Partition {
 	n := g.N()
 	p := &Partition{
-		g:        g,
-		weights:  weights,
-		seeds:    seeds,
-		seedOf:   make([]graph.NodeID, n),
-		dist:     make([]float64, n),
-		parent:   make([]graph.NodeID, n),
-		children: make([][]graph.NodeID, n),
+		g:       g,
+		weights: weights,
+		seeds:   seeds,
+		seedOf:  make([]graph.NodeID, n),
+		dist:    make([]float64, n),
+		parent:  make([]graph.NodeID, n),
 	}
 	p.rebuild(s)
 	return p
@@ -57,7 +57,6 @@ func (p *Partition) rebuild(s *scratch) {
 		p.seedOf[v] = graph.None
 		p.dist[v] = math.Inf(1)
 		p.parent[v] = graph.None
-		p.children[v] = p.children[v][:0]
 	}
 	s.heap.Reset()
 	for _, sd := range p.seeds {
@@ -82,24 +81,11 @@ func (p *Partition) rebuild(s *scratch) {
 	}
 }
 
-// relink sets the SPT parent of a to b, maintaining children lists.
-// Pass b == graph.None to detach a.
-func (p *Partition) relink(a, b graph.NodeID) {
-	if old := p.parent[a]; old != graph.None {
-		cs := p.children[old]
-		for i, c := range cs {
-			if c == a {
-				cs[i] = cs[len(cs)-1]
-				p.children[old] = cs[:len(cs)-1]
-				break
-			}
-		}
-	}
-	p.parent[a] = b
-	if b != graph.None {
-		p.children[b] = append(p.children[b], a)
-	}
-}
+// relink sets the SPT parent of a to b; graph.None detaches a. The forest
+// is the parent array alone, so this is the whole of it.
+//
+//anclint:hotpath
+func (p *Partition) relink(a, b graph.NodeID) { p.parent[a] = b }
 
 // Seeds returns the seed set (aliases internal storage; do not modify).
 func (p *Partition) Seeds() []graph.NodeID { return p.seeds }
@@ -116,16 +102,18 @@ func (p *Partition) Parent(v graph.NodeID) graph.NodeID { return p.parent[v] }
 
 // probe is Algorithm 2: it re-evaluates a's distance via its neighbor b
 // and adopts b's seed if that improves a. Returns true if a changed.
+//
+//anclint:hotpath
 func (p *Partition) probe(s *scratch, a, b graph.NodeID, e graph.EdgeID) bool {
 	if math.IsInf(p.dist[b], 1) {
 		return false
 	}
 	d := p.dist[b] + p.weights[e]
 	if p.dist[a] > d {
+		s.markChanged(a, p.seedOf[a])
 		p.relink(a, b)
 		p.dist[a] = d
 		p.seedOf[a] = p.seedOf[b]
-		s.markChanged(a)
 		return true
 	}
 	return false
@@ -153,14 +141,17 @@ func (p *Partition) probe(s *scratch, a, b graph.NodeID, e graph.EdgeID) bool {
 // sets (Lemma 12) with overlapping regions relaxed once instead of once
 // per edge — the amortization batched ingest is built on.
 //
-// It returns the nodes whose seed or distance changed (aliases the
-// scratch; valid until the scratch's next use).
+// It returns the nodes whose seed differs from the seed they entered the
+// repair with, in first-touch order (aliases the scratch; valid until the
+// scratch's next use). A node whose distance moved under an unchanged seed
+// is not reported: votes are a pure function of seeds.
 func (p *Partition) applyBatch(s *scratch, edges []graph.EdgeID, olds []float64) []graph.NodeID {
 	s.begin()
 	// Phase 1: orphan the subtree under every increased tree edge. An edge
 	// already orphaned by an earlier, enclosing subtree has parent None on
 	// both sides by the time it is examined, so nesting is handled by the
-	// tree-edge test itself.
+	// tree-edge test itself. A neighbour whose parent is x is a child of x:
+	// the subtree is walked through adjacency, no children lists needed.
 	for i, e := range edges {
 		if p.weights[e] <= olds[i] {
 			continue
@@ -175,20 +166,20 @@ func (p *Partition) applyBatch(s *scratch, edges []graph.EdgeID, olds []float64)
 		default:
 			continue // not on this partition's forest: nothing affected
 		}
-		start := len(s.sub)
 		s.stack = append(s.stack[:0], o)
 		for len(s.stack) > 0 {
 			x := s.stack[len(s.stack)-1]
 			s.stack = s.stack[:len(s.stack)-1]
+			for _, h := range p.g.Neighbors(x) {
+				if p.parent[h.To] == x {
+					s.stack = append(s.stack, h.To)
+				}
+			}
 			s.sub = append(s.sub, x)
-			s.stack = append(s.stack, p.children[x]...)
-		}
-		for _, x := range s.sub[start:] {
+			s.markChanged(x, p.seedOf[x])
 			p.relink(x, graph.None)
 			p.dist[x] = math.Inf(1)
 			p.seedOf[x] = graph.None
-			p.children[x] = p.children[x][:0]
-			s.markChanged(x)
 		}
 	}
 	// Phase 2a: seed the repair with the outside boundary of the orphaned
@@ -226,7 +217,14 @@ func (p *Partition) applyBatch(s *scratch, edges []graph.EdgeID, olds []float64)
 			}
 		}
 	}
-	return s.changed
+	moved := s.changed[:0]
+	for _, x := range s.changed {
+		if p.seedOf[x] != s.entrySeed[x] {
+			moved = append(moved, x)
+		}
+	}
+	s.changed = moved
+	return moved
 }
 
 // onRescale multiplies every stored distance by the NegM factor 1/g.
@@ -239,10 +237,9 @@ func (p *Partition) onRescale(invG float64) {
 
 // validate checks the full optimality certificate of the partition:
 // seeds at distance 0, every non-seed supported by its parent edge, no
-// relaxable edge, children consistent with parents. It returns a
-// description of the first violation, or "" if the partition is a correct
-// Voronoi partition for the current weights. Exposed for tests and the
-// paper's invariants; O(n + m).
+// relaxable edge. It returns a description of the first violation, or ""
+// if the partition is a correct Voronoi partition for the current weights.
+// Exposed for tests and the paper's invariants; O(n + m).
 func (p *Partition) validate() string {
 	n := p.g.N()
 	isSeed := make([]bool, n)
@@ -286,13 +283,6 @@ func (p *Partition) validate() string {
 		}
 		if !math.IsInf(p.dist[v], 1) && p.dist[u] > p.dist[v]+w+eps*(1+p.dist[v]) {
 			return "relaxable edge (u side)"
-		}
-	}
-	for v := 0; v < n; v++ {
-		for _, c := range p.children[v] {
-			if p.parent[c] != graph.NodeID(v) {
-				return "children list inconsistent"
-			}
 		}
 	}
 	return ""

@@ -10,34 +10,44 @@ import (
 )
 
 // scratch is the Dijkstra working state of one update or rebuild: the
-// priority queue, the changed-set accumulator with its dedup stamps, and
-// the subtree-traversal buffers of Algorithm 3. It used to live inside
-// every Partition (K·⌈log₂ n⌉ copies); now one scratch exists per worker
-// plus one for the serial path, and is reused across calls, so the memory
-// scales with the worker count instead of the partition count and the hot
-// ingest path allocates nothing.
+// priority queue, the changed-set accumulator with its dedup stamps and
+// entry seeds, and the subtree-traversal buffers of Algorithm 3. It used to
+// live inside every Partition (K·⌈log₂ n⌉ copies); now one scratch exists
+// per worker plus one for the serial path, and is reused across calls, so
+// the memory scales with the worker count instead of the partition count
+// and the hot ingest path allocates nothing.
 type scratch struct {
-	heap    *pq.Heap
-	changed []graph.NodeID // nodes whose seed/dist changed (valid until next use)
-	stamp   []int32        // dedup stamp for changed
-	stampID int32
-	sub     []graph.NodeID // orphaned-subtree accumulator (Algorithm 3)
-	stack   []graph.NodeID // DFS stack for subtree collection
+	heap      *pq.Heap
+	changed   []graph.NodeID // nodes touched by the repair (valid until next use); cap n
+	stamp     []int32        // dedup stamp for changed
+	stampID   int32
+	entrySeed []graph.NodeID // seed each changed node entered the repair with
+	sub       []graph.NodeID // orphaned-subtree accumulator (Algorithm 3)
+	stack     []graph.NodeID // DFS stack for subtree collection
 }
 
 func newScratch(n int) *scratch {
 	return &scratch{
-		heap:  pq.New(n),
-		stamp: make([]int32, n),
+		heap:      pq.New(n),
+		changed:   make([]graph.NodeID, 0, n),
+		stamp:     make([]int32, n),
+		entrySeed: make([]graph.NodeID, n),
 	}
 }
 
-// markChanged records that v's seed or distance changed during the current
-// update, deduplicating via the stamp array.
-func (s *scratch) markChanged(v graph.NodeID) {
+// markChanged records that v is about to change during the current update,
+// deduplicating via the stamp array. seed is v's seed before the change;
+// the first call per update keeps it, so applyBatch can tell the nodes whose
+// seed really moved from those that only got a new distance. The stamp
+// admits each node once per update, so changed never outgrows its capacity.
+//
+//anclint:hotpath
+func (s *scratch) markChanged(v, seed graph.NodeID) {
 	if s.stamp[v] != s.stampID {
 		s.stamp[v] = s.stampID
-		s.changed = append(s.changed, v)
+		s.entrySeed[v] = seed
+		s.changed = s.changed[:len(s.changed)+1]
+		s.changed[len(s.changed)-1] = v
 	}
 }
 

@@ -62,6 +62,31 @@ func BenchmarkUpdateIncrease(b *testing.B) {
 	}
 }
 
+// BenchmarkUpdateEdgesHub cuts a degree-2000 hub off its parent and lets it
+// back, over and over: every iteration orphans the hub with its whole
+// subtree and re-attaches it. With children lists, detaching the orphans
+// one by one scanned the hub's list once per leaf — quadratic in the
+// degree; the parent-only forest walks the adjacency once. make bench-smoke
+// runs it with -benchmem (0 allocs/op once the scratch is warm).
+func BenchmarkUpdateEdgesHub(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	g, hubs := starHeavyGraph(rng, 2, 2000)
+	w := randomWeights(rng, g.M())
+	ix := buildIndex(b, g, w, DefaultConfig(), 3)
+	ix.EnableVoteTracking()
+	e := g.FindEdge(hubs[0], hubs[1])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := 30.0
+		if i%2 == 1 {
+			f = 1.0 / 30
+		}
+		w[e] *= f
+		ix.UpdateEdge(e, w[e])
+	}
+}
+
 func BenchmarkEstimateDistance(b *testing.B) {
 	g, w := benchGraph(b, 4096)
 	ix, err := Build(g, func(e graph.EdgeID) float64 { return w[e] }, DefaultConfig(), rand.New(rand.NewSource(3)))

@@ -466,14 +466,31 @@ func TestNoopUpdateIsFree(t *testing.T) {
 	}
 }
 
-func TestMemoryBytesPositiveAndMonotone(t *testing.T) {
+// TestMemoryBytesTracksActualSlices holds the Exp 4 estimate to the slices
+// the index really owns: the sum of cap × element size over every
+// partition's arrays, the shared weights and the serial scratch must be
+// within 10 % of MemoryBytes, and the estimate must grow with K.
+func TestMemoryBytesTracksActualSlices(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	g := randomGraph(rng, 64, 100)
 	w := randomWeights(rng, g.M())
 	ix2 := buildIndex(t, g, w, Config{K: 2, Theta: 0.7}, 1)
 	ix8 := buildIndex(t, g, w, Config{K: 8, Theta: 0.7}, 1)
-	if ix2.MemoryBytes() <= 0 {
-		t.Fatal("non-positive memory estimate")
+	for _, ix := range []*Index{ix2, ix8} {
+		actual := int64(cap(ix.weights)) * 8
+		for _, pyr := range ix.parts {
+			for _, p := range pyr {
+				actual += int64(cap(p.seedOf))*4 + int64(cap(p.dist))*8 + int64(cap(p.parent))*4
+			}
+		}
+		s := ix.scratch
+		actual += int64(cap(s.changed)+cap(s.stamp)+cap(s.entrySeed)+cap(s.sub)+cap(s.stack)) * 4
+		actual += int64(g.N()) * (8 + 4) // the heap's priority and position arrays (unexported in pq)
+		est := ix.MemoryBytes()
+		if diff := float64(est-actual) / float64(actual); diff < -0.10 || diff > 0.10 {
+			t.Errorf("K=%d: MemoryBytes() = %d, slices hold %d (%+.1f%%, want within 10%%)",
+				ix.cfg.K, est, actual, 100*diff)
+		}
 	}
 	if ix8.MemoryBytes() <= ix2.MemoryBytes() {
 		t.Fatal("memory not monotone in K")

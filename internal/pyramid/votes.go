@@ -174,19 +174,16 @@ func (vt *VoteTracker) flushFlips() {
 	vt.dirty = vt.dirty[:0]
 }
 
-// applyBatch processes the changed-node set reported by one partition
-// update: every edge incident to a changed node (plus the trigger edges,
-// whose weights changed but whose endpoints may not have moved) is
-// re-evaluated. refreshEdge is idempotent per current state, so an edge
-// touched through several changed nodes settles once. Counts are shared
-// across the pyramids of a level; callers invoke this serially after the
-// parallel barrier, then flushFlips once all slots are applied. Cost
-// O(|triggers| + Σ_{x∈changed} deg x) — the same bound as the update
-// itself.
-func (vt *VoteTracker) applyBatch(p, l int, triggers []graph.EdgeID, changed []graph.NodeID) {
-	for _, e := range triggers {
-		vt.refreshEdge(p, l, e)
-	}
+// applyBatch processes the seed-changed node set reported by one partition
+// update: every edge incident to such a node is re-evaluated. A vote is a
+// pure function of the two endpoint seeds, so an edge whose weight changed
+// but whose endpoints kept their seeds needs no look. refreshEdge is
+// idempotent per current state, so an edge touched through both endpoints
+// settles once. Counts are shared across the pyramids of a level; callers
+// invoke this serially after the parallel barrier, then flushFlips once all
+// slots are applied. Cost O(Σ_{x∈changed} deg x) — within the bound of the
+// update itself.
+func (vt *VoteTracker) applyBatch(p, l int, changed []graph.NodeID) {
 	for _, x := range changed {
 		for _, h := range vt.ix.g.Neighbors(x) {
 			vt.refreshEdge(p, l, h.Edge)

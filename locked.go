@@ -24,7 +24,8 @@ type lockedNetwork struct {
 	// cache is the materialized clustering cache, probed before the lock:
 	// hits are served from an atomically swapped immutable snapshot, so
 	// repeat queries never queue behind ingest. Invalidations fire inside
-	// UpdateEdges — always under the exclusive lock — so a hit can never
+	// UpdateEdges, and the tracked level's swap at the end of the same
+	// ingest call — always under the exclusive lock — so a hit can never
 	// observe state newer than the last write that completed before the
 	// probe (see DESIGN.md §15).
 	cache *clustercache.Cache

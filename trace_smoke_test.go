@@ -156,8 +156,17 @@ func TestTraceSmoke(t *testing.T) {
 	}
 
 	// An untraced connection against the same server must be unaffected:
-	// same ops, no trailer, no new server-side traces.
+	// same ops, no trailer, no new server-side traces. The server files a
+	// traced request's trace a beat after flushing its reply (see above), so
+	// the baseline waits until every traced call so far has been filed.
+	traced, _ := clientTracer.Stats()
 	finished, _ := serverTracer.Stats()
+	for deadline := time.Now().Add(5 * time.Second); finished < traced; finished, _ = serverTracer.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("server filed %d of the client's %d traced calls", finished, traced)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 	plain, err := client.Dial(addr, client.WithTimeout(30*time.Second))
 	if err != nil {
 		t.Fatal(err)
