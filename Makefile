@@ -1,10 +1,14 @@
 # Development and CI entry points. `make check` is what every PR must
 # pass: vet, the ANC invariant linter, build, the full test suite, the
 # race detector, a short fuzz smoke over the corruption-facing decoders,
-# and the bench and serving-layer smokes. The acceptance loops of the
+# and the hot-path allocation gates. The acceptance loops of the
 # replication, observability, cache, analytics and tracing subsystems
 # (TestReplFailover, TestObsSmoke, TestCacheSmoke, TestAnalyticsSmoke,
-# TestTraceSmoke) are ordinary tests: `make test` and `make race` run them.
+# TestTraceSmoke) and the repo benchmark's short runs (TestWorkloadsShort,
+# TestTraceShort: TCP ingest into a WAL-backed server, drain, recover,
+# pooled parallel repair, follower catch-up) are ordinary tests: `make
+# test` and `make race` run them. Performance is measured by
+# `bash benchmark/run.sh` (BENCHMARK.json), not from here.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -15,9 +19,9 @@ ANCLINT := bin/anclint
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -X anc/internal/obs.BuildVersion=$(VERSION)
 
-.PHONY: check vet lint lint-force lint-json tools build test race fuzz-smoke bench-smoke serve-smoke bench clean
+.PHONY: check vet lint lint-force lint-json tools build test race fuzz-smoke bench-smoke bench clean
 
-check: vet lint build test race fuzz-smoke bench-smoke serve-smoke
+check: vet lint build test race fuzz-smoke bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -81,29 +85,18 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzTieRank$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzEvolution$$' -fuzztime $(FUZZTIME)
 
-# bench-smoke runs the batch-ingest throughput benchmark once (a single
-# iteration, not a measurement) so the batch pipeline compiles and runs —
-# pool, coalescing, index validation — on every PR. It is also the
-# dynamic half of the //anclint:hotpath contract (DESIGN.md §14): the
-# AllocsPerRun gates assert every annotated kernel runs at 0 allocs/op,
-# and the hot-path benchmarks run under -benchmem so a regression is
-# visible in the output. The writer's two kernels ride the same gate: the
-# pyramid repair (relink/probe/markChanged, 0 allocs per update) and the
+# bench-smoke is the dynamic half of the //anclint:hotpath contract
+# (DESIGN.md §14) — gates, not measurements: the AllocsPerRun gates
+# assert every annotated kernel runs at 0 allocs/op, and the hot-path
+# benchmarks run under -benchmem so a regression is visible in the
+# output. The writer's two kernels ride the same gate: the pyramid
+# repair (relink/probe/markChanged, 0 allocs per update) and the
 # power/even extraction (a constant number of allocations whatever the
 # cluster count), with the orphaned-hub and Power benchmarks beside them.
 bench-smoke:
-	$(GO) test -run '^$$' -bench '^BenchmarkIngest$$' -benchtime 1x .
 	$(GO) test -run '^TestHotPathAllocs$$' -count=1 ./internal/serve ./internal/obs ./internal/obs/trace ./internal/decay ./internal/cluster/cache ./internal/analytics ./internal/pyramid ./internal/cluster
 	$(GO) test -run '^$$' -bench '^BenchmarkHotPath' -benchtime 100x -benchmem ./internal/serve ./internal/obs ./internal/obs/trace ./internal/decay ./internal/cluster/cache ./internal/analytics
 	$(GO) test -run '^$$' -bench '^(BenchmarkUpdateEdgesHub|BenchmarkPower)$$' -benchtime 20x -benchmem ./internal/pyramid ./internal/cluster
-
-# serve-smoke drives the serving layer once end to end on an ephemeral
-# port: concurrent TCP ingest + queries into a WAL-backed network, graceful
-# drain, and a non-empty BENCH_serve.json — the acceptance loop of the
-# serving subsystem on every PR.
-serve-smoke:
-	$(GO) test -run '^$$' -bench '^BenchmarkServe$$' -benchtime 1x .
-	test -s BENCH_serve.json
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

@@ -105,70 +105,6 @@ func BenchmarkExp6MixedWorkload(b *testing.B) {
 	}
 }
 
-// BenchmarkIngest compares per-op, batched and batched+parallel ingest on
-// the bursty diurnal workload (the batch-pipeline acceptance benchmark)
-// and emits BENCH_ingest.json with the measured rates.
-func BenchmarkIngest(b *testing.B) {
-	var r bench.IngestResult
-	for i := 0; i < b.N; i++ {
-		r = bench.IngestThroughput(benchConfig(), io.Discard, 60)
-	}
-	b.ReportMetric(r.BatchedSpeedup, "batched-x")
-	b.ReportMetric(r.ParallelSpeedup, "parallel-x")
-	b.ReportMetric(r.PerOpRate, "perop-acts/s")
-	b.ReportMetric(r.ParallelRate, "parallel-acts/s")
-	if err := bench.WriteIngestJSON("BENCH_ingest.json", r); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkServe drives the serving layer end to end: a bursty ingest
-// stream over TCP through concurrent client connections into a durable
-// network, with query clients measuring latency under write load and a
-// replication follower tailing the WAL and serving replica reads. Emits
-// BENCH_serve.json with the observed throughput and percentiles.
-func BenchmarkServe(b *testing.B) {
-	var r bench.ServeResult
-	for i := 0; i < b.N; i++ {
-		r = bench.ServeLoad(benchConfig(), io.Discard, 8, 4)
-	}
-	b.ReportMetric(r.IngestRate, "acts/s")
-	b.ReportMetric(r.BatchP99ms, "batch-p99-ms")
-	b.ReportMetric(r.QueryP50ms, "query-p50-ms")
-	b.ReportMetric(r.QueryP99ms, "query-p99-ms")
-	b.ReportMetric(r.FollowerQueryP99ms, "follower-query-p99-ms")
-	b.ReportMetric(r.FollowerCatchUpSec*1000, "follower-catchup-ms")
-	b.ReportMetric(r.CacheHitP50ms, "cache-hit-p50-ms")
-	b.ReportMetric(r.CacheRecomputeP50ms, "cache-recompute-p50-ms")
-	b.ReportMetric(r.CacheHitSpeedup, "cache-hit-x")
-	if err := bench.WriteServeJSON("BENCH_serve.json", r); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkAnalytics drives the analytics read path under write load:
-// TieRank and cluster-evolution queries over TCP against a durable
-// network during concurrent batch ingest, with a replication follower
-// serving (and cross-checked against) the same queries. Emits
-// BENCH_analytics.json with the observed latency percentiles.
-func BenchmarkAnalytics(b *testing.B) {
-	var r bench.AnalyticsResult
-	for i := 0; i < b.N; i++ {
-		r = bench.AnalyticsLoad(benchConfig(), io.Discard, 8, 4)
-	}
-	b.ReportMetric(r.IngestRate, "acts/s")
-	b.ReportMetric(r.GlobalP99ms, "tierank-global-p99-ms")
-	b.ReportMetric(r.ClusterP99ms, "tierank-cluster-p99-ms")
-	b.ReportMetric(r.EvolutionP99ms, "evolution-p99-ms")
-	b.ReportMetric(r.FollowerP99ms, "follower-p99-ms")
-	b.ReportMetric(r.RankHitP50ms, "rank-hit-p50-ms")
-	b.ReportMetric(r.RankComputeP50ms, "rank-compute-p50-ms")
-	b.ReportMetric(r.RankHitSpeedup, "rank-hit-x")
-	if err := bench.WriteAnalyticsJSON("BENCH_analytics.json", r); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // BenchmarkCaseStudy regenerates the Figure 11 case study.
 func BenchmarkCaseStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -8,8 +8,7 @@
 //	ancbench -exp exp6batch -effn 16384  # Figure 8 at a larger scale
 //
 // Experiments: table1, exp1, exp2time, exp2quality, exp3, exp4, exp5,
-// exp6batch, exp6day, exp6workload, ingest, serve, analytics,
-// casestudy, params, ablation, all.
+// exp6batch, exp6day, exp6workload, casestudy, params, ablation, all.
 // See EXPERIMENTS.md for the mapping to the paper's artifacts.
 package main
 
@@ -17,9 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
 	"anc/internal/bench"
 )
@@ -33,24 +30,11 @@ func main() {
 		sample  = flag.Int("sample", 10, "score every k-th timestamp in exp2quality")
 		minutes = flag.Int("minutes", 1440, "minutes in exp6day")
 		ops     = flag.Int("ops", 5000, "operations in exp6workload")
-		conns   = flag.Int("conns", 4, "ingest connections in the serve experiment")
 		seed    = flag.Int64("seed", 1, "random seed")
 		quiet   = flag.Bool("q", false, "suppress progress lines")
 	)
 	flag.Parse()
 
-	// An interrupted run still closes the serve experiment's WAL cleanly:
-	// checkpoint, fsync, then exit with the conventional signal status.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sig
-		if err := bench.CloseActive(); err != nil {
-			fmt.Fprintf(os.Stderr, "ancbench: interrupted, wal close: %v\n", err)
-			os.Exit(1)
-		}
-		os.Exit(130)
-	}()
 	cfg := bench.Config{
 		TargetN: *targetN, EffTargetN: *effN, Steps: *steps,
 		SampleEvery: *sample, Seed: *seed, Quiet: *quiet,
@@ -118,15 +102,6 @@ func main() {
 		rows := bench.Exp6MixedWorkload(cfg, out, *ops)
 		bench.PrintExp6Workload(out, rows)
 		bench.ChartExp6Workload(out, rows)
-	})
-	run("ingest", "batch-pipeline throughput: per-op vs batched vs parallel", func() {
-		bench.PrintIngest(out, bench.IngestThroughput(cfg, out, *minutes/24))
-	})
-	run("serve", "serving layer: concurrent TCP ingest + queries over a durable network", func() {
-		bench.PrintServe(out, bench.ServeLoad(cfg, out, *minutes/24, *conns))
-	})
-	run("analytics", "analytics layer: TieRank + evolution queries under concurrent ingest", func() {
-		bench.PrintAnalytics(out, bench.AnalyticsLoad(cfg, out, *minutes/24, *conns))
 	})
 	run("casestudy", "Figure 11: 30-year collaboration case study", func() {
 		bench.PrintCaseStudy(out, bench.CaseStudy(cfg, out))

@@ -1,8 +1,10 @@
-// Package lint assembles the ANC analyzer suite: five custom invariant
-// checkers born from the paper's correctness arguments plus three stock
-// vet-style passes, each scoped to the part of the module whose contract
-// it encodes. cmd/anclint runs Suite over ./...; `make lint` gates every
-// PR on it. See DESIGN.md §9 for the invariant behind each analyzer.
+// Package lint assembles the ANC analyzer suite: custom invariant
+// checkers born from the paper's correctness arguments and the system's
+// concurrency and wire contracts, each scoped to the part of the module
+// whose contract it encodes. cmd/anclint runs Suite over ./...; `make
+// lint` gates every PR on it. The stock copylocks, lostcancel and atomic
+// checks are `go vet`'s, which `make check` runs beside this suite. See
+// DESIGN.md §9 for the invariant behind each analyzer.
 package lint
 
 import (
@@ -14,9 +16,6 @@ import (
 	"anc/internal/lint/lockdiscipline"
 	"anc/internal/lint/lockorder"
 	"anc/internal/lint/nakedexp"
-	"anc/internal/lint/passes/atomicheck"
-	"anc/internal/lint/passes/copylocks"
-	"anc/internal/lint/passes/lostcancel"
 	"anc/internal/lint/runner"
 	"anc/internal/lint/wirecomplete"
 )
@@ -43,7 +42,8 @@ func Suite() []runner.Scoped {
 		{
 			// Durability code must not drop Write/Sync/Close/Flush errors:
 			// the WAL, the durable/concurrent wrappers, the CLIs, and the
-			// whole serving stack (server, client, replication, obs, bench).
+			// serving stack (server, client, replication, obs) and the
+			// experiment harness.
 			Analyzer: droppederr.Analyzer,
 			Include: []string{
 				"anc",
@@ -114,9 +114,5 @@ func Suite() []runner.Scoped {
 			Analyzer: wirecomplete.Analyzer,
 			Include:  []string{"anc/internal/serve"},
 		},
-		// Stock passes run module-wide.
-		{Analyzer: copylocks.Analyzer},
-		{Analyzer: lostcancel.Analyzer},
-		{Analyzer: atomicheck.Analyzer},
 	}
 }

@@ -26,9 +26,6 @@ func TestSuiteAnalyzerRoster(t *testing.T) {
 		"goleak":         true,
 		"hotalloc":       true,
 		"wirecomplete":   true,
-		"copylocks":      true,
-		"lostcancel":     true,
-		"atomic":         true,
 	}
 	got := map[string]bool{}
 	for _, s := range lint.Suite() {

@@ -347,8 +347,7 @@ func (r *Registry) families() []*family {
 // gauges under their exposition name (children as name{key="value"}),
 // histograms as name_count, name_sum and interpolated name_p50 / name_p95 /
 // name_p99. The map is freshly allocated and safe to mutate; it is the
-// form embedded in BENCH_*.json artifacts and printed by anccli. A nil
-// registry yields an empty map.
+// form printed by anccli. A nil registry yields an empty map.
 func (r *Registry) Snapshot() map[string]float64 {
 	out := map[string]float64{}
 	if r == nil {

@@ -36,12 +36,10 @@ func WithMaxFrame(n int) Option {
 	return func(c *Client) { c.maxFrame = n }
 }
 
-// WithTracer records client-side spans for calls t samples and — when
-// the connection negotiated protocol version >= 3 — propagates their
-// trace context on the wire, so the server's flight recorder stitches
-// the client call, the serve stages and (on a replicated setup) the
-// follower apply into one trace. Against an old v2 server the client
-// still records its local spans but sends no trailer.
+// WithTracer records client-side spans for calls t samples and
+// propagates their trace context on the wire, so the server's flight
+// recorder stitches the client call, the serve stages and (on a
+// replicated setup) the follower apply into one trace.
 func WithTracer(t *trace.Tracer) Option {
 	return func(c *Client) { c.tracer = t }
 }
@@ -83,12 +81,11 @@ type Client struct {
 	retryMin, retryMax time.Duration
 	tracer             *trace.Tracer
 
-	mu      sync.Mutex
-	conn    net.Conn
-	br      *bufio.Reader
-	bw      *bufio.Writer
-	nextID  uint64
-	version uint16 // negotiated protocol version of the live connection
+	mu     sync.Mutex
+	conn   net.Conn
+	br     *bufio.Reader
+	bw     *bufio.Writer
+	nextID uint64
 }
 
 // Dial connects to an ancserve server and performs the version handshake.
@@ -123,28 +120,14 @@ func (c *Client) connectLocked() error {
 		conn.Close()
 		return err
 	}
-	ver, err := serve.ReadPreamble(br)
-	if err != nil {
+	if err := serve.ReadPreamble(br); err != nil {
 		conn.Close()
 		return err
-	}
-	if ver > serve.Version {
-		// A peer that did not downgrade its answer; speak our own ceiling.
-		ver = serve.Version
 	}
 	c.conn = conn
 	c.br = br
 	c.bw = bufio.NewWriter(conn)
-	c.version = ver
 	return nil
-}
-
-// Version reports the negotiated protocol version of the current
-// connection (0 before the first successful dial).
-func (c *Client) Version() uint16 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.version
 }
 
 // dropLocked discards a connection whose framing can no longer be trusted,
@@ -172,7 +155,7 @@ func (c *Client) Close() error {
 // call runs one request/response exchange. A server error reply comes back
 // as *serve.WireError; transport errors drop the connection so the next
 // call redials. When a tracer samples the call, a client-side span wraps
-// the exchange and its context rides the request (v3 connections only).
+// the exchange and its context rides the request.
 func (c *Client) call(ctx context.Context, req *serve.Request) (*serve.Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -184,9 +167,7 @@ func (c *Client) call(ctx context.Context, req *serve.Request) (*serve.Response,
 	var sp trace.SpanHandle
 	if c.tracer.ShouldTrace(trace.Context{}) {
 		sp = c.tracer.Start("client."+serve.OpName(req.Op), trace.Context{})
-		if c.version >= 3 {
-			req.Trace = sp.Context()
-		}
+		req.Trace = sp.Context()
 	}
 	resp, err := c.exchangeLocked(ctx, req)
 	if err != nil {
@@ -361,7 +342,6 @@ func (c *Client) Evolution(ctx context.Context, since uint64) ([]anc.EvolutionEv
 // Traces reads the server's trace flight recorder: the rendered form of
 // trace id (0 for all recent traces), as an indented text tree or, with
 // asJSON, a JSON document. Read-only and idempotent, so it is retried.
-// Requires a server speaking protocol version >= 3.
 func (c *Client) Traces(ctx context.Context, id uint64, asJSON bool) ([]byte, error) {
 	var format int32
 	if asJSON {

@@ -52,7 +52,7 @@ func (s *scriptServer) serve(conn net.Conn, connNum int) {
 	if err := serve.WritePreamble(conn); err != nil {
 		return
 	}
-	if _, err := serve.ReadPreamble(br); err != nil {
+	if err := serve.ReadPreamble(br); err != nil {
 		return
 	}
 	for {

@@ -23,8 +23,8 @@ type serverMetrics struct {
 	// per-request breakdown: time a batch sat in the ingest queue before
 	// the writer picked it up, and time spent writing the response frame.
 	// Together with the durable/WAL/pyramid histograms they give the
-	// queue-wait / wal / fsync / repair / reply decomposition reported in
-	// BENCH_serve.json.
+	// queue-wait / wal / fsync / repair / reply decomposition of an
+	// ingest call on /metrics.
 	queueWaitSeconds *obs.Histogram
 	replySeconds     *obs.Histogram
 	// bytesRead / bytesWritten count frame bytes (header + payload) after

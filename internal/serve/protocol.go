@@ -52,26 +52,19 @@ import (
 const (
 	// Magic opens every connection preamble.
 	Magic = "ANCS"
-	// Version is the newest protocol version spoken by this package.
-	// Version 2 added the replication ops and the replication fields of
-	// StatsReply; version 3 added the optional 16-byte trace-context
-	// trailer on request frames, per-frame trace IDs on the replication
-	// stream, and OpTraces.
+	// Version is the one protocol version this package speaks: both
+	// sides of the handshake offer it and a peer offering less is
+	// refused. It covers the replication ops, the optional 16-byte
+	// trace-context trailer on request frames, per-frame trace IDs on
+	// the replication stream, and OpTraces.
 	Version uint16 = 3
-	// MinVersion is the oldest version still negotiable. The handshake
-	// settles on min(client, server) within [MinVersion, Version], so a
-	// v2 client round-trips every op against a v3 server — it just never
-	// sees trace trailers.
-	MinVersion uint16 = 2
 	// preambleSize is magic(4) + version(2) + reserved(2).
 	preambleSize = 8
 )
 
 // traceFlag is the request op byte's trace bit: set when the payload
-// carries a 16-byte trace-context trailer after the body. Only sent on
-// connections that negotiated version >= 3 (a v2 server answers an
-// unknown-op error, which the flag's gating makes unreachable). Op
-// values stay well below it.
+// carries a 16-byte trace-context trailer after the body. Op values stay
+// well below it.
 const traceFlag uint8 = 0x80
 
 // DefaultMaxFrame bounds a single frame's payload; larger announced
@@ -129,7 +122,6 @@ const (
 	// OpTraces reads the server's trace flight recorder: From selects a
 	// single trace ID (0 for all recent traces), K selects the rendering
 	// (0 text tree, nonzero JSON). The reply body is the rendered bytes.
-	// Requires protocol version >= 3.
 	OpTraces
 	opMax // one past the last valid op
 )
@@ -402,16 +394,34 @@ func writeFrame(w *bufio.Writer, payload []byte) error {
 	return w.Flush()
 }
 
-// WritePreamble writes the client's side of the 8-byte handshake,
-// announcing the newest version this package speaks — the client-library
-// entry point for the handshake.
-func WritePreamble(w io.Writer) error { return writePreamble(w, Version) }
+// WritePreamble writes this side's 8-byte handshake — magic, Version,
+// two reserved bytes. The client speaks first; the server answers with
+// the same bytes.
+func WritePreamble(w io.Writer) error {
+	var b [preambleSize]byte
+	copy(b[0:4], Magic)
+	binary.LittleEndian.PutUint16(b[4:6], Version)
+	_, err := w.Write(b[:])
+	return err
+}
 
-// ReadPreamble reads and validates the peer's handshake, returning the
-// version the peer announced (clamped into [MinVersion, Version] by
-// validation). The caller speaks min(returned, own) from then on; the
-// server echoes exactly that minimum back, so both ends agree.
-func ReadPreamble(r io.Reader) (uint16, error) { return readPreamble(r) }
+// ReadPreamble reads and validates the peer's handshake: the magic must
+// match and the announced version must be at least Version. A newer
+// peer is accepted — it offered high and is answered with Version, our
+// ceiling, which is what both sides then speak.
+func ReadPreamble(r io.Reader) error {
+	var b [preambleSize]byte
+	if _, err := io.ReadFull(r, b[:]); err != nil {
+		return err
+	}
+	if string(b[0:4]) != Magic {
+		return fmt.Errorf("serve: bad magic %q", b[0:4])
+	}
+	if v := binary.LittleEndian.Uint16(b[4:6]); v < Version {
+		return fmt.Errorf("serve: protocol version %d, want %d", v, Version)
+	}
+	return nil
+}
 
 // WriteRequest frames and flushes one encoded request.
 func WriteRequest(w *bufio.Writer, req *Request) error {
@@ -426,42 +436,6 @@ func ReadResponse(r io.Reader, op uint8, maxFrame int) (*Response, error) {
 		return nil, err
 	}
 	return DecodeResponse(op, payload)
-}
-
-// writePreamble / readPreamble exchange the 8-byte version handshake.
-// The version written is the speaker's offer (client) or the negotiated
-// answer (server).
-func writePreamble(w io.Writer, version uint16) error {
-	var b [preambleSize]byte
-	copy(b[0:4], Magic)
-	binary.LittleEndian.PutUint16(b[4:6], version)
-	_, err := w.Write(b[:])
-	return err
-}
-
-func readPreamble(r io.Reader) (uint16, error) {
-	var b [preambleSize]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	if string(b[0:4]) != Magic {
-		return 0, fmt.Errorf("serve: bad magic %q", b[0:4])
-	}
-	v := binary.LittleEndian.Uint16(b[4:6])
-	if v < MinVersion {
-		return 0, fmt.Errorf("serve: protocol version %d, want %d..%d", v, MinVersion, Version)
-	}
-	// A peer newer than us is fine: it offered high, we answer (or were
-	// answered) with our own ceiling, and both sides speak the minimum.
-	return v, nil
-}
-
-// negotiate clamps a peer's offered version to what this package speaks.
-func negotiate(peer uint16) uint16 {
-	if peer > Version {
-		return Version
-	}
-	return peer
 }
 
 // ---- request encode/decode ----------------------------------------------

@@ -241,42 +241,31 @@ func TestReadFrameRejects(t *testing.T) {
 
 func TestPreamble(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writePreamble(&buf, Version); err != nil {
+	if err := WritePreamble(&buf); err != nil {
 		t.Fatal(err)
 	}
-	ver, err := readPreamble(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	if got := binary.LittleEndian.Uint16(buf.Bytes()[4:6]); got != Version {
+		t.Fatalf("wrote version %d, want %d", got, Version)
 	}
-	if ver != Version {
-		t.Fatalf("read version %d, want %d", ver, Version)
+	if err := ReadPreamble(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
 	}
 	bad := bytes.Clone(buf.Bytes())
 	bad[0] = 'X'
-	if _, err := readPreamble(bytes.NewReader(bad)); err == nil {
+	if err := ReadPreamble(bytes.NewReader(bad)); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	// A peer announcing a version above ours is fine — both sides settle
-	// on the minimum via negotiate — but one below MinVersion is not.
+	// A peer announcing a version above ours is fine — it is answered
+	// with Version, our ceiling — but one below it is not.
 	future := bytes.Clone(buf.Bytes())
 	binary.LittleEndian.PutUint16(future[4:6], Version+1)
-	ver, err = readPreamble(bytes.NewReader(future))
-	if err != nil {
+	if err := ReadPreamble(bytes.NewReader(future)); err != nil {
 		t.Fatalf("future version rejected: %v", err)
 	}
-	if ver != Version+1 {
-		t.Fatalf("read version %d, want %d", ver, Version+1)
-	}
-	if got := negotiate(Version + 1); got != Version {
-		t.Fatalf("negotiate(%d) = %d, want %d", Version+1, got, Version)
-	}
-	if got := negotiate(MinVersion); got != MinVersion {
-		t.Fatalf("negotiate(%d) = %d, want %d", MinVersion, got, MinVersion)
-	}
 	ancient := bytes.Clone(buf.Bytes())
-	binary.LittleEndian.PutUint16(ancient[4:6], MinVersion-1)
-	if _, err := readPreamble(bytes.NewReader(ancient)); err == nil {
-		t.Fatal("pre-MinVersion peer accepted")
+	binary.LittleEndian.PutUint16(ancient[4:6], Version-1)
+	if err := ReadPreamble(bytes.NewReader(ancient)); err == nil {
+		t.Fatal("pre-Version peer accepted")
 	}
 }
 

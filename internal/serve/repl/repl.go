@@ -99,9 +99,8 @@ type Config struct {
 	// Obs, when non-nil, attaches the anc_repl_* metric families.
 	Obs *obs.Registry
 	// Tracer, when non-nil, records a follower-side "repl.apply" span for
-	// every replicated frame that carries a trace ID — the frames' IDs are
-	// shipped by v3 primaries — so one distributed trace covers the
-	// primary's ingest and each follower's apply.
+	// every replicated frame that carries a trace ID, so one distributed
+	// trace covers the primary's ingest and each follower's apply.
 	Tracer *trace.Tracer
 }
 
@@ -392,11 +391,10 @@ var errStopTail = errors.New("repl: chunk full")
 
 // Stream implements the primary side of one subscription (also usable on
 // an unpromoted follower for chained topologies — it serves whatever its
-// local log holds). When traced is set — the subscriber negotiated
-// protocol v3 — each shipped chunk carries the trace IDs its frames were
-// appended under, so follower applies stitch into the primary's traces;
-// older subscribers get identical frames without the trace section.
-func (n *Node) Stream(from uint64, traced bool, send func(payload []byte) error, stop <-chan struct{}) error {
+// local log holds). A shipped chunk carries the trace IDs its frames were
+// appended under when any is non-zero, so follower applies stitch into
+// the primary's traces.
+func (n *Node) Stream(from uint64, send func(payload []byte) error, stop <-chan struct{}) error {
 	n.subscribers.Add(1)
 	n.met.subscribed()
 	defer n.subscribers.Add(-1)
@@ -472,11 +470,9 @@ func (n *Node) Stream(from uint64, traced bool, send func(payload []byte) error,
 				copy(cp, payload)
 				batch.Frames = append(batch.Frames, cp)
 				bytes += len(cp)
-				if traced {
-					tid := d.TraceOf(idx)
-					batch.Traces = append(batch.Traces, tid)
-					anyTraced = anyTraced || tid != 0
-				}
+				tid := d.TraceOf(idx)
+				batch.Traces = append(batch.Traces, tid)
+				anyTraced = anyTraced || tid != 0
 				if len(batch.Frames) >= n.cfg.ChunkFrames || bytes >= chunkBytes {
 					return errStopTail
 				}
@@ -583,7 +579,7 @@ func (n *Node) session() (cause string, subscribed bool) {
 	if err := serve.WritePreamble(conn); err != nil {
 		return "handshake", false
 	}
-	if _, err := serve.ReadPreamble(br); err != nil {
+	if err := serve.ReadPreamble(br); err != nil {
 		return "handshake", false
 	}
 	from := n.durable().LoggedActivations()

@@ -596,7 +596,7 @@ func TestFaultConnCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(fc)
-	if _, err := serve.ReadPreamble(br); err != nil {
+	if err := serve.ReadPreamble(br); err != nil {
 		t.Fatal(err)
 	}
 	if err := serve.WriteRequest(bufio.NewWriter(fc), &serve.Request{Op: serve.OpReplSubscribe, ID: 1, From: 0}); err != nil {

@@ -82,8 +82,8 @@ func (s *ReplStatus) LagFrames() uint64 {
 //
 // Traces, when non-nil, carries one trace ID per frame (0 = untraced), so
 // a follower's apply spans stitch into the primary's trace. The section
-// is optional on the wire: the primary only ships it to subscribers that
-// negotiated protocol version >= 3, and an absent section decodes as nil.
+// is optional on the wire: the primary ships it only when some ID is
+// non-zero, and an absent section decodes as nil.
 type ReplFrames struct {
 	First  uint64
 	Frames [][]byte

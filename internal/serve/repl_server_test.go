@@ -25,7 +25,7 @@ func (r *stubRepl) Promote() error {
 }
 
 // Stream pushes one status, then parks until the server stops it.
-func (r *stubRepl) Stream(from uint64, traced bool, send func(payload []byte) error, stop <-chan struct{}) error {
+func (r *stubRepl) Stream(from uint64, send func(payload []byte) error, stop <-chan struct{}) error {
 	if err := send(EncodeReplStatus(&r.status)); err != nil {
 		return err
 	}

@@ -94,10 +94,10 @@ func dialTest(t *testing.T, addr string) *testClient {
 	}
 	t.Cleanup(func() { conn.Close() })
 	c := &testClient{t: t, conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
-	if err := writePreamble(conn, Version); err != nil {
+	if err := WritePreamble(conn); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readPreamble(c.br); err != nil {
+	if err := ReadPreamble(c.br); err != nil {
 		t.Fatal(err)
 	}
 	return c

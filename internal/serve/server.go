@@ -63,13 +63,10 @@ type Replicator interface {
 	// Stream serves one replication subscription from frame index from:
 	// it calls send with encoded push payloads (EncodeReplFrames /
 	// EncodeReplStatus / EncodeReplSnapshot) until send fails or stop
-	// closes. traced reports whether the subscriber negotiated protocol
-	// version >= 3 and may therefore receive the per-frame trace-ID
-	// section on ReplFrames (a v2 follower's strict decoder would reject
-	// it). The error is for the connection log only — the subscriber
+	// closes. The error is for the connection log only — the subscriber
 	// learns about the end of the stream from the close (or the typed
 	// drain frame the server appends).
-	Stream(from uint64, traced bool, send func(payload []byte) error, stop <-chan struct{}) error
+	Stream(from uint64, send func(payload []byte) error, stop <-chan struct{}) error
 }
 
 // TracedBackend is the optional tracing surface a Backend may expose
@@ -500,17 +497,14 @@ func (s *Server) serveConn(conn net.Conn) {
 	bw := bufio.NewWriter(conn)
 
 	// Handshake: the client speaks first; a silent or incompatible peer
-	// is cut off rather than parked forever. The server answers with
-	// min(client, own) version, so old clients keep working untraced.
+	// is cut off rather than parked forever.
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	peerVer, err := readPreamble(br)
-	if err != nil {
+	if err := ReadPreamble(br); err != nil {
 		s.cfg.Log.Warn("handshake failed", "remote", conn.RemoteAddr(), "err", err)
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
-	ver := negotiate(peerVer)
-	if err := writePreamble(conn, ver); err != nil {
+	if err := WritePreamble(conn); err != nil {
 		return
 	}
 
@@ -541,7 +535,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			// A subscription repurposes the connection as a one-way push
 			// stream; when serveSubscribe returns the stream is over and
 			// framing state is unknown, so the connection closes.
-			s.serveSubscribe(conn, bw, req, ver >= 3)
+			s.serveSubscribe(conn, bw, req)
 			return
 		}
 		payload, sp := s.handle(st, req)
@@ -577,7 +571,7 @@ func (s *Server) reply(bw *bufio.Writer, payload []byte, sp trace.SpanHandle) er
 // ends on send failure (peer gone, Kill) or on s.drainCh, in which case
 // a graceful drain appends the typed ErrCodeShuttingDown frame so the
 // follower records "drain", not "crash".
-func (s *Server) serveSubscribe(conn net.Conn, bw *bufio.Writer, req *Request, traced bool) {
+func (s *Server) serveSubscribe(conn net.Conn, bw *bufio.Writer, req *Request) {
 	s.met.request(req.Op)
 	if s.cfg.Repl == nil {
 		s.writeReply(bw, s.errReply(req.ID, ErrCodeBadRequest, "replication not enabled"))
@@ -598,7 +592,7 @@ func (s *Server) serveSubscribe(conn net.Conn, bw *bufio.Writer, req *Request, t
 		conn.SetWriteDeadline(time.Time{})
 		return err
 	}
-	if err := s.cfg.Repl.Stream(req.From, traced, send, s.drainCh); err != nil {
+	if err := s.cfg.Repl.Stream(req.From, send, s.drainCh); err != nil {
 		s.cfg.Log.Warn("replication stream ended", "remote", conn.RemoteAddr(), "err", err)
 	}
 	if s.draining.Load() && !s.killed.Load() {
