@@ -1,5 +1,5 @@
 # Development and CI entry points. `make check` is what every PR must
-# pass: vet, the ANC invariant linter, build, the full test suite, the
+# pass: gofmt, vet, the ANC invariant linter, build, the full test suite, the
 # race detector, a short fuzz smoke over the corruption-facing decoders,
 # and the hot-path allocation gates. The acceptance loops of the
 # replication, observability, cache, analytics and tracing subsystems
@@ -19,9 +19,13 @@ ANCLINT := bin/anclint
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -X anc/internal/obs.BuildVersion=$(VERSION)
 
-.PHONY: check vet lint lint-force lint-json tools build test race fuzz-smoke bench-smoke bench clean
+.PHONY: check fmt-check vet lint lint-force lint-json tools build test race fuzz-smoke bench-smoke bench clean
 
-check: vet lint build test race fuzz-smoke bench-smoke
+check: fmt-check vet lint build test race fuzz-smoke bench-smoke
+
+# fmt-check fails when gofmt would rewrite any file, and names the files.
+fmt-check:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt would rewrite:"; gofmt -l .; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -92,11 +96,13 @@ fuzz-smoke:
 # output. The writer's two kernels ride the same gate: the pyramid
 # repair (relink/probe/markChanged, 0 allocs per update) and the
 # power/even extraction (a constant number of allocations whatever the
-# cluster count), with the orphaned-hub and Power benchmarks beside them.
+# cluster count), with the orphaned-hub and Power benchmarks beside them;
+# BenchmarkPowerRepair is the tracked level's repair under a flip load, to
+# be read against BenchmarkPower (ns/op, B/op).
 bench-smoke:
 	$(GO) test -run '^TestHotPathAllocs$$' -count=1 ./internal/serve ./internal/obs ./internal/obs/trace ./internal/decay ./internal/cluster/cache ./internal/analytics ./internal/pyramid ./internal/cluster
 	$(GO) test -run '^$$' -bench '^BenchmarkHotPath' -benchtime 100x -benchmem ./internal/serve ./internal/obs ./internal/obs/trace ./internal/decay ./internal/cluster/cache ./internal/analytics
-	$(GO) test -run '^$$' -bench '^(BenchmarkUpdateEdgesHub|BenchmarkPower)$$' -benchtime 20x -benchmem ./internal/pyramid ./internal/cluster
+	$(GO) test -run '^$$' -bench '^(BenchmarkUpdateEdgesHub|BenchmarkPower|BenchmarkPowerRepair)$$' -benchtime 20x -benchmem ./internal/pyramid ./internal/cluster
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

@@ -15,7 +15,10 @@ import (
 // benchmark metric and a results file. Each mention must resolve against the one
 // place that defines it (Makefile rules, cmd/ancbench's run(...) calls,
 // BENCHMARK.json — which benchmark.TestSpecMatchesJSON holds equal to
-// benchmark/spec.go — and the working tree).
+// benchmark/spec.go — and the working tree). In the newest CHANGES.md
+// entry — the line the next session starts from — a backticked file path
+// must exist in the working tree; older entries are history and
+// legitimately name files that have since been deleted.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	read := func(path string) string {
 		b, err := os.ReadFile(path)
@@ -72,6 +75,16 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		"EXPERIMENTS.md":                 read("EXPERIMENTS.md"),
 		"Makefile":                       strings.Join(comments, "\n"),
 		".claude/skills/verify/SKILL.md": read(".claude/skills/verify/SKILL.md"),
+	}
+	changes := strings.Split(strings.TrimSpace(read("CHANGES.md")), "\n")
+	newest := changes[len(changes)-1]
+	// A path is backticked, has a directory part and a source or data
+	// extension; a trailing :line is allowed. An absolute path is outside
+	// the repository by definition.
+	for _, m := range regexp.MustCompile("`(/?(?:[\\w.-]+/)+[\\w.-]+\\.(?:go|md|json|jsonl|sh|txt|yml))(?::\\d+)?`").FindAllStringSubmatch(newest, -1) {
+		if _, err := os.Stat(m[1]); err != nil || strings.HasPrefix(m[1], "/") || strings.Contains(m[1], "..") {
+			t.Errorf("CHANGES.md (newest entry) names file %q, which does not exist in the repository", m[1])
+		}
 	}
 
 	for _, kind := range []struct {

@@ -2,6 +2,7 @@ package analytics
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"anc/internal/cluster"
@@ -318,6 +319,51 @@ func TestEvolutionRingOverflow(t *testing.T) {
 	}
 	if tr.DroppedTotal() != 2 {
 		t.Fatalf("dropped total %d", tr.DroppedTotal())
+	}
+}
+
+// TestEventsCursorReadsOnlyItsSuffix: buffered sequence numbers are
+// contiguous, so a cursor poll locates its answer instead of scanning the
+// ring, and allocates exactly what it returns — also across the wrap point,
+// and for a cursor older than anything still buffered.
+func TestEventsCursorReadsOnlyItsSuffix(t *testing.T) {
+	cfg := DefaultTrackerConfig()
+	cfg.Cap = 64
+	tr := NewTracker(1, cfg)
+	a := mkClustering(12, [][]graph.NodeID{{0, 1, 2, 3}})
+	b := mkClustering(12, [][]graph.NodeID{{8, 9, 10, 11}})
+	tr.Seed(a)
+	for i := 0; i < 45; i++ { // 90 events through a 64-slot ring: wrapped, start mid-ring
+		tr.Observe([]*cluster.Clustering{b, a}[i%2], float64(i))
+	}
+	all, seq, dropped := tr.Events(0)
+	if seq != 90 || dropped != 26 || len(all) != 64 || all[0].Seq != 27 || all[63].Seq != 90 {
+		t.Fatalf("full read: %d events %d..%d, seq %d dropped %d", len(all), all[0].Seq, all[len(all)-1].Seq, seq, dropped)
+	}
+	for i, e := range all {
+		if e.Seq != uint64(27+i) {
+			t.Fatalf("event %d has seq %d", i, e.Seq)
+		}
+	}
+	for _, since := range []uint64{0, 5, 26} { // all older than the ring's tail
+		old, s, d := tr.Events(since)
+		if s != seq || d != dropped || !reflect.DeepEqual(old, all) {
+			t.Fatalf("since=%d: %d events, seq %d dropped %d; want everything buffered", since, len(old), s, d)
+		}
+	}
+	for since := uint64(26); since <= 92; since++ {
+		got, _, _ := tr.Events(since)
+		want := all[min(since, 90)-26:]
+		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("since=%d: got %d events, want %d", since, len(got), len(want))
+		}
+	}
+	var tail []Event
+	if n := testing.AllocsPerRun(100, func() { tail, _, _ = tr.Events(seq - 3) }); n > 1 {
+		t.Fatalf("a 3-event poll of a full ring allocates %v times, want at most 1", n)
+	}
+	if len(tail) != 3 || cap(tail) != 3 || tail[0].Seq != 88 {
+		t.Fatalf("since=seq-3: len %d cap %d first seq %d, want exactly the last 3", len(tail), cap(tail), tail[0].Seq)
 	}
 }
 

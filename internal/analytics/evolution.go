@@ -126,8 +126,8 @@ func DefaultTrackerConfig() TrackerConfig {
 }
 
 // Tracker accumulates evolution events at one granularity level.
-// Observe is called from the exclusive-writer (ingest) context only;
-// Events and Seq are called under at least the facade's shared lock.
+// Observe and ObserveRepair are called from the exclusive-writer (ingest)
+// context only; Events and Seq under at least the facade's shared lock.
 // DroppedTotal is an always-on atomic, readable from any goroutine
 // (the metrics scraper samples it without a lock).
 type Tracker struct {
@@ -146,9 +146,24 @@ type Tracker struct {
 	events      *obs.Counter   // nil until Instrument; nil-safe
 	diffSeconds *obs.Histogram // nil until Instrument; nil-safe
 
-	// diff scratch, reused across Observe calls.
-	overlapCnt []int32
-	touched    []int32
+	// diff scratch, reused across Observe calls. slot and overlapCnt are
+	// indexed by new cluster ID and only ever read where this diff wrote
+	// (slot) or left zero (overlapCnt), so neither is cleared between calls.
+	oldIDs, newIDs []int32   // effective clusters under diff, in ID order
+	slot           []int32   // new cluster ID -> index into newIDs
+	overlapCnt     []int32   // new cluster ID -> members of the current old cluster landing there
+	touched        []int32   // new cluster IDs with overlapCnt > 0
+	pairs          []overlap // non-empty overlaps, in old-ID order
+	newStart       []int32   // byNew[newStart[j]:newStart[j+1]] belong to newIDs[j]
+	byNew          []int32   // indexes into pairs, grouped by new cluster, old-ID order kept
+	split          []bool    // oldIDs[i] emitted a split
+}
+
+// overlap is one non-empty intersection of an old and a new effective
+// cluster, both named by their index in the diff's ID lists.
+type overlap struct {
+	o, n int32
+	cnt  int32
 }
 
 // NewTracker returns a tracker for the given level. Zero config fields
@@ -185,22 +200,80 @@ func (t *Tracker) Seed(cl *cluster.Clustering) {
 	t.prev = cl
 }
 
+// Baseline returns the clustering the next Observe diffs against: the last
+// one seeded or observed. Shared; must not be mutated. It is what a
+// cluster.Repairer must repair from for its dirty lists to be
+// ObserveRepair's (see there for what they must satisfy).
+func (t *Tracker) Baseline() *cluster.Clustering {
+	if t == nil {
+		return nil
+	}
+	return t.prev
+}
+
 // Observe diffs the previous clustering against cur, appending the
 // resulting events at the given network time, and makes cur the new
 // baseline. Exclusive-writer context only. cur is retained and must
 // not be mutated afterwards.
 func (t *Tracker) Observe(cur *cluster.Clustering, now float64) {
-	if t == nil || cur == nil {
-		return
-	}
-	prev := t.prev
-	t.prev = cur
+	prev := t.advance(cur)
 	if prev == nil {
 		return
 	}
 	w := t.diffSeconds.Start()
+	t.oldIDs, t.newIDs = t.oldIDs[:0], t.newIDs[:0]
+	for i, m := range prev.Clusters {
+		if len(m) >= t.cfg.MinSize {
+			t.oldIDs = append(t.oldIDs, int32(i))
+		}
+	}
+	for i, m := range cur.Clusters {
+		if len(m) >= t.cfg.MinSize {
+			t.newIDs = append(t.newIDs, int32(i))
+		}
+	}
 	t.diff(prev, cur, now)
 	w.Stop()
+}
+
+// ObserveRepair is Observe for a clustering derived from the baseline by a
+// repair that knows which clusters it changed. dirtyOld holds cluster IDs of
+// Baseline(), dirtyNew cluster IDs of cur; both must be ascending, and
+// together closed: every cluster outside them exists member for member on
+// the other side, so a listed cluster's members all lie in listed clusters
+// there. A clean cluster then overlaps exactly its unchanged self, which the
+// diff's rules pass over in silence (one fragment, moved, same size), and
+// diffing the dirty clusters alone emits the stream Observe would.
+func (t *Tracker) ObserveRepair(cur *cluster.Clustering, dirtyOld, dirtyNew []int32, now float64) {
+	prev := t.advance(cur)
+	if prev == nil {
+		return
+	}
+	w := t.diffSeconds.Start()
+	t.oldIDs, t.newIDs = t.oldIDs[:0], t.newIDs[:0]
+	for _, i := range dirtyOld {
+		if len(prev.Clusters[i]) >= t.cfg.MinSize {
+			t.oldIDs = append(t.oldIDs, i)
+		}
+	}
+	for _, i := range dirtyNew {
+		if len(cur.Clusters[i]) >= t.cfg.MinSize {
+			t.newIDs = append(t.newIDs, i)
+		}
+	}
+	t.diff(prev, cur, now)
+	w.Stop()
+}
+
+// advance makes cur the baseline and returns the one it replaces: nil when
+// there is nothing to diff (no tracker, no cur, or no baseline yet).
+func (t *Tracker) advance(cur *cluster.Clustering) *cluster.Clustering {
+	if t == nil || cur == nil {
+		return nil
+	}
+	prev := t.prev
+	t.prev = cur
+	return prev
 }
 
 // push appends one event, overwriting the oldest when the ring is full.
@@ -227,12 +300,19 @@ func (t *Tracker) Events(since uint64) (events []Event, seq, dropped uint64) {
 	if t == nil {
 		return nil, 0, 0
 	}
-	out := make([]Event, 0, t.count)
-	for i := 0; i < t.count; i++ {
-		e := t.ring[(t.start+i)%len(t.ring)]
-		if e.Seq > since {
-			out = append(out, e)
-		}
+	// Buffered sequence numbers are contiguous, t.seq-t.count+1 .. t.seq,
+	// so the answer is a suffix of the ring: locate it, copy only it.
+	k := t.count
+	if since >= t.seq {
+		k = 0
+	} else if newer := t.seq - since; newer < uint64(k) {
+		k = int(newer)
+	}
+	out := make([]Event, k)
+	if k > 0 {
+		first := (t.start + t.count - k) % len(t.ring)
+		n := copy(out, t.ring[first:])
+		copy(out[n:], t.ring) // the rest wrapped past the ring's end
 	}
 	return out, t.seq, t.droppedTotal.Load()
 }
@@ -270,17 +350,6 @@ func (t *Tracker) Instrument(reg *obs.Registry) {
 		"latency of one clustering diff between pyramid repairs", nil)
 }
 
-// effective lists the cluster IDs of cl with at least MinSize members.
-func (t *Tracker) effective(cl *cluster.Clustering) []int32 {
-	ids := make([]int32, 0, len(cl.Clusters))
-	for i, m := range cl.Clusters {
-		if len(m) >= t.cfg.MinSize {
-			ids = append(ids, int32(i))
-		}
-	}
-	return ids
-}
-
 // rep returns the smallest member ID of a cluster — the stable
 // representative reported in events.
 func rep(members []graph.NodeID) graph.NodeID {
@@ -293,36 +362,37 @@ func rep(members []graph.NodeID) graph.NodeID {
 	return r
 }
 
-// diff implements the algorithm of the file comment.
+// diff implements the algorithm of the file comment over t.oldIDs and
+// t.newIDs. Every member of a listed old cluster must lie in a listed new
+// cluster or in noise; the cost is the listed clusters' members.
 func (t *Tracker) diff(prev, cur *cluster.Clustering, now float64) {
-	oldIDs := t.effective(prev)
-	newIDs := t.effective(cur)
+	oldIDs, newIDs := t.oldIDs, t.newIDs
 	if len(oldIDs) == 0 && len(newIDs) == 0 {
 		return
 	}
-	newOK := make([]bool, cur.NumClusters())
-	for _, n := range newIDs {
-		newOK[n] = true
-	}
-
-	// Overlaps, sparse: for each effective old cluster, the effective new
-	// clusters its members land in, in first-touch (member) order; the
-	// transpose accumulates per-new source lists in old-ID order.
-	type edge struct {
-		id  int32
-		cnt int32
-	}
-	fromOld := make(map[int32][]edge, len(oldIDs)) // keyed by old ID, built per old cluster
-	intoNew := make(map[int32][]edge, len(newIDs)) // keyed by new ID
-	if cap(t.overlapCnt) < cur.NumClusters() {
+	if len(t.slot) < cur.NumClusters() {
+		t.slot = make([]int32, cur.NumClusters())
 		t.overlapCnt = make([]int32, cur.NumClusters())
 	}
-	cnt := t.overlapCnt[:cur.NumClusters()]
-	for _, o := range oldIDs {
+	for j, n := range newIDs {
+		t.slot[n] = int32(j)
+	}
+
+	θ := t.cfg.Threshold
+	meets := func(c, size int32) bool { return float64(c) >= θ*float64(size) }
+
+	// Pass 1 — old clusters in ID order: splits and deaths, decided as each
+	// cluster's overlaps are counted. Overlaps are sparse: the effective
+	// new clusters an old cluster's members land in, in first-touch
+	// (member) order.
+	cnt := t.overlapCnt
+	t.pairs = t.pairs[:0]
+	t.split = append(t.split[:0], make([]bool, len(oldIDs))...)
+	for i, o := range oldIDs {
 		t.touched = t.touched[:0]
 		for _, v := range prev.Clusters[o] {
 			n := cur.Labels[v]
-			if n < 0 || !newOK[n] {
+			if n < 0 || len(cur.Clusters[n]) < t.cfg.MinSize {
 				continue
 			}
 			if cnt[n] == 0 {
@@ -330,33 +400,23 @@ func (t *Tracker) diff(prev, cur *cluster.Clustering, now float64) {
 			}
 			cnt[n]++
 		}
-		for _, n := range t.touched {
-			fromOld[o] = append(fromOld[o], edge{id: n, cnt: cnt[n]})
-			intoNew[n] = append(intoNew[n], edge{id: o, cnt: cnt[n]})
-			cnt[n] = 0
-		}
-	}
-
-	θ := t.cfg.Threshold
-	meets := func(c, size int32) bool { return float64(c) >= θ*float64(size) }
-
-	// Pass 1 — old clusters in ID order: splits and deaths.
-	splitOld := make(map[int32]bool)
-	for _, o := range oldIDs {
 		oSize := int32(len(prev.Clusters[o]))
 		fragments := 0
 		moved := false
-		for _, e := range fromOld[o] {
-			if meets(e.cnt, int32(len(cur.Clusters[e.id]))) {
+		for _, n := range t.touched {
+			c := cnt[n]
+			cnt[n] = 0
+			t.pairs = append(t.pairs, overlap{o: int32(i), n: t.slot[n], cnt: c})
+			if meets(c, int32(len(cur.Clusters[n]))) {
 				fragments++
 			}
-			if meets(e.cnt, oSize) {
+			if meets(c, oSize) {
 				moved = true
 			}
 		}
 		switch {
 		case fragments >= 2:
-			splitOld[o] = true
+			t.split[i] = true
 			t.push(Event{Type: EventSplit, Level: int32(t.level),
 				Node: rep(prev.Clusters[o]), Size: int32(fragments),
 				PrevSize: oSize, Time: now})
@@ -367,22 +427,39 @@ func (t *Tracker) diff(prev, cur *cluster.Clustering, now float64) {
 		}
 	}
 
+	// The transpose, by counting sort: per new cluster its overlaps in
+	// old-ID order. Counting two slots ahead leaves group j's start in
+	// newStart[j+1] for the fill to advance, so it ends as the start of
+	// group j+1 and newStart[j] as the start of group j.
+	t.newStart = append(t.newStart[:0], make([]int32, len(newIDs)+2)...)
+	for _, p := range t.pairs {
+		t.newStart[p.n+2]++
+	}
+	for j := 2; j < len(t.newStart); j++ {
+		t.newStart[j] += t.newStart[j-1]
+	}
+	t.byNew = append(t.byNew[:0], make([]int32, len(t.pairs))...)
+	for k, p := range t.pairs {
+		t.byNew[t.newStart[p.n+1]] = int32(k)
+		t.newStart[p.n+1]++
+	}
+
 	// Pass 2 — new clusters in ID order: merges, births, grow/shrink.
-	for _, n := range newIDs {
+	for j, n := range newIDs {
 		nSize := int32(len(cur.Clusters[n]))
 		sources := 0
 		derives := false
-		var best edge
-		for _, e := range intoNew[n] {
-			oSize := int32(len(prev.Clusters[e.id]))
-			if meets(e.cnt, oSize) {
+		var best overlap
+		for _, k := range t.byNew[t.newStart[j]:t.newStart[j+1]] {
+			p := t.pairs[k]
+			if meets(p.cnt, int32(len(prev.Clusters[oldIDs[p.o]]))) {
 				sources++
 			}
-			if meets(e.cnt, nSize) {
+			if meets(p.cnt, nSize) {
 				derives = true
 			}
-			if e.cnt > best.cnt {
-				best = e
+			if p.cnt > best.cnt {
+				best = p
 			}
 		}
 		switch {
@@ -395,8 +472,8 @@ func (t *Tracker) diff(prev, cur *cluster.Clustering, now float64) {
 				Node: rep(cur.Clusters[n]), Size: nSize,
 				PrevSize: 0, Time: now})
 		default:
-			oSize := int32(len(prev.Clusters[best.id]))
-			if !meets(best.cnt, oSize) || !meets(best.cnt, nSize) || splitOld[best.id] {
+			oSize := int32(len(prev.Clusters[oldIDs[best.o]]))
+			if !meets(best.cnt, oSize) || !meets(best.cnt, nSize) || t.split[best.o] {
 				break // one-sided match or split fragment: no size event
 			}
 			if nSize > oSize {

@@ -24,10 +24,11 @@
 //     publishing a result computed from pre-write state cannot clobber an
 //     invalidation that the write just issued.
 //   - Replace (ReplacePower): copy-on-write swap of one level's power entry
-//     for a fresh recompute, the even entry cleared. Exclusive-writer
-//     context only, like invalidation. It is for a level the writer
-//     recomputes anyway before it releases the lock (the evolution
-//     tracker's): that level is not invalidated on flip, so lock-free
+//     for the clustering at the current index state, the even entry
+//     cleared. Exclusive-writer context only, like invalidation. It is for
+//     a level the writer brings up to date anyway before it releases the
+//     lock (the evolution tracker's, repaired along the call's flips):
+//     that level is not invalidated on flip, so lock-free
 //     probes keep hitting the pre-write snapshot until the swap instead of
 //     missing and queueing behind the writer.
 //
@@ -218,9 +219,10 @@ func (c *Cache) Invalidate(level int) {
 	}
 }
 
-// ReplacePower swaps in cl, the recompute at the current index state, as
-// the power clustering of level and clears the level's even entry — the
-// writer-side publication for a level whose flips were not invalidated.
+// ReplacePower swaps in cl, byte for byte the recompute at the current
+// index state, as the power clustering of level and clears the level's
+// even entry — the writer-side publication for a level whose flips were
+// not invalidated.
 // Exclusive-writer context only: no store or invalidation can be in flight,
 // so one clone and one Store suffice. Counted as neither hit, miss nor
 // invalidation: no probe failed and no reader will recompute.

@@ -8,7 +8,8 @@
 package cluster
 
 import (
-	"sort"
+	"slices"
+	"sync"
 
 	"anc/internal/graph"
 	"anc/internal/pyramid"
@@ -180,24 +181,63 @@ func Power(ix *pyramid.Index, level int) *Clustering {
 // equals the Even cluster of v.
 func Local(ix *pyramid.Index, level int, v graph.NodeID) []graph.NodeID {
 	g := ix.Graph()
-	keep := voteKeep(ix, level)
-	seen := map[graph.NodeID]bool{v: true}
-	queue := []graph.NodeID{v}
-	var members []graph.NodeID
-	for len(queue) > 0 {
-		x := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		members = append(members, x)
+	min := ix.MinSupport()
+	s := localPool.Get().(*localScratch)
+	s.seen.reset(g.N())
+	s.members = s.members[:0]
+	s.seen.add(v)
+	s.queue = append(s.queue, v)
+	for len(s.queue) > 0 {
+		x := s.queue[len(s.queue)-1]
+		s.queue = s.queue[:len(s.queue)-1]
+		s.members = append(s.members, x)
 		for _, h := range g.Neighbors(x) {
-			if !seen[h.To] && keep(h.Edge) {
-				seen[h.To] = true
-				queue = append(queue, h.To)
+			if !s.seen.has(h.To) && ix.Votes(h.Edge, level) >= min {
+				s.seen.add(h.To)
+				s.queue = append(s.queue, h.To)
 			}
 		}
 	}
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+	members := slices.Clone(s.members)
+	localPool.Put(s)
+	slices.Sort(members)
 	return members
 }
+
+// localScratch is the working state of one Local query.
+type localScratch struct {
+	seen           stampSet
+	queue, members []graph.NodeID
+}
+
+// localPool hands each query its own scratch: readers run concurrently
+// under the facade's shared lock, so the scratch cannot live on the index.
+var localPool = sync.Pool{New: func() any { return new(localScratch) }}
+
+// stampSet is a set of node IDs that empties in O(1): x is a member while
+// at[x] holds the current epoch. A search that reuses one pays for the nodes
+// it visits, not for clearing n marks — what keeps Local proportional to
+// its output (Lemma 9) and Repair to the clusters it touches.
+type stampSet struct {
+	epoch uint32
+	at    []uint32
+}
+
+// reset empties the set and makes room for IDs below n.
+func (s *stampSet) reset(n int) {
+	if len(s.at) < n {
+		s.at, s.epoch = make([]uint32, n), 0
+	}
+	s.epoch++
+	if s.epoch == 0 { // wrapped: stamps of 2³² resets ago would read as current
+		clear(s.at)
+		s.epoch = 1
+	}
+}
+
+func (s *stampSet) has(x graph.NodeID) bool { return s.at[x] == s.epoch }
+
+func (s *stampSet) add(x graph.NodeID) { s.at[x] = s.epoch }
 
 // View is a stateful navigator over the granularity hierarchy, providing
 // the repeated zoom-in / zoom-out operations of Problem 1.

@@ -44,8 +44,9 @@ func BenchmarkEven(b *testing.B) {
 	}
 }
 
-// BenchmarkPower measures power clustering (DirectedCluster) — run inside
-// every ingest call by the evolution tracker. make bench-smoke runs it with
+// BenchmarkPower measures power clustering (DirectedCluster) — what every
+// uncached Clusters query and the tracked level's first publication run, and
+// what BenchmarkPowerRepair is read against. make bench-smoke runs it with
 // -benchmem: a per-call degree sort or per-cluster member slices show up as
 // allocs/op far above TestHotPathAllocs' constant.
 func BenchmarkPower(b *testing.B) {
@@ -56,6 +57,29 @@ func BenchmarkPower(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Power(ix, l)
 	}
+}
+
+// BenchmarkPowerRepair is BenchmarkPower's counterpart on the path ingest
+// takes since the tracked level is repaired: the same index under a flip
+// load like one serve-burst batch's (some hundred net flips per repair),
+// only the repair timed. Compare ns/op and B/op with BenchmarkPower.
+func BenchmarkPowerRepair(b *testing.B) {
+	ix := benchIndex(b, 4096)
+	l := pyramid.SqrtLevel(4096)
+	feed := newFlipFeed(ix, l, 4)
+	var r Repairer
+	cur := Power(ix, l)
+	flips := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		batch := feed.step(64)
+		flips += len(batch)
+		b.StartTimer()
+		cur, _, _ = r.Repair(ix, l, cur, batch)
+	}
+	b.ReportMetric(float64(flips)/float64(b.N), "flips/op")
 }
 
 // BenchmarkLocal measures the output-proportional local query (Lemma 9).

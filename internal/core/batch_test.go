@@ -52,11 +52,11 @@ func TestActivateBatchRejectsBadInput(t *testing.T) {
 	weightBefore := nw.Index().Weight(1)
 	bad := [][]Activation{
 		{{Edge: 1, T: 4}, {Edge: graph.EdgeID(g.M()), T: 4}}, // edge out of range
-		{{Edge: -1, T: 4}},                                   // negative edge
-		{{Edge: 1, T: math.NaN()}},                           // NaN time
-		{{Edge: 1, T: math.Inf(1)}},                          // Inf time
-		{{Edge: 1, T: 5}, {Edge: 1, T: 4}},                   // decreasing inside batch
-		{{Edge: 1, T: 2}},                                    // before current time
+		{{Edge: -1, T: 4}},                 // negative edge
+		{{Edge: 1, T: math.NaN()}},         // NaN time
+		{{Edge: 1, T: math.Inf(1)}},        // Inf time
+		{{Edge: 1, T: 5}, {Edge: 1, T: 4}}, // decreasing inside batch
+		{{Edge: 1, T: 2}},                  // before current time
 	}
 	for i, b := range bad {
 		if err := nw.ActivateBatch(b); err == nil {

@@ -120,12 +120,13 @@ type Network struct {
 
 	// Analytics (DESIGN.md §16): the TieRank snapshot cache and the
 	// cluster-evolution tracker. Nil until EnableAnalytics; all methods
-	// on both are nil-safe. evoDirty marks a vote flip at the tracked
-	// level since the last diff; the ingest paths settle it via
-	// afterRepair.
+	// on both are nil-safe. evoFlips collects the edges whose vote flipped
+	// at the tracked level since the last diff; the ingest paths settle
+	// them via afterRepair, which repairs the level's clustering from them.
 	rank     *analytics.RankCache
 	evo      *analytics.Tracker
-	evoDirty bool
+	evoFlips []graph.EdgeID
+	repairer cluster.Repairer
 
 	// Batch-ingest scratch: dirty-edge/node sets of the current batch and
 	// the weight buffer handed to the index. Lazily allocated on the first
@@ -481,34 +482,41 @@ func (nw *Network) Snapshot() error {
 	nw.ix.Reconstruct()
 	// The reconstruction rebuilds vote counts wholesale without firing
 	// flip events, so the cache cannot invalidate itself level by level —
-	// drop everything, and force an evolution diff the same way.
+	// drop everything. The tracked level has no flip list to be repaired
+	// along either: recompute it whole, diff it whole.
 	nw.cache.InvalidateAll()
+	nw.rank.Invalidate()
 	if nw.evo != nil {
-		nw.evoDirty = true
+		nw.evoFlips = nw.evoFlips[:0]
+		cl := cluster.Power(nw.ix, nw.evo.Level())
+		nw.cache.ReplacePower(nw.evo.Level(), cl)
+		nw.evo.Observe(cl, nw.clock.Now())
 	}
-	nw.afterRepair()
 	return nil
 }
 
 // afterRepair is the analytics hook at the end of every mutating entry
-// point (Activate, ActivateBatch, Flush, Snapshot): any activation moves
-// relative edge weights, so the cached TieRank eigenvector is dropped
+// point (Activate, ActivateBatch, Flush): any activation moves relative
+// edge weights, so the cached TieRank eigenvector is dropped
 // unconditionally; the evolution tracker diffs only when a vote flip
 // touched its level — clusterings are a pure function of vote pass
-// states, so no flip means no transition to report. The recompute the diff
-// needs is also what the clustering cache serves at that level from now
-// on: it replaces the pre-write entry, which the flip deliberately left in
-// place (see EnableClusterCache). Exclusive-writer context, like the cache
-// invalidations it extends.
+// states, so no flip means no transition to report. The level's clustering
+// is repaired from the tracker's baseline along the collected flips, so
+// only the clusters they touch are searched and diffed; the result is
+// cluster.Power's, byte for byte, and it is also what the clustering cache
+// serves at that level from now on: it replaces the pre-write entry, which
+// the flips deliberately left in place (see EnableClusterCache).
+// Exclusive-writer context, like the cache invalidations it extends.
 func (nw *Network) afterRepair() {
 	nw.rank.Invalidate()
-	if nw.evoDirty {
-		nw.evoDirty = false
-		level := nw.evo.Level()
-		cl := cluster.Power(nw.ix, level)
-		nw.cache.ReplacePower(level, cl)
-		nw.evo.Observe(cl, nw.clock.Now())
+	if len(nw.evoFlips) == 0 {
+		return
 	}
+	level := nw.evo.Level()
+	cl, dirtyOld, dirtyNew := nw.repairer.Repair(nw.ix, level, nw.evo.Baseline(), nw.evoFlips)
+	nw.evoFlips = nw.evoFlips[:0]
+	nw.cache.ReplacePower(level, cl)
+	nw.evo.ObserveRepair(cl, dirtyOld, dirtyNew, nw.clock.Now())
 }
 
 // EnableClusterCache materializes per-level clustering results: Clusters
@@ -525,7 +533,7 @@ func (nw *Network) EnableClusterCache() *clustercache.Cache {
 	c := clustercache.New(nw.ix.Levels())
 	vt := nw.ix.EnableVoteTracking()
 	vt.OnFlip(func(l int, _ graph.EdgeID, _ bool) {
-		// The evolution tracker's level is recomputed by afterRepair before
+		// The evolution tracker's level is repaired by afterRepair before
 		// the writer lets go, and swapped in there; dropping it here would
 		// only make lock-free readers miss and queue behind the writer.
 		// (Level is 0, no level, until EnableAnalytics.)
@@ -565,9 +573,9 @@ func (nw *Network) EnableAnalytics() *analytics.RankCache {
 	}
 	nw.evo = analytics.NewTracker(level, analytics.DefaultTrackerConfig())
 	vt := nw.ix.EnableVoteTracking()
-	vt.OnFlip(func(l int, _ graph.EdgeID, _ bool) {
+	vt.OnFlip(func(l int, e graph.EdgeID, _ bool) {
 		if l == level {
-			nw.evoDirty = true
+			nw.evoFlips = append(nw.evoFlips, e)
 		}
 	})
 	nw.evo.Seed(nw.Clusters(level))
