@@ -1,7 +1,8 @@
 # Development and CI entry points. `make check` is what every PR must
 # pass: gofmt, vet, the ANC invariant linter, build, the full test suite, the
-# race detector, a short fuzz smoke over the corruption-facing decoders,
-# and the hot-path allocation gates. The acceptance loops of the
+# race detector, a short fuzz smoke over the six corruption-facing decoder
+# targets (docs_test.go fails if a fuzz-smoke line names a target that does
+# not exist), and the hot-path allocation gates. The acceptance loops of the
 # replication, observability, cache, analytics and tracing subsystems
 # (TestReplFailover, TestObsSmoke, TestCacheSmoke, TestAnalyticsSmoke,
 # TestTraceSmoke) and the repo benchmark's short runs (TestWorkloadsShort,
@@ -77,8 +78,10 @@ race:
 	$(GO) test -race ./...
 
 # Each -fuzz run accepts a single target, so the smoke lists them
-# explicitly: snapshot loading, WAL replay, and the two sides of the wire
-# protocol are the paths fed by potentially corrupt bytes.
+# explicitly: snapshot loading, WAL replay, the two sides of the wire
+# protocol (every op, seeded from its sample request and response) and the
+# two replication push decoders are the paths fed by potentially corrupt
+# bytes.
 fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime $(FUZZTIME)
@@ -86,8 +89,6 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzReplFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzReplStatus$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzTieRank$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzEvolution$$' -fuzztime $(FUZZTIME)
 
 # bench-smoke is the dynamic half of the //anclint:hotpath contract
 # (DESIGN.md §14) — gates, not measurements: the AllocsPerRun gates

@@ -3,6 +3,7 @@ package anc_test
 import (
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -15,7 +16,8 @@ import (
 // benchmark metric and a results file. Each mention must resolve against the one
 // place that defines it (Makefile rules, cmd/ancbench's run(...) calls,
 // BENCHMARK.json — which benchmark.TestSpecMatchesJSON holds equal to
-// benchmark/spec.go — and the working tree). In the newest CHANGES.md
+// benchmark/spec.go — and the working tree). Every fuzz-smoke line of the
+// Makefile must name a fuzz function its package declares. In the newest CHANGES.md
 // entry — the line the next session starts from — a backticked file path
 // must exist in the working tree; older entries are history and
 // legitimately name files that have since been deleted.
@@ -58,9 +60,24 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	for _, m := range append(spec.EndToEnd, spec.PerLayer...) {
 		metrics[m.Name] = true
 	}
-	if len(targets) == 0 || len(experiments) < 2 || len(workloads) == 0 || len(metrics) == 0 {
-		t.Fatalf("empty name table: %d targets, %d experiments, %d workloads, %d metrics",
-			len(targets), len(experiments), len(workloads), len(metrics))
+
+	// `go test -fuzz` on a name that matches nothing warns and exits 0, so
+	// a renamed target would leave fuzz-smoke green while fuzzing nothing.
+	fuzz := regexp.MustCompile(`(?m)^\t\$\(GO\) test (\S+) .*-fuzz '\^(\w+)\$\$'`).FindAllStringSubmatch(makefile, -1)
+	for _, m := range fuzz {
+		files, _ := filepath.Glob(m[1] + "/*_test.go")
+		src := ""
+		for _, file := range files {
+			src += read(file)
+		}
+		if !strings.Contains(src, "func "+m[2]+"(f *testing.F)") {
+			t.Errorf("Makefile fuzz-smoke names %s in %s, which declares no such fuzz target", m[2], m[1])
+		}
+	}
+
+	if len(targets) == 0 || len(experiments) < 2 || len(workloads) == 0 || len(metrics) == 0 || len(fuzz) == 0 {
+		t.Fatalf("empty name table: %d targets, %d experiments, %d workloads, %d metrics, %d fuzz targets",
+			len(targets), len(experiments), len(workloads), len(metrics), len(fuzz))
 	}
 
 	var comments []string

@@ -1,6 +1,6 @@
 // Package lint assembles the ANC analyzer suite: custom invariant
 // checkers born from the paper's correctness arguments and the system's
-// concurrency and wire contracts, each scoped to the part of the module
+// concurrency and durability contracts, each scoped to the part of the module
 // whose contract it encodes. cmd/anclint runs Suite over ./...; `make
 // lint` gates every PR on it. The stock copylocks, lostcancel and atomic
 // checks are `go vet`'s, which `make check` runs beside this suite. See
@@ -17,7 +17,6 @@ import (
 	"anc/internal/lint/lockorder"
 	"anc/internal/lint/nakedexp"
 	"anc/internal/lint/runner"
-	"anc/internal/lint/wirecomplete"
 )
 
 // Suite returns the scoped analyzer suite for this module.
@@ -106,13 +105,6 @@ func Suite() []runner.Scoped {
 			// free.
 			Analyzer: hotalloc.Analyzer,
 			Exclude:  []string{"anc/internal/lint/..."},
-		},
-		{
-			// The wire-protocol package must keep every Op*/ErrCode*
-			// constant fully wired: names, encoders, decoders, fuzz corpus,
-			// client methods, metrics table.
-			Analyzer: wirecomplete.Analyzer,
-			Include:  []string{"anc/internal/serve"},
 		},
 	}
 }

@@ -25,7 +25,6 @@ func TestSuiteAnalyzerRoster(t *testing.T) {
 		"lockorder":      true,
 		"goleak":         true,
 		"hotalloc":       true,
-		"wirecomplete":   true,
 	}
 	got := map[string]bool{}
 	for _, s := range lint.Suite() {

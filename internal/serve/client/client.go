@@ -10,6 +10,7 @@ package client
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -44,17 +45,18 @@ func WithTracer(t *trace.Tracer) Option {
 	return func(c *Client) { c.tracer = t }
 }
 
-// WithRetry enables automatic retries for idempotent QUERY calls only
-// (clusters, distance/attraction estimates, stats, replication status):
-// up to attempts total tries per call, redialing between tries, with
-// capped exponential backoff plus jitter starting at min and capped at
-// max. Retried errors are transport failures (broken or refused
-// connections) and the server's typed overloaded reply — the two cases
-// where the same bytes can safely be asked again. Ingest (ActivateBatch)
-// is NEVER retried: a write whose reply was lost may have been applied,
-// and replaying it would double activations. Mutating ops (watch,
-// drain-events, promote) and view calls (whose session dies with the
-// connection) are likewise excluded.
+// WithRetry enables automatic retries for the calls whose op the wire's op
+// table marks safe to resend (serve.ResendSafe: the read-only queries —
+// clusters, distance/attraction estimates, tierank, evolution, traces,
+// stats, replication status): up to attempts total tries per call,
+// redialing between tries, with capped exponential backoff plus jitter
+// starting at min and capped at max. Retried errors are transport failures
+// (broken or refused connections) and the server's typed overloaded reply
+// — the two cases where the same bytes can safely be asked again. Ingest
+// (ActivateBatch) is NEVER retried: a write whose reply was lost may have
+// been applied, and replaying it would double activations. Mutating ops
+// (watch, drain-events, promote) and view calls (whose session dies with
+// the connection) are likewise excluded.
 func WithRetry(attempts int, min, max time.Duration) Option {
 	return func(c *Client) {
 		if attempts < 1 {
@@ -77,7 +79,7 @@ type Client struct {
 	timeout  time.Duration
 	maxFrame int
 
-	retries            int // extra attempts for idempotent queries
+	retries            int // extra attempts for resend-safe ops
 	retryMin, retryMax time.Duration
 	tracer             *trace.Tracer
 
@@ -86,6 +88,10 @@ type Client struct {
 	br     *bufio.Reader
 	bw     *bufio.Writer
 	nextID uint64
+	// epoch counts connections: connectLocked bumps it, and a View is good
+	// only on the connection it was opened on (the server numbers views per
+	// connection, restarting at 1).
+	epoch uint64
 }
 
 // Dial connects to an ancserve server and performs the version handshake.
@@ -127,6 +133,7 @@ func (c *Client) connectLocked() error {
 	c.conn = conn
 	c.br = br
 	c.bw = bufio.NewWriter(conn)
+	c.epoch++
 	return nil
 }
 
@@ -152,16 +159,57 @@ func (c *Client) Close() error {
 	return err
 }
 
-// call runs one request/response exchange. A server error reply comes back
-// as *serve.WireError; transport errors drop the connection so the next
-// call redials. When a tracer samples the call, a client-side span wraps
-// the exchange and its context rides the request.
+// ErrViewLost is returned by calls on a View whose connection has since
+// been closed or replaced: its server-side session died with it, and the
+// same view ID on the new connection is someone else's session.
+var ErrViewLost = errors.New("client: view lost with its connection; open a new one")
+
+// call runs one request, resending it per WithRetry when the op's row in
+// the wire's op table says an identical resend is safe. Without WithRetry
+// it is exactly one attempt.
 func (c *Client) call(ctx context.Context, req *serve.Request) (*serve.Response, error) {
+	resp, _, err := c.callOn(ctx, req, 0)
+	return resp, err
+}
+
+// callOn is call pinned to a connection: a nonzero epoch must still be the
+// live connection's, or the call fails with ErrViewLost before touching
+// the wire. It also returns the epoch the exchange ran on.
+func (c *Client) callOn(ctx context.Context, req *serve.Request, epoch uint64) (*serve.Response, uint64, error) {
+	resp, on, err := c.attempt(ctx, req, epoch)
+	if c.retries == 0 || !serve.ResendSafe(req.Op) || !retryable(err) {
+		return resp, on, err
+	}
+	// One Backoff per retrying call: queries run concurrently across
+	// goroutines, and a Backoff is single-owner by contract. Seed 0 =
+	// wall-clock jitter, so parallel clients don't retry in lockstep.
+	bo := backoff.New(c.retryMin, c.retryMax, 0)
+	for i := 0; i < c.retries && retryable(err); i++ {
+		timer := time.NewTimer(bo.Next())
+		select {
+		case <-ctx.Done():
+			timer.Stop()
+			return nil, 0, ctx.Err()
+		case <-timer.C:
+		}
+		resp, on, err = c.attempt(ctx, req, epoch)
+	}
+	return resp, on, err
+}
+
+// attempt runs one request/response exchange. A server error reply comes
+// back as *serve.WireError; transport errors drop the connection so the
+// next call redials. When a tracer samples the call, a client-side span
+// wraps the exchange and its context rides the request.
+func (c *Client) attempt(ctx context.Context, req *serve.Request, epoch uint64) (*serve.Response, uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if epoch != 0 && (c.conn == nil || c.epoch != epoch) {
+		return nil, 0, ErrViewLost
+	}
 	if c.conn == nil {
 		if err := c.connectLocked(); err != nil { //anclint:ignore lockorder c.mu is the connection serializer; DialTimeout bounds the hold
-			return nil, err
+			return nil, 0, err
 		}
 	}
 	var sp trace.SpanHandle
@@ -174,10 +222,10 @@ func (c *Client) call(ctx context.Context, req *serve.Request) (*serve.Response,
 		sp.Fail()
 	}
 	sp.End()
-	return resp, err
+	return resp, c.epoch, err
 }
 
-// exchangeLocked is call's wire half: deadline, write, read, validate.
+// exchangeLocked is attempt's wire half: deadline, write, read, validate.
 func (c *Client) exchangeLocked(ctx context.Context, req *serve.Request) (*serve.Response, error) {
 	deadline := time.Now().Add(c.timeout)
 	if d, ok := ctx.Deadline(); ok {
@@ -215,31 +263,7 @@ func (c *Client) exchangeLocked(ctx context.Context, req *serve.Request) (*serve
 	return resp, nil
 }
 
-// query runs one idempotent query exchange, retrying per WithRetry.
-// Without WithRetry it is exactly call.
-func (c *Client) query(ctx context.Context, req *serve.Request) (*serve.Response, error) {
-	resp, err := c.call(ctx, req)
-	if c.retries == 0 || !retryable(err) {
-		return resp, err
-	}
-	// One Backoff per retrying call: queries run concurrently across
-	// goroutines, and a Backoff is single-owner by contract. Seed 0 =
-	// wall-clock jitter, so parallel clients don't retry in lockstep.
-	bo := backoff.New(c.retryMin, c.retryMax, 0)
-	for attempt := 0; attempt < c.retries && retryable(err); attempt++ {
-		timer := time.NewTimer(bo.Next())
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			return nil, ctx.Err()
-		case <-timer.C:
-		}
-		resp, err = c.call(ctx, req)
-	}
-	return resp, err
-}
-
-// retryable reports whether an identical resend is safe and useful: the
+// retryable reports whether resending a resend-safe request is useful: the
 // call never reached a decision (transport failure) or the server
 // explicitly asked for a retry (overloaded). Typed rejections are final.
 func retryable(err error) bool {
@@ -262,7 +286,7 @@ func (c *Client) ActivateBatch(ctx context.Context, batch []anc.Activation) erro
 
 // Clusters reports all clusters at a granularity level.
 func (c *Client) Clusters(ctx context.Context, level int) ([][]int, error) {
-	resp, err := c.query(ctx, &serve.Request{Op: serve.OpClusters, Level: int32(level)})
+	resp, err := c.call(ctx, &serve.Request{Op: serve.OpClusters, Level: int32(level)})
 	if err != nil {
 		return nil, err
 	}
@@ -271,7 +295,7 @@ func (c *Client) Clusters(ctx context.Context, level int) ([][]int, error) {
 
 // EvenClusters reports all even-clustering clusters at a level.
 func (c *Client) EvenClusters(ctx context.Context, level int) ([][]int, error) {
-	resp, err := c.query(ctx, &serve.Request{Op: serve.OpEvenClusters, Level: int32(level)})
+	resp, err := c.call(ctx, &serve.Request{Op: serve.OpEvenClusters, Level: int32(level)})
 	if err != nil {
 		return nil, err
 	}
@@ -280,7 +304,7 @@ func (c *Client) EvenClusters(ctx context.Context, level int) ([][]int, error) {
 
 // ClusterOf reports the local cluster of v at a level.
 func (c *Client) ClusterOf(ctx context.Context, v, level int) ([]int, error) {
-	resp, err := c.query(ctx, &serve.Request{Op: serve.OpClusterOf, Node: uint32(v), Level: int32(level)})
+	resp, err := c.call(ctx, &serve.Request{Op: serve.OpClusterOf, Node: uint32(v), Level: int32(level)})
 	if err != nil {
 		return nil, err
 	}
@@ -289,7 +313,7 @@ func (c *Client) ClusterOf(ctx context.Context, v, level int) ([]int, error) {
 
 // SmallestClusterOf reports the finest-granularity cluster containing v.
 func (c *Client) SmallestClusterOf(ctx context.Context, v int) ([]int, error) {
-	resp, err := c.query(ctx, &serve.Request{Op: serve.OpSmallestClusterOf, Node: uint32(v)})
+	resp, err := c.call(ctx, &serve.Request{Op: serve.OpSmallestClusterOf, Node: uint32(v)})
 	if err != nil {
 		return nil, err
 	}
@@ -298,7 +322,7 @@ func (c *Client) SmallestClusterOf(ctx context.Context, v int) ([]int, error) {
 
 // EstimateDistance answers a sketch distance query.
 func (c *Client) EstimateDistance(ctx context.Context, u, v int) (float64, error) {
-	resp, err := c.query(ctx, &serve.Request{Op: serve.OpEstimateDistance, U: uint32(u), V: uint32(v)})
+	resp, err := c.call(ctx, &serve.Request{Op: serve.OpEstimateDistance, U: uint32(u), V: uint32(v)})
 	if err != nil {
 		return 0, err
 	}
@@ -307,7 +331,7 @@ func (c *Client) EstimateDistance(ctx context.Context, u, v int) (float64, error
 
 // EstimateAttraction answers an attraction-strength query.
 func (c *Client) EstimateAttraction(ctx context.Context, u, v int) (float64, error) {
-	resp, err := c.query(ctx, &serve.Request{Op: serve.OpEstimateAttraction, U: uint32(u), V: uint32(v)})
+	resp, err := c.call(ctx, &serve.Request{Op: serve.OpEstimateAttraction, U: uint32(u), V: uint32(v)})
 	if err != nil {
 		return 0, err
 	}
@@ -319,7 +343,7 @@ func (c *Client) EstimateAttraction(ctx context.Context, u, v int) (float64, err
 // skips the per-cluster listing). Read-only and idempotent, so it is
 // retried across reconnects and served by followers.
 func (c *Client) TieRank(ctx context.Context, level, k int) (anc.TieRankResult, error) {
-	resp, err := c.query(ctx, &serve.Request{Op: serve.OpTieRank, Level: int32(level), K: int32(k)})
+	resp, err := c.call(ctx, &serve.Request{Op: serve.OpTieRank, Level: int32(level), K: int32(k)})
 	if err != nil {
 		return anc.TieRankResult{}, err
 	}
@@ -332,7 +356,7 @@ func (c *Client) TieRank(ctx context.Context, level, k int) (anc.TieRankResult, 
 // read is non-draining, so it is retried across reconnects without
 // losing events.
 func (c *Client) Evolution(ctx context.Context, since uint64) ([]anc.EvolutionEvent, uint64, uint64, error) {
-	resp, err := c.query(ctx, &serve.Request{Op: serve.OpEvolution, From: since})
+	resp, err := c.call(ctx, &serve.Request{Op: serve.OpEvolution, From: since})
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -347,7 +371,7 @@ func (c *Client) Traces(ctx context.Context, id uint64, asJSON bool) ([]byte, er
 	if asJSON {
 		format = 1
 	}
-	resp, err := c.query(ctx, &serve.Request{Op: serve.OpTraces, From: id, K: format})
+	resp, err := c.call(ctx, &serve.Request{Op: serve.OpTraces, From: id, K: format})
 	if err != nil {
 		return nil, err
 	}
@@ -357,7 +381,7 @@ func (c *Client) Traces(ctx context.Context, id uint64, asJSON bool) ([]byte, er
 // Stats reads the server's health snapshot: network shape, ingest
 // progress, and load gauges.
 func (c *Client) Stats(ctx context.Context) (serve.StatsReply, error) {
-	resp, err := c.query(ctx, &serve.Request{Op: serve.OpStats})
+	resp, err := c.call(ctx, &serve.Request{Op: serve.OpStats})
 	if err != nil {
 		return serve.StatsReply{}, err
 	}
@@ -367,7 +391,7 @@ func (c *Client) Stats(ctx context.Context) (serve.StatsReply, error) {
 // ReplStatus reads the server's replication health: role, log cursors,
 // lag, and reconnect history. Idempotent, so it participates in WithRetry.
 func (c *Client) ReplStatus(ctx context.Context) (serve.ReplStatus, error) {
-	resp, err := c.query(ctx, &serve.Request{Op: serve.OpReplStatus})
+	resp, err := c.call(ctx, &serve.Request{Op: serve.OpReplStatus})
 	if err != nil {
 		return serve.ReplStatus{}, err
 	}
@@ -405,22 +429,24 @@ func (c *Client) DrainEvents(ctx context.Context) ([]anc.ClusterEvent, uint64, e
 	return resp.Events, resp.Dropped, nil
 }
 
-// View is a server-side zoom session bound to this client's connection.
-// Its state does not survive a reconnect: after a broken connection,
-// calls on an old view fail with a bad-request reply.
+// View is a server-side zoom session bound to the connection it was opened
+// on. Its state does not survive a reconnect: once that connection is
+// closed or broken, calls on the view fail with ErrViewLost without
+// touching the wire.
 type View struct {
 	c     *Client
 	id    uint32
+	epoch uint64 // the Client.epoch of the connection that holds the session
 	level int
 }
 
 // OpenView opens a zoom session positioned at the server's Θ(√n) level.
 func (c *Client) OpenView(ctx context.Context) (*View, error) {
-	resp, err := c.call(ctx, &serve.Request{Op: serve.OpViewOpen})
+	resp, epoch, err := c.callOn(ctx, &serve.Request{Op: serve.OpViewOpen}, 0)
 	if err != nil {
 		return nil, err
 	}
-	return &View{c: c, id: resp.View, level: int(resp.Level)}, nil
+	return &View{c: c, id: resp.View, epoch: epoch, level: int(resp.Level)}, nil
 }
 
 // Level reports the view's granularity level as of the last server reply.
@@ -436,8 +462,14 @@ func (v *View) ZoomOut(ctx context.Context) (bool, error) {
 	return v.zoom(ctx, serve.OpViewZoomOut)
 }
 
+// call runs one request on the view's own connection, or fails.
+func (v *View) call(ctx context.Context, req *serve.Request) (*serve.Response, error) {
+	resp, _, err := v.c.callOn(ctx, req, v.epoch)
+	return resp, err
+}
+
 func (v *View) zoom(ctx context.Context, op uint8) (bool, error) {
-	resp, err := v.c.call(ctx, &serve.Request{Op: op, View: v.id})
+	resp, err := v.call(ctx, &serve.Request{Op: op, View: v.id})
 	if err != nil {
 		return false, err
 	}
@@ -447,7 +479,7 @@ func (v *View) zoom(ctx context.Context, op uint8) (bool, error) {
 
 // Clusters reports all clusters at the view's current level.
 func (v *View) Clusters(ctx context.Context) ([][]int, error) {
-	resp, err := v.c.call(ctx, &serve.Request{Op: serve.OpViewClusters, View: v.id})
+	resp, err := v.call(ctx, &serve.Request{Op: serve.OpViewClusters, View: v.id})
 	if err != nil {
 		return nil, err
 	}
@@ -456,7 +488,7 @@ func (v *View) Clusters(ctx context.Context) ([][]int, error) {
 
 // ClusterOf reports the cluster containing x at the view's current level.
 func (v *View) ClusterOf(ctx context.Context, x int) ([]int, error) {
-	resp, err := v.c.call(ctx, &serve.Request{Op: serve.OpViewClusterOf, View: v.id, Node: uint32(x)})
+	resp, err := v.call(ctx, &serve.Request{Op: serve.OpViewClusterOf, View: v.id, Node: uint32(x)})
 	if err != nil {
 		return nil, err
 	}
@@ -465,6 +497,6 @@ func (v *View) ClusterOf(ctx context.Context, x int) ([]int, error) {
 
 // Close releases the server-side session.
 func (v *View) Close(ctx context.Context) error {
-	_, err := v.c.call(ctx, &serve.Request{Op: serve.OpViewClose, View: v.id})
+	_, err := v.call(ctx, &serve.Request{Op: serve.OpViewClose, View: v.id})
 	return err
 }

@@ -3,12 +3,16 @@ package client
 import (
 	"bufio"
 	"context"
+	"errors"
 	"net"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"anc"
+	"anc/internal/obs"
 	"anc/internal/serve"
 )
 
@@ -198,5 +202,96 @@ func TestRetryContextCancel(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("retry loop ignored cancellation for %v", elapsed)
+	}
+}
+
+// startReal serves a 16-node ring from a real serve.Server with metrics on.
+func startReal(t *testing.T) (*Client, *obs.Registry) {
+	t.Helper()
+	var ring [][2]int
+	for i := 0; i < 16; i++ {
+		ring = append(ring, [2]int{i, (i + 1) % 16})
+	}
+	nw, err := anc.NewNetwork(16, ring, anc.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	s := serve.New(anc.NewConcurrent(nw), serve.Config{Obs: reg})
+	if err := s.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Kill)
+	c, err := Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c, reg
+}
+
+// TestStaleViewFailsTyped: view IDs restart at 1 on every connection, so a
+// view that outlived its connection would alias whichever view the new
+// connection opens next. It must fail typed, before the wire, and leave
+// that other session alone.
+func TestStaleViewFailsTyped(t *testing.T) {
+	c, _ := startReal(t)
+	ctx := context.Background()
+	v1, err1 := c.OpenView(ctx)
+	c.Close()
+	v2, err2 := c.OpenView(ctx)
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	if moved, err := v1.ZoomIn(ctx); !errors.Is(err, ErrViewLost) || moved {
+		t.Fatalf("stale view zoomed: moved=%v err=%v, want ErrViewLost", moved, err)
+	}
+	start := v2.Level()
+	if moved, err := v2.ZoomOut(ctx); err != nil || !moved || v2.Level() != start-1 {
+		t.Fatalf("v2 zoom-out from %d: moved=%v level=%d err=%v; the stale view moved it", start, moved, v2.Level(), err)
+	}
+}
+
+// TestEveryOpHasAClientMethod calls every exported Client and View method
+// that takes a context, then requires every pre-registered
+// anc_serve_requests_total{op} series to have moved: an op added to the
+// wire's table without a client method stays at 0. A typed server reply
+// (replication and tracing are off) still proves the round trip.
+func TestEveryOpHasAClientMethod(t *testing.T) {
+	c, reg := startReal(t)
+	ctx := reflect.ValueOf(context.Background())
+	v, err := c.OpenView(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, recv := range []reflect.Value{reflect.ValueOf(c), reflect.ValueOf(v)} {
+		for i := 0; i < recv.NumMethod(); i++ {
+			m := recv.Method(i).Type()
+			if m.NumIn() == 0 || m.In(0) != reflect.TypeOf((*context.Context)(nil)).Elem() {
+				continue
+			}
+			args := []reflect.Value{ctx}
+			for j := 1; j < m.NumIn(); j++ {
+				args = append(args, reflect.Zero(m.In(j)))
+			}
+			out := recv.Method(i).Call(args)
+			var we *serve.WireError
+			if err, _ := out[len(out)-1].Interface().(error); err != nil && !errors.As(err, &we) {
+				t.Errorf("%s: %v", recv.Type().Method(i).Name, err)
+			}
+		}
+	}
+	// The two push-only stream payloads are never requests; repl-subscribe
+	// is the one real exemption — repl.Node is its only caller.
+	exempt := map[string]bool{"repl-frames": true, "repl-snapshot": true, "repl-subscribe": true}
+	for key, n := range reg.Snapshot() {
+		name, ok := strings.CutPrefix(key, `anc_serve_requests_total{op="`)
+		if name = strings.TrimSuffix(name, `"}`); ok && n == 0 && !exempt[name] {
+			t.Errorf("op %s: no client method sent it", name)
+		}
+		delete(exempt, name)
+	}
+	if len(exempt) != 0 {
+		t.Fatalf("exempt ops %v are not among the registered per-op series", exempt)
 	}
 }

@@ -99,18 +99,18 @@ const (
 	// request carries the follower's next frame index, the OK response is
 	// followed by an unbounded sequence of push frames (OpReplFrames /
 	// OpReplStatus / OpReplSnapshot payloads) until either side closes.
-	OpReplSubscribe //anclint:ignore wirecomplete repl.Node is the only subscriber; the query client never opens a stream
+	OpReplSubscribe
 	// OpReplFrames and OpReplSnapshot are push-only: they appear as the
 	// leading byte of server→follower stream payloads and are rejected as
 	// request ops.
-	OpReplFrames //anclint:ignore wirecomplete push-only stream payload; followers decode it via repl.Node, not the client
+	OpReplFrames
 	// OpReplStatus as a request returns the peer's replication status; as a
 	// push payload it is the stream's heartbeat.
 	OpReplStatus
 	// OpPromote seals a follower's replication session and re-enables local
 	// ingest — the failover switch.
 	OpPromote
-	OpReplSnapshot //anclint:ignore wirecomplete push-only stream payload; followers decode it via repl.Node, not the client
+	OpReplSnapshot
 	// OpTieRank answers an eigenvector-centrality query: top-K nodes
 	// globally and, for Level >= 0, per cluster at that level. Read-only,
 	// so followers serve it.
@@ -163,87 +163,105 @@ const (
 	// ErrCodeReadOnly: the server is a follower; ingest must go to the
 	// primary (or wait for this node's promotion).
 	ErrCodeReadOnly
+	errCodeMax // one past the last valid code
 )
 
-// OpName maps wire ops to stable short names — the label values of
-// anc_serve_requests_total and the vocabulary of slow-request log lines.
+// field is one fixed-width request body field; a row of opTable lists its
+// op's fields in wire order.
+type field uint8
+
+const (
+	fLevel field = iota // Request.Level, int32
+	fNode               // Request.Node, uint32
+	fU                  // Request.U, uint32
+	fV                  // Request.V, uint32
+	fView               // Request.View, uint32
+	fK                  // Request.K, int32
+	fFrom               // Request.From, uint64 — the one 8-byte field
+)
+
+// opRow is everything the wire knows about one op. What the server does
+// with a decoded request is behaviour, not a wire fact: that stays in
+// Server.execQuery.
+type opRow struct {
+	// name is the stable short name: the label value of
+	// anc_serve_requests_total and the vocabulary of slow-request log lines.
+	name string
+	// fields is the request body. OpActivateBatch leaves it empty: its body
+	// is the counted-record loop in EncodeRequest/DecodeRequest.
+	fields []field
+	// push marks a server→follower stream payload: never a request, so it
+	// has no response codec.
+	push bool
+	// enc and dec are the OK-response body shape, shared by every op that
+	// replies with it.
+	enc func(b []byte, resp *Response) []byte
+	dec func(c *cursor, resp *Response)
+	// resend says an identical resend is safe after a lost reply: the op
+	// neither mutates the server nor depends on per-connection state.
+	resend bool
+}
+
+// opTable is the one declaration of every wire op: OpName, the four codec
+// functions, the per-op metric labels and the client's retry decision read it.
+var opTable = [opMax]opRow{
+	OpActivateBatch:      {name: "activate-batch", enc: encAccepted, dec: decAccepted},
+	OpClusters:           {name: "clusters", fields: []field{fLevel}, enc: encClusters, dec: decClusters, resend: true},
+	OpEvenClusters:       {name: "even-clusters", fields: []field{fLevel}, enc: encClusters, dec: decClusters, resend: true},
+	OpClusterOf:          {name: "cluster-of", fields: []field{fNode, fLevel}, enc: encMembers, dec: decMembers, resend: true},
+	OpSmallestClusterOf:  {name: "smallest-cluster-of", fields: []field{fNode}, enc: encMembers, dec: decMembers, resend: true},
+	OpEstimateDistance:   {name: "estimate-distance", fields: []field{fU, fV}, enc: encValue, dec: decValue, resend: true},
+	OpEstimateAttraction: {name: "estimate-attraction", fields: []field{fU, fV}, enc: encValue, dec: decValue, resend: true},
+	OpStats:              {name: "stats", enc: encStats, dec: decStats, resend: true},
+	OpWatch:              {name: "watch", fields: []field{fNode}, enc: encEmpty, dec: decEmpty},
+	OpUnwatch:            {name: "unwatch", fields: []field{fNode}, enc: encEmpty, dec: decEmpty},
+	OpDrainEvents:        {name: "drain-events", enc: encEvents, dec: decEvents},
+	OpViewOpen:           {name: "view-open", enc: encViewOpen, dec: decViewOpen},
+	OpViewZoomIn:         {name: "view-zoom-in", fields: []field{fView}, enc: encZoom, dec: decZoom},
+	OpViewZoomOut:        {name: "view-zoom-out", fields: []field{fView}, enc: encZoom, dec: decZoom},
+	OpViewClusters:       {name: "view-clusters", fields: []field{fView}, enc: encClusters, dec: decClusters},
+	OpViewClusterOf:      {name: "view-cluster-of", fields: []field{fView, fNode}, enc: encMembers, dec: decMembers},
+	OpViewClose:          {name: "view-close", fields: []field{fView}, enc: encEmpty, dec: decEmpty},
+	OpReplSubscribe:      {name: "repl-subscribe", fields: []field{fFrom}, enc: encEmpty, dec: decEmpty},
+	OpReplFrames:         {name: "repl-frames", push: true},
+	OpReplStatus:         {name: "repl-status", enc: encReplStatus, dec: decReplStatus, resend: true},
+	OpPromote:            {name: "promote", enc: encEmpty, dec: decEmpty},
+	OpReplSnapshot:       {name: "repl-snapshot", push: true},
+	OpTieRank:            {name: "tierank", fields: []field{fLevel, fK}, enc: encRank, dec: decRank, resend: true},
+	OpEvolution:          {name: "evolution", fields: []field{fFrom}, enc: encEvolution, dec: decEvolution, resend: true},
+	OpTraces:             {name: "traces", fields: []field{fFrom, fK}, enc: encRaw, dec: decRaw, resend: true},
+}
+
+// errCodeNames are the stable short names used in error text and as the
+// label values of anc_serve_errors_total.
+var errCodeNames = [errCodeMax]string{
+	ErrCodeBadRequest:   "bad-request",
+	ErrCodeBadFrame:     "bad-frame",
+	ErrCodeFrameTooBig:  "frame-too-big",
+	ErrCodeOverloaded:   "overloaded",
+	ErrCodeDeadline:     "deadline",
+	ErrCodeShuttingDown: "shutting-down",
+	ErrCodeRejected:     "rejected",
+	ErrCodeInternal:     "internal",
+	ErrCodeReadOnly:     "read-only",
+}
+
+// OpName maps wire ops to stable short names.
 func OpName(op uint8) string {
-	switch op {
-	case OpActivateBatch:
-		return "activate-batch"
-	case OpClusters:
-		return "clusters"
-	case OpEvenClusters:
-		return "even-clusters"
-	case OpClusterOf:
-		return "cluster-of"
-	case OpSmallestClusterOf:
-		return "smallest-cluster-of"
-	case OpEstimateDistance:
-		return "estimate-distance"
-	case OpEstimateAttraction:
-		return "estimate-attraction"
-	case OpStats:
-		return "stats"
-	case OpWatch:
-		return "watch"
-	case OpUnwatch:
-		return "unwatch"
-	case OpDrainEvents:
-		return "drain-events"
-	case OpViewOpen:
-		return "view-open"
-	case OpViewZoomIn:
-		return "view-zoom-in"
-	case OpViewZoomOut:
-		return "view-zoom-out"
-	case OpViewClusters:
-		return "view-clusters"
-	case OpViewClusterOf:
-		return "view-cluster-of"
-	case OpViewClose:
-		return "view-close"
-	case OpReplSubscribe:
-		return "repl-subscribe"
-	case OpReplFrames:
-		return "repl-frames"
-	case OpReplStatus:
-		return "repl-status"
-	case OpPromote:
-		return "promote"
-	case OpReplSnapshot:
-		return "repl-snapshot"
-	case OpTieRank:
-		return "tierank"
-	case OpEvolution:
-		return "evolution"
-	case OpTraces:
-		return "traces"
+	if op < opMax && opTable[op].name != "" {
+		return opTable[op].name
 	}
 	return fmt.Sprintf("op-%d", op)
 }
 
+// ResendSafe reports whether a client may send the identical request again
+// after a lost reply or an overloaded answer.
+func ResendSafe(op uint8) bool { return op < opMax && opTable[op].resend }
+
 // errCodeName maps codes to stable short names for error text.
 func errCodeName(code uint8) string {
-	switch code {
-	case ErrCodeBadRequest:
-		return "bad-request"
-	case ErrCodeBadFrame:
-		return "bad-frame"
-	case ErrCodeFrameTooBig:
-		return "frame-too-big"
-	case ErrCodeOverloaded:
-		return "overloaded"
-	case ErrCodeDeadline:
-		return "deadline"
-	case ErrCodeShuttingDown:
-		return "shutting-down"
-	case ErrCodeRejected:
-		return "rejected"
-	case ErrCodeInternal:
-		return "internal"
-	case ErrCodeReadOnly:
-		return "read-only"
+	if code < errCodeMax && errCodeNames[code] != "" {
+		return errCodeNames[code]
 	}
 	return fmt.Sprintf("code-%d", code)
 }
@@ -260,18 +278,18 @@ func (e *WireError) Error() string {
 }
 
 // Request is the decoded form of one client→server frame. Only the fields
-// of the request's Op are meaningful.
+// in the op's opTable row (Batch for OpActivateBatch) are meaningful.
 type Request struct {
 	Op uint8
 	ID uint64
 
-	Batch []anc.Activation // OpActivateBatch
-	Level int32            // OpClusters, OpEvenClusters, OpClusterOf, OpTieRank (-1: global only)
-	Node  uint32           // OpClusterOf, OpSmallestClusterOf, OpWatch, OpUnwatch, OpViewClusterOf
-	U, V  uint32           // OpEstimateDistance, OpEstimateAttraction
-	View  uint32           // OpView*
-	From  uint64           // OpReplSubscribe: next frame index; OpEvolution: event cursor; OpTraces: trace ID (0 = all)
-	K     int32            // OpTieRank: the top-k size (must be positive); OpTraces: 0 text, nonzero JSON
+	Batch []anc.Activation
+	Level int32  // granularity level; OpTieRank: -1 is global only
+	Node  uint32 // the node asked about
+	U, V  uint32 // the pair asked about
+	View  uint32 // a zoom session of this connection
+	From  uint64 // OpReplSubscribe: next frame index; OpEvolution: event cursor; OpTraces: trace ID (0 = all)
+	K     int32  // OpTieRank: the top-k size (must be positive); OpTraces: 0 text, nonzero JSON
 
 	// Trace is the request's propagated trace context, carried on the wire
 	// as an optional 16-byte trailer signalled by the op byte's traceFlag
@@ -312,7 +330,7 @@ type Response struct {
 	Value    float64              // distance / attraction
 	Stats    StatsReply           // OpStats
 	Events   []anc.ClusterEvent   // OpDrainEvents
-	Dropped  uint64               // OpDrainEvents
+	Dropped  uint64               // OpDrainEvents; OpEvolution: cumulative ring-overwrite count
 	View     uint32               // OpViewOpen
 	Level    int32                // view replies
 	Moved    bool                 // OpViewZoomIn / OpViewZoomOut
@@ -322,7 +340,6 @@ type Response struct {
 	Evo      []anc.EvolutionEvent // OpEvolution
 	Seq      uint64               // OpEvolution: newest event sequence number
 	Raw      []byte               // OpTraces: rendered trace bytes (text or JSON)
-	// Dropped doubles as OpEvolution's cumulative ring-overwrite count.
 }
 
 // ---- frame I/O ----------------------------------------------------------
@@ -443,61 +460,74 @@ func ReadResponse(r io.Reader, op uint8, maxFrame int) (*Response, error) {
 // activationWireSize is u(4) + v(4) + t(8), matching the WAL record.
 const activationWireSize = 16
 
+func (f field) size() int {
+	if f == fFrom {
+		return 8
+	}
+	return 4
+}
+
+// put appends the field's value from req.
+func (f field) put(b []byte, req *Request) []byte {
+	switch f {
+	case fLevel:
+		return binary.LittleEndian.AppendUint32(b, uint32(req.Level))
+	case fNode:
+		return binary.LittleEndian.AppendUint32(b, req.Node)
+	case fU:
+		return binary.LittleEndian.AppendUint32(b, req.U)
+	case fV:
+		return binary.LittleEndian.AppendUint32(b, req.V)
+	case fView:
+		return binary.LittleEndian.AppendUint32(b, req.View)
+	case fK:
+		return binary.LittleEndian.AppendUint32(b, uint32(req.K))
+	}
+	return binary.LittleEndian.AppendUint64(b, req.From)
+}
+
+// get stores the field's value, read from the front of body, into req.
+func (f field) get(body []byte, req *Request) {
+	switch f {
+	case fLevel:
+		req.Level = int32(binary.LittleEndian.Uint32(body))
+	case fNode:
+		req.Node = binary.LittleEndian.Uint32(body)
+	case fU:
+		req.U = binary.LittleEndian.Uint32(body)
+	case fV:
+		req.V = binary.LittleEndian.Uint32(body)
+	case fView:
+		req.View = binary.LittleEndian.Uint32(body)
+	case fK:
+		req.K = int32(binary.LittleEndian.Uint32(body))
+	case fFrom:
+		req.From = binary.LittleEndian.Uint64(body)
+	}
+}
+
 // EncodeRequest serializes a request payload (without the frame header).
 func EncodeRequest(req *Request) []byte {
-	b := make([]byte, 0, 9+bodySizeHint(req))
+	b := make([]byte, 0, 9+16+len(req.Batch)*activationWireSize)
 	b = append(b, req.Op)
 	b = binary.LittleEndian.AppendUint64(b, req.ID)
-	switch req.Op {
-	case OpActivateBatch:
+	if req.Op == OpActivateBatch {
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(req.Batch)))
 		for _, a := range req.Batch {
 			b = binary.LittleEndian.AppendUint32(b, uint32(a.U))
 			b = binary.LittleEndian.AppendUint32(b, uint32(a.V))
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(a.T))
+			b = appendFloat(b, a.T)
 		}
-	case OpClusters, OpEvenClusters:
-		b = binary.LittleEndian.AppendUint32(b, uint32(req.Level))
-	case OpClusterOf:
-		b = binary.LittleEndian.AppendUint32(b, req.Node)
-		b = binary.LittleEndian.AppendUint32(b, uint32(req.Level))
-	case OpSmallestClusterOf, OpWatch, OpUnwatch:
-		b = binary.LittleEndian.AppendUint32(b, req.Node)
-	case OpEstimateDistance, OpEstimateAttraction:
-		b = binary.LittleEndian.AppendUint32(b, req.U)
-		b = binary.LittleEndian.AppendUint32(b, req.V)
-	case OpStats, OpDrainEvents, OpViewOpen:
-		// no body
-	case OpViewZoomIn, OpViewZoomOut, OpViewClusters, OpViewClose:
-		b = binary.LittleEndian.AppendUint32(b, req.View)
-	case OpViewClusterOf:
-		b = binary.LittleEndian.AppendUint32(b, req.View)
-		b = binary.LittleEndian.AppendUint32(b, req.Node)
-	case OpReplSubscribe:
-		b = binary.LittleEndian.AppendUint64(b, req.From)
-	case OpReplStatus, OpPromote:
-		// no body
-	case OpTieRank:
-		b = binary.LittleEndian.AppendUint32(b, uint32(req.Level))
-		b = binary.LittleEndian.AppendUint32(b, uint32(req.K))
-	case OpEvolution:
-		b = binary.LittleEndian.AppendUint64(b, req.From)
-	case OpTraces:
-		b = binary.LittleEndian.AppendUint64(b, req.From)
-		b = binary.LittleEndian.AppendUint32(b, uint32(req.K))
+	} else if req.Op < opMax {
+		for _, f := range opTable[req.Op].fields {
+			b = f.put(b, req)
+		}
 	}
 	if req.Trace.Valid() {
 		b[0] |= traceFlag
 		b = trace.AppendContext(b, req.Trace)
 	}
 	return b
-}
-
-func bodySizeHint(req *Request) int {
-	if req.Op == OpActivateBatch {
-		return 4 + len(req.Batch)*activationWireSize
-	}
-	return 16
 }
 
 // DecodeRequest parses a request payload. It is strict: trailing bytes,
@@ -524,14 +554,11 @@ func DecodeRequest(payload []byte) (*Request, error) {
 	if req.Op == 0 || req.Op >= opMax {
 		return nil, fmt.Errorf("unknown op %d", req.Op)
 	}
-	need := func(n int) error {
-		if len(body) != n {
-			return fmt.Errorf("op %d: body of %d bytes, want %d", req.Op, len(body), n)
-		}
-		return nil
+	row := &opTable[req.Op]
+	if row.push {
+		return nil, fmt.Errorf("push-only op %d", req.Op)
 	}
-	switch req.Op {
-	case OpActivateBatch:
+	if req.Op == OpActivateBatch {
 		if len(body) < 4 {
 			return nil, fmt.Errorf("batch body of %d bytes", len(body))
 		}
@@ -548,72 +575,18 @@ func DecodeRequest(payload []byte) (*Request, error) {
 				T: math.Float64frombits(binary.LittleEndian.Uint64(rec[8:16])),
 			}
 		}
-	case OpClusters, OpEvenClusters:
-		if err := need(4); err != nil {
-			return nil, err
-		}
-		req.Level = int32(binary.LittleEndian.Uint32(body[0:4]))
-	case OpClusterOf:
-		if err := need(8); err != nil {
-			return nil, err
-		}
-		req.Node = binary.LittleEndian.Uint32(body[0:4])
-		req.Level = int32(binary.LittleEndian.Uint32(body[4:8]))
-	case OpSmallestClusterOf, OpWatch, OpUnwatch:
-		if err := need(4); err != nil {
-			return nil, err
-		}
-		req.Node = binary.LittleEndian.Uint32(body[0:4])
-	case OpEstimateDistance, OpEstimateAttraction:
-		if err := need(8); err != nil {
-			return nil, err
-		}
-		req.U = binary.LittleEndian.Uint32(body[0:4])
-		req.V = binary.LittleEndian.Uint32(body[4:8])
-	case OpStats, OpDrainEvents, OpViewOpen:
-		if err := need(0); err != nil {
-			return nil, err
-		}
-	case OpViewZoomIn, OpViewZoomOut, OpViewClusters, OpViewClose:
-		if err := need(4); err != nil {
-			return nil, err
-		}
-		req.View = binary.LittleEndian.Uint32(body[0:4])
-	case OpViewClusterOf:
-		if err := need(8); err != nil {
-			return nil, err
-		}
-		req.View = binary.LittleEndian.Uint32(body[0:4])
-		req.Node = binary.LittleEndian.Uint32(body[4:8])
-	case OpReplSubscribe:
-		if err := need(8); err != nil {
-			return nil, err
-		}
-		req.From = binary.LittleEndian.Uint64(body[0:8])
-	case OpReplStatus, OpPromote:
-		if err := need(0); err != nil {
-			return nil, err
-		}
-	case OpReplFrames, OpReplSnapshot:
-		// Push-only payloads on a replication stream — never a request.
-		return nil, fmt.Errorf("push-only op %d", req.Op)
-	case OpTieRank:
-		if err := need(8); err != nil {
-			return nil, err
-		}
-		req.Level = int32(binary.LittleEndian.Uint32(body[0:4]))
-		req.K = int32(binary.LittleEndian.Uint32(body[4:8]))
-	case OpEvolution:
-		if err := need(8); err != nil {
-			return nil, err
-		}
-		req.From = binary.LittleEndian.Uint64(body[0:8])
-	case OpTraces:
-		if err := need(12); err != nil {
-			return nil, err
-		}
-		req.From = binary.LittleEndian.Uint64(body[0:8])
-		req.K = int32(binary.LittleEndian.Uint32(body[8:12]))
+		return req, nil
+	}
+	want := 0
+	for _, f := range row.fields {
+		want += f.size()
+	}
+	if len(body) != want {
+		return nil, fmt.Errorf("op %d: body of %d bytes, want %d", req.Op, len(body), want)
+	}
+	for _, f := range row.fields {
+		f.get(body, req)
+		body = body[f.size():]
 	}
 	return req, nil
 }
@@ -630,8 +603,7 @@ func EncodeError(id uint64, code uint8, msg string) []byte {
 	b = binary.LittleEndian.AppendUint64(b, id)
 	b = append(b, code)
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(msg)))
-	b = append(b, msg...)
-	return b
+	return append(b, msg...)
 }
 
 // EncodeResponse serializes an OK response for the given op.
@@ -639,117 +611,8 @@ func EncodeResponse(op uint8, resp *Response) []byte {
 	b := make([]byte, 0, 64)
 	b = append(b, statusOK)
 	b = binary.LittleEndian.AppendUint64(b, resp.ID)
-	switch op {
-	case OpActivateBatch:
-		b = binary.LittleEndian.AppendUint32(b, resp.Accepted)
-	case OpClusters, OpEvenClusters, OpViewClusters:
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(resp.Clusters)))
-		for _, c := range resp.Clusters {
-			b = binary.LittleEndian.AppendUint32(b, uint32(len(c)))
-			for _, v := range c {
-				b = binary.LittleEndian.AppendUint32(b, uint32(v))
-			}
-		}
-	case OpClusterOf, OpSmallestClusterOf, OpViewClusterOf:
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(resp.Members)))
-		for _, v := range resp.Members {
-			b = binary.LittleEndian.AppendUint32(b, uint32(v))
-		}
-	case OpEstimateDistance, OpEstimateAttraction:
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(resp.Value))
-	case OpStats:
-		s := resp.Stats
-		b = binary.LittleEndian.AppendUint32(b, s.Nodes)
-		b = binary.LittleEndian.AppendUint32(b, s.Edges)
-		b = binary.LittleEndian.AppendUint32(b, s.Levels)
-		b = binary.LittleEndian.AppendUint32(b, s.SqrtLevel)
-		b = binary.LittleEndian.AppendUint64(b, s.Activations)
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.Now))
-		b = binary.LittleEndian.AppendUint32(b, s.Inflight)
-		b = binary.LittleEndian.AppendUint32(b, s.Queued)
-		if s.Draining {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-		b = append(b, s.Role)
-		b = binary.LittleEndian.AppendUint64(b, s.ReplLagFrames)
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.ReplLagSeconds))
-	case OpWatch, OpUnwatch, OpViewClose, OpPromote:
-		// no body
-	case OpReplSubscribe:
-		// no body: the OK reply just acknowledges the subscription; the
-		// stream that follows carries the data.
-	case OpReplStatus:
-		b = appendReplStatus(b, &resp.Repl)
-	case OpDrainEvents:
-		b = binary.LittleEndian.AppendUint64(b, resp.Dropped)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(resp.Events)))
-		for _, e := range resp.Events {
-			b = binary.LittleEndian.AppendUint32(b, uint32(e.Node))
-			b = binary.LittleEndian.AppendUint32(b, uint32(e.Other))
-			b = binary.LittleEndian.AppendUint32(b, uint32(e.Level))
-			if e.Joined {
-				b = append(b, 1)
-			} else {
-				b = append(b, 0)
-			}
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.Time))
-		}
-	case OpViewOpen:
-		b = binary.LittleEndian.AppendUint32(b, resp.View)
-		b = binary.LittleEndian.AppendUint32(b, uint32(resp.Level))
-	case OpViewZoomIn, OpViewZoomOut:
-		if resp.Moved {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-		b = binary.LittleEndian.AppendUint32(b, uint32(resp.Level))
-	case OpTieRank:
-		r := &resp.Rank
-		b = binary.LittleEndian.AppendUint32(b, uint32(r.Level))
-		b = binary.LittleEndian.AppendUint32(b, uint32(r.Iters))
-		if r.Converged {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.Now))
-		b = appendRankEntries(b, r.Global)
-		// A global-only answer (Level -1) carries zero groups; decoding
-		// enforces that, so the encoding stays canonical.
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(r.Clusters)))
-		for _, g := range r.Clusters {
-			b = appendRankEntries(b, g)
-		}
-	case OpEvolution:
-		b = binary.LittleEndian.AppendUint64(b, resp.Seq)
-		b = binary.LittleEndian.AppendUint64(b, resp.Dropped)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(resp.Evo)))
-		for _, e := range resp.Evo {
-			b = binary.LittleEndian.AppendUint64(b, e.Seq)
-			b = append(b, uint8(e.Type))
-			b = binary.LittleEndian.AppendUint32(b, uint32(e.Level))
-			b = binary.LittleEndian.AppendUint32(b, uint32(e.Node))
-			b = binary.LittleEndian.AppendUint32(b, uint32(e.Size))
-			b = binary.LittleEndian.AppendUint32(b, uint32(e.PrevSize))
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.Time))
-		}
-	case OpTraces:
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(resp.Raw)))
-		b = append(b, resp.Raw...)
-	}
-	return b
-}
-
-// appendRankEntries serializes one top-k listing: count(4) then
-// node(4) + score(8) per entry.
-func appendRankEntries(b []byte, entries []anc.RankEntry) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(entries)))
-	for _, e := range entries {
-		b = binary.LittleEndian.AppendUint32(b, uint32(e.Node))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.Score))
+	if op < opMax && opTable[op].enc != nil {
+		b = opTable[op].enc(b, resp)
 	}
 	return b
 }
@@ -760,246 +623,318 @@ func DecodeResponse(op uint8, payload []byte) (*Response, error) {
 	if len(payload) < 9 {
 		return nil, fmt.Errorf("response payload of %d bytes", len(payload))
 	}
-	status := payload[0]
-	resp := &Response{ID: binary.LittleEndian.Uint64(payload[1:9])}
-	body := payload[9:]
+	status, id, body := payload[0], binary.LittleEndian.Uint64(payload[1:9]), payload[9:]
 	if status == statusErr {
 		if len(body) < 3 {
 			return nil, fmt.Errorf("error body of %d bytes", len(body))
 		}
-		code := body[0]
 		n := int(binary.LittleEndian.Uint16(body[1:3]))
 		if len(body) != 3+n {
 			return nil, fmt.Errorf("error message of %d bytes in %d", n, len(body))
 		}
-		resp.Err = &WireError{Code: code, Msg: string(body[3:])}
-		return resp, nil
+		return &Response{ID: id, Err: &WireError{Code: body[0], Msg: string(body[3:])}}, nil
 	}
 	if status != statusOK {
 		return nil, fmt.Errorf("unknown response status %d", status)
 	}
-	take := func(n int) ([]byte, error) {
-		if len(body) < n {
-			return nil, fmt.Errorf("op %d: response truncated", op)
-		}
-		out := body[:n]
-		body = body[n:]
-		return out, nil
-	}
-	switch op {
-	case OpActivateBatch:
-		b, err := take(4)
-		if err != nil {
-			return nil, err
-		}
-		resp.Accepted = binary.LittleEndian.Uint32(b)
-	case OpClusters, OpEvenClusters, OpViewClusters:
-		b, err := take(4)
-		if err != nil {
-			return nil, err
-		}
-		count := int(binary.LittleEndian.Uint32(b))
-		// Capacity is grown as clusters decode; trusting the announced
-		// count before the bytes back it up would let a short frame force
-		// a huge allocation.
-		resp.Clusters = make([][]int, 0, min(count, 1024))
-		for i := 0; i < count; i++ {
-			b, err := take(4)
-			if err != nil {
-				return nil, err
-			}
-			sz := int(binary.LittleEndian.Uint32(b))
-			ids, err := take(4 * sz)
-			if err != nil {
-				return nil, err
-			}
-			c := make([]int, sz)
-			for j := range c {
-				c[j] = int(binary.LittleEndian.Uint32(ids[4*j:]))
-			}
-			resp.Clusters = append(resp.Clusters, c)
-		}
-	case OpClusterOf, OpSmallestClusterOf, OpViewClusterOf:
-		b, err := take(4)
-		if err != nil {
-			return nil, err
-		}
-		sz := int(binary.LittleEndian.Uint32(b))
-		ids, err := take(4 * sz)
-		if err != nil {
-			return nil, err
-		}
-		resp.Members = make([]int, sz)
-		for j := range resp.Members {
-			resp.Members[j] = int(binary.LittleEndian.Uint32(ids[4*j:]))
-		}
-	case OpEstimateDistance, OpEstimateAttraction:
-		b, err := take(8)
-		if err != nil {
-			return nil, err
-		}
-		resp.Value = math.Float64frombits(binary.LittleEndian.Uint64(b))
-	case OpStats:
-		b, err := take(36)
-		if err != nil {
-			return nil, err
-		}
-		resp.Stats = StatsReply{
-			Nodes:       binary.LittleEndian.Uint32(b[0:4]),
-			Edges:       binary.LittleEndian.Uint32(b[4:8]),
-			Levels:      binary.LittleEndian.Uint32(b[8:12]),
-			SqrtLevel:   binary.LittleEndian.Uint32(b[12:16]),
-			Activations: binary.LittleEndian.Uint64(b[16:24]),
-			Now:         math.Float64frombits(binary.LittleEndian.Uint64(b[24:32])),
-			Inflight:    binary.LittleEndian.Uint32(b[32:36]),
-		}
-		b2, err := take(5)
-		if err != nil {
-			return nil, err
-		}
-		resp.Stats.Queued = binary.LittleEndian.Uint32(b2[0:4])
-		resp.Stats.Draining = b2[4] != 0
-		b3, err := take(17)
-		if err != nil {
-			return nil, err
-		}
-		resp.Stats.Role = b3[0]
-		resp.Stats.ReplLagFrames = binary.LittleEndian.Uint64(b3[1:9])
-		resp.Stats.ReplLagSeconds = math.Float64frombits(binary.LittleEndian.Uint64(b3[9:17]))
-	case OpWatch, OpUnwatch, OpViewClose, OpPromote, OpReplSubscribe:
-		// no body
-	case OpReplStatus:
-		st, rest, err := decodeReplStatus(body)
-		if err != nil {
-			return nil, err
-		}
-		resp.Repl = *st
-		body = rest
-	case OpDrainEvents:
-		b, err := take(12)
-		if err != nil {
-			return nil, err
-		}
-		resp.Dropped = binary.LittleEndian.Uint64(b[0:8])
-		count := int(binary.LittleEndian.Uint32(b[8:12]))
-		resp.Events = make([]anc.ClusterEvent, 0, min(count, 1024))
-		for i := 0; i < count; i++ {
-			e, err := take(21)
-			if err != nil {
-				return nil, err
-			}
-			resp.Events = append(resp.Events, anc.ClusterEvent{
-				Node:   int(binary.LittleEndian.Uint32(e[0:4])),
-				Other:  int(binary.LittleEndian.Uint32(e[4:8])),
-				Level:  int(binary.LittleEndian.Uint32(e[8:12])),
-				Joined: e[12] != 0,
-				Time:   math.Float64frombits(binary.LittleEndian.Uint64(e[13:21])),
-			})
-		}
-	case OpViewOpen:
-		b, err := take(8)
-		if err != nil {
-			return nil, err
-		}
-		resp.View = binary.LittleEndian.Uint32(b[0:4])
-		resp.Level = int32(binary.LittleEndian.Uint32(b[4:8]))
-	case OpViewZoomIn, OpViewZoomOut:
-		b, err := take(5)
-		if err != nil {
-			return nil, err
-		}
-		resp.Moved = b[0] != 0
-		resp.Level = int32(binary.LittleEndian.Uint32(b[1:5]))
-	case OpTieRank:
-		takeEntries := func() ([]anc.RankEntry, error) {
-			b, err := take(4)
-			if err != nil {
-				return nil, err
-			}
-			count := int(binary.LittleEndian.Uint32(b))
-			// Capacity grows as entries decode — see the Clusters case.
-			out := make([]anc.RankEntry, 0, min(count, 1024))
-			for i := 0; i < count; i++ {
-				e, err := take(12)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, anc.RankEntry{
-					Node:  int(binary.LittleEndian.Uint32(e[0:4])),
-					Score: math.Float64frombits(binary.LittleEndian.Uint64(e[4:12])),
-				})
-			}
-			return out, nil
-		}
-		b, err := take(17)
-		if err != nil {
-			return nil, err
-		}
-		resp.Rank.Level = int(int32(binary.LittleEndian.Uint32(b[0:4])))
-		resp.Rank.Iters = int(binary.LittleEndian.Uint32(b[4:8]))
-		resp.Rank.Converged = b[8] != 0
-		resp.Rank.Now = math.Float64frombits(binary.LittleEndian.Uint64(b[9:17]))
-		if resp.Rank.Global, err = takeEntries(); err != nil {
-			return nil, err
-		}
-		g, err := take(4)
-		if err != nil {
-			return nil, err
-		}
-		groups := int(binary.LittleEndian.Uint32(g))
-		if resp.Rank.Level < 0 && groups != 0 {
-			return nil, fmt.Errorf("tierank: %d groups on a global-only answer", groups)
-		}
-		if groups > 0 {
-			resp.Rank.Clusters = make([][]anc.RankEntry, 0, min(groups, 1024))
-			for i := 0; i < groups; i++ {
-				entries, err := takeEntries()
-				if err != nil {
-					return nil, err
-				}
-				resp.Rank.Clusters = append(resp.Rank.Clusters, entries)
-			}
-		}
-	case OpEvolution:
-		b, err := take(20)
-		if err != nil {
-			return nil, err
-		}
-		resp.Seq = binary.LittleEndian.Uint64(b[0:8])
-		resp.Dropped = binary.LittleEndian.Uint64(b[8:16])
-		count := int(binary.LittleEndian.Uint32(b[16:20]))
-		resp.Evo = make([]anc.EvolutionEvent, 0, min(count, 1024))
-		for i := 0; i < count; i++ {
-			e, err := take(33)
-			if err != nil {
-				return nil, err
-			}
-			resp.Evo = append(resp.Evo, anc.EvolutionEvent{
-				Seq:      binary.LittleEndian.Uint64(e[0:8]),
-				Type:     anc.EvolutionEventType(e[8]),
-				Level:    int(binary.LittleEndian.Uint32(e[9:13])),
-				Node:     int(binary.LittleEndian.Uint32(e[13:17])),
-				Size:     int(binary.LittleEndian.Uint32(e[17:21])),
-				PrevSize: int(binary.LittleEndian.Uint32(e[21:25])),
-				Time:     math.Float64frombits(binary.LittleEndian.Uint64(e[25:33])),
-			})
-		}
-	case OpTraces:
-		b, err := take(4)
-		if err != nil {
-			return nil, err
-		}
-		n := int(binary.LittleEndian.Uint32(b))
-		raw, err := take(n)
-		if err != nil {
-			return nil, err
-		}
-		resp.Raw = append([]byte(nil), raw...)
-	default:
+	if op >= opMax || opTable[op].dec == nil {
 		return nil, fmt.Errorf("unknown op %d", op)
 	}
-	if len(body) != 0 {
-		return nil, fmt.Errorf("op %d: %d trailing response bytes", op, len(body))
+	// The cursor shares the Response's allocation: a decoder reached through
+	// the table could not keep one of its own off the heap.
+	d := &struct {
+		Response
+		cursor
+	}{Response{ID: id}, cursor{b: body}}
+	opTable[op].dec(&d.cursor, &d.Response)
+	if d.err != nil {
+		return nil, d.err
 	}
-	return resp, nil
+	if d.short {
+		return nil, fmt.Errorf("op %d: response truncated", op)
+	}
+	if d.off != len(body) {
+		return nil, fmt.Errorf("op %d: %d trailing response bytes", op, len(body)-d.off)
+	}
+	d.b = nil // the reply must not pin the frame it was decoded from
+	return &d.Response, nil
+}
+
+// cursor reads a response body front to back. The first read past the end
+// sets short and every later read yields zero, so the shape decoders run
+// straight-line and DecodeResponse checks once. An announced count never
+// sizes an allocation before its bytes have been seen: ids and take hand
+// out memory only for bytes that are present, and counted lists cap their
+// starting capacity and stop growing once short. Reading advances an
+// offset, not the slice: the cursor sits in a heap object, where a pointer
+// store per read would pay the GC write barrier.
+type cursor struct {
+	b     []byte
+	off   int
+	short bool  // a read ran past the end, or err is set
+	err   error // a shape's own complaint, reported in place of "truncated"
+}
+
+// take consumes n bytes, or fails the cursor and returns nil.
+func (c *cursor) take(n int) []byte {
+	if c.short || len(c.b)-c.off < n {
+		c.short = true
+		return nil
+	}
+	c.off += n
+	return c.b[c.off-n : c.off]
+}
+
+// scalar is take for the fixed-width readers: a failed cursor reads zeros.
+func (c *cursor) scalar(n int) []byte {
+	if b := c.take(n); b != nil {
+		return b
+	}
+	return zeros[:n]
+}
+
+var zeros [8]byte
+
+func (c *cursor) u8() uint8      { return c.scalar(1)[0] }
+func (c *cursor) u32() uint32    { return binary.LittleEndian.Uint32(c.scalar(4)) }
+func (c *cursor) u64() uint64    { return binary.LittleEndian.Uint64(c.scalar(8)) }
+func (c *cursor) float() float64 { return math.Float64frombits(c.u64()) }
+
+// ids reads count(4) then that many node IDs.
+func (c *cursor) ids() []int {
+	n := int(c.u32())
+	raw := c.take(4 * n)
+	if c.short {
+		return nil
+	}
+	out := make([]int, n)
+	for i := range out {
+		out[i] = int(binary.LittleEndian.Uint32(raw[4*i:]))
+	}
+	return out
+}
+
+func appendFloat(b []byte, f float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+}
+
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+func appendIDs(b []byte, ids []int) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(ids)))
+	for _, v := range ids {
+		b = binary.LittleEndian.AppendUint32(b, uint32(v))
+	}
+	return b
+}
+
+// The empty body: a bare acknowledgement (after OpReplSubscribe's, the
+// stream that follows carries the data).
+func encEmpty(b []byte, _ *Response) []byte { return b }
+
+func decEmpty(*cursor, *Response) {}
+
+func encAccepted(b []byte, resp *Response) []byte {
+	return binary.LittleEndian.AppendUint32(b, resp.Accepted)
+}
+
+func decAccepted(c *cursor, resp *Response) { resp.Accepted = c.u32() }
+
+func encClusters(b []byte, resp *Response) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(resp.Clusters)))
+	for _, ids := range resp.Clusters {
+		b = appendIDs(b, ids)
+	}
+	return b
+}
+
+func decClusters(c *cursor, resp *Response) {
+	n := int(c.u32())
+	resp.Clusters = make([][]int, 0, min(n, 1024))
+	for i := 0; i < n && !c.short; i++ {
+		resp.Clusters = append(resp.Clusters, c.ids())
+	}
+}
+
+func encMembers(b []byte, resp *Response) []byte { return appendIDs(b, resp.Members) }
+
+func decMembers(c *cursor, resp *Response) { resp.Members = c.ids() }
+
+func encValue(b []byte, resp *Response) []byte { return appendFloat(b, resp.Value) }
+
+func decValue(c *cursor, resp *Response) { resp.Value = c.float() }
+
+func encStats(b []byte, resp *Response) []byte {
+	s := &resp.Stats
+	b = binary.LittleEndian.AppendUint32(b, s.Nodes)
+	b = binary.LittleEndian.AppendUint32(b, s.Edges)
+	b = binary.LittleEndian.AppendUint32(b, s.Levels)
+	b = binary.LittleEndian.AppendUint32(b, s.SqrtLevel)
+	b = binary.LittleEndian.AppendUint64(b, s.Activations)
+	b = appendFloat(b, s.Now)
+	b = binary.LittleEndian.AppendUint32(b, s.Inflight)
+	b = binary.LittleEndian.AppendUint32(b, s.Queued)
+	b = appendBool(b, s.Draining)
+	b = append(b, s.Role)
+	b = binary.LittleEndian.AppendUint64(b, s.ReplLagFrames)
+	return appendFloat(b, s.ReplLagSeconds)
+}
+
+func decStats(c *cursor, resp *Response) {
+	resp.Stats = StatsReply{
+		Nodes: c.u32(), Edges: c.u32(), Levels: c.u32(), SqrtLevel: c.u32(),
+		Activations: c.u64(), Now: c.float(),
+		Inflight: c.u32(), Queued: c.u32(), Draining: c.u8() != 0,
+		Role: c.u8(), ReplLagFrames: c.u64(), ReplLagSeconds: c.float(),
+	}
+}
+
+func encEvents(b []byte, resp *Response) []byte {
+	b = binary.LittleEndian.AppendUint64(b, resp.Dropped)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(resp.Events)))
+	for _, e := range resp.Events {
+		b = binary.LittleEndian.AppendUint32(b, uint32(e.Node))
+		b = binary.LittleEndian.AppendUint32(b, uint32(e.Other))
+		b = binary.LittleEndian.AppendUint32(b, uint32(e.Level))
+		b = appendBool(b, e.Joined)
+		b = appendFloat(b, e.Time)
+	}
+	return b
+}
+
+func decEvents(c *cursor, resp *Response) {
+	resp.Dropped = c.u64()
+	n := int(c.u32())
+	resp.Events = make([]anc.ClusterEvent, 0, min(n, 1024))
+	for i := 0; i < n && !c.short; i++ {
+		resp.Events = append(resp.Events, anc.ClusterEvent{
+			Node: int(c.u32()), Other: int(c.u32()), Level: int(c.u32()),
+			Joined: c.u8() != 0, Time: c.float(),
+		})
+	}
+}
+
+func encViewOpen(b []byte, resp *Response) []byte {
+	b = binary.LittleEndian.AppendUint32(b, resp.View)
+	return binary.LittleEndian.AppendUint32(b, uint32(resp.Level))
+}
+
+func decViewOpen(c *cursor, resp *Response) {
+	resp.View, resp.Level = c.u32(), int32(c.u32())
+}
+
+func encZoom(b []byte, resp *Response) []byte {
+	b = appendBool(b, resp.Moved)
+	return binary.LittleEndian.AppendUint32(b, uint32(resp.Level))
+}
+
+func decZoom(c *cursor, resp *Response) {
+	resp.Moved, resp.Level = c.u8() != 0, int32(c.u32())
+}
+
+func encReplStatus(b []byte, resp *Response) []byte { return appendReplStatus(b, &resp.Repl) }
+
+func decReplStatus(c *cursor, resp *Response) {
+	st, rest, err := decodeReplStatus(c.b[c.off:])
+	if err != nil {
+		c.err, c.short = err, true
+		return
+	}
+	resp.Repl, c.off = *st, len(c.b)-len(rest)
+}
+
+// appendRankEntries serializes one top-k listing: count(4) then
+// node(4) + score(8) per entry.
+func appendRankEntries(b []byte, entries []anc.RankEntry) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(entries)))
+	for _, e := range entries {
+		b = binary.LittleEndian.AppendUint32(b, uint32(e.Node))
+		b = appendFloat(b, e.Score)
+	}
+	return b
+}
+
+func (c *cursor) rankEntries() []anc.RankEntry {
+	n := int(c.u32())
+	out := make([]anc.RankEntry, 0, min(n, 1024))
+	for i := 0; i < n && !c.short; i++ {
+		out = append(out, anc.RankEntry{Node: int(c.u32()), Score: c.float()})
+	}
+	return out
+}
+
+func encRank(b []byte, resp *Response) []byte {
+	r := &resp.Rank
+	b = binary.LittleEndian.AppendUint32(b, uint32(r.Level))
+	b = binary.LittleEndian.AppendUint32(b, uint32(r.Iters))
+	b = appendBool(b, r.Converged)
+	b = appendFloat(b, r.Now)
+	b = appendRankEntries(b, r.Global)
+	// A global-only answer (Level -1) carries zero groups; decoding
+	// enforces that, so the encoding stays canonical.
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(r.Clusters)))
+	for _, g := range r.Clusters {
+		b = appendRankEntries(b, g)
+	}
+	return b
+}
+
+func decRank(c *cursor, resp *Response) {
+	r := &resp.Rank
+	r.Level, r.Iters = int(int32(c.u32())), int(c.u32())
+	r.Converged, r.Now = c.u8() != 0, c.float()
+	r.Global = c.rankEntries()
+	n := int(c.u32())
+	if r.Level < 0 && n != 0 {
+		c.err, c.short = fmt.Errorf("tierank: %d groups on a global-only answer", n), true
+	}
+	if n > 0 {
+		r.Clusters = make([][]anc.RankEntry, 0, min(n, 1024))
+	}
+	for i := 0; i < n && !c.short; i++ {
+		r.Clusters = append(r.Clusters, c.rankEntries())
+	}
+}
+
+func encEvolution(b []byte, resp *Response) []byte {
+	b = binary.LittleEndian.AppendUint64(b, resp.Seq)
+	b = binary.LittleEndian.AppendUint64(b, resp.Dropped)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(resp.Evo)))
+	for _, e := range resp.Evo {
+		b = binary.LittleEndian.AppendUint64(b, e.Seq)
+		b = append(b, uint8(e.Type))
+		b = binary.LittleEndian.AppendUint32(b, uint32(e.Level))
+		b = binary.LittleEndian.AppendUint32(b, uint32(e.Node))
+		b = binary.LittleEndian.AppendUint32(b, uint32(e.Size))
+		b = binary.LittleEndian.AppendUint32(b, uint32(e.PrevSize))
+		b = appendFloat(b, e.Time)
+	}
+	return b
+}
+
+func decEvolution(c *cursor, resp *Response) {
+	resp.Seq, resp.Dropped = c.u64(), c.u64()
+	n := int(c.u32())
+	resp.Evo = make([]anc.EvolutionEvent, 0, min(n, 1024))
+	for i := 0; i < n && !c.short; i++ {
+		resp.Evo = append(resp.Evo, anc.EvolutionEvent{
+			Seq: c.u64(), Type: anc.EvolutionEventType(c.u8()),
+			Level: int(c.u32()), Node: int(c.u32()), Size: int(c.u32()), PrevSize: int(c.u32()),
+			Time: c.float(),
+		})
+	}
+}
+
+func encRaw(b []byte, resp *Response) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(resp.Raw)))
+	return append(b, resp.Raw...)
+}
+
+func decRaw(c *cursor, resp *Response) {
+	resp.Raw = append([]byte(nil), c.take(int(c.u32()))...)
 }

@@ -93,14 +93,13 @@ func TestDecodeRequestRejects(t *testing.T) {
 }
 
 // sampleResponses pairs each op with a representative OK response.
-func sampleResponses() []struct {
+type sampleResponse struct {
 	Op   uint8
 	Resp *Response
-} {
-	return []struct {
-		Op   uint8
-		Resp *Response
-	}{
+}
+
+func sampleResponses() []sampleResponse {
+	return []sampleResponse{
 		{OpActivateBatch, &Response{ID: 1, Accepted: 64}},
 		{OpClusters, &Response{ID: 2, Clusters: [][]int{{0, 1, 2}, {3}, {4, 5}}}},
 		{OpEvenClusters, &Response{ID: 3, Clusters: [][]int{{9, 8, 7, 6}}}},
@@ -269,6 +268,84 @@ func TestPreamble(t *testing.T) {
 	}
 }
 
+// TestOpTableComplete holds what the wirecomplete analyzer held, as
+// behaviour: unique names; push-only rows refused as requests; every other
+// row with both codec halves and a sample request and response (hence a
+// golden line, both round-trip tests, both fuzz corpora); the resend flag
+// equal to the split the client has always made; a live server with an
+// execQuery arm for each. TestAllErrCodesRoundTrip is the error-code half.
+func TestOpTableComplete(t *testing.T) {
+	resend := map[string]bool{"clusters": true, "even-clusters": true, "cluster-of": true,
+		"smallest-cluster-of": true, "estimate-distance": true, "estimate-attraction": true,
+		"tierank": true, "evolution": true, "traces": true, "stats": true, "repl-status": true}
+	inReq, inResp := map[uint8]bool{}, map[uint8]bool{}
+	for _, req := range sampleRequests() {
+		inReq[req.Op] = true
+	}
+	for _, tc := range sampleResponses() {
+		inResp[tc.Op] = true
+	}
+	names := map[string]uint8{}
+	for op := uint8(1); op < opMax; op++ {
+		row := opTable[op]
+		if prev, dup := names[row.name]; row.name == "" || dup {
+			t.Errorf("op %d: name %q is empty or shared with op %d", op, row.name, prev)
+		}
+		names[row.name] = op
+		if ResendSafe(op) != resend[row.name] {
+			t.Errorf("%s: ResendSafe = %v, want %v", row.name, ResendSafe(op), resend[row.name])
+		}
+		delete(resend, row.name)
+		if row.push {
+			if _, err := DecodeRequest(EncodeRequest(&Request{Op: op})); err == nil || row.enc != nil || row.dec != nil {
+				t.Errorf("%s: a push-only op decodes as a request or has a response codec", row.name)
+			}
+			continue
+		}
+		if row.enc == nil || row.dec == nil {
+			t.Errorf("%s: response codec incomplete", row.name)
+		}
+		if !inReq[op] || !inResp[op] {
+			t.Errorf("%s: in sampleRequests %v, in sampleResponses %v; want both", row.name, inReq[op], inResp[op])
+		}
+	}
+	if len(resend) != 0 {
+		t.Errorf("resend-safe ops %v are not in the table", resend)
+	}
+
+	s := startServer(t, anc.NewConcurrent(testNetwork(t)), Config{})
+	defer shutdownServer(t, s)
+	for _, req := range sampleRequests() {
+		// A connection each: OpReplSubscribe ends the one it arrives on.
+		resp := dialTest(t, s.Addr().String()).rpcAllowErr(req)
+		if resp.Err != nil && strings.Contains(resp.Err.Msg, "unknown op") {
+			t.Errorf("%s: server has no dispatch arm: %v", OpName(req.Op), resp.Err)
+		}
+	}
+}
+
+// TestAllErrCodesRoundTrip drives every code in 1..errCodeMax-1 through
+// EncodeError → DecodeResponse and checks the code, message and a
+// distinct stable name survive.
+func TestAllErrCodesRoundTrip(t *testing.T) {
+	seen := map[string]uint8{}
+	for code := uint8(1); code < errCodeMax; code++ {
+		payload := EncodeError(9, code, "boom")
+		resp, err := DecodeResponse(OpStats, payload)
+		if err != nil {
+			t.Fatalf("code %d: %v", code, err)
+		}
+		if resp.Err == nil || resp.Err.Code != code || resp.Err.Msg != "boom" {
+			t.Fatalf("code %d: bad reply %+v", code, resp)
+		}
+		name := errCodeNames[code]
+		if prev, dup := seen[name]; name == "" || dup {
+			t.Fatalf("code %d: name %q is empty or shared with code %d", code, name, prev)
+		}
+		seen[name] = code
+	}
+}
+
 // FuzzDecodeRequest feeds arbitrary payloads through the request decoder.
 // Anything that decodes must re-encode byte-identically: the strict decoder
 // admits only canonical encodings, so decode∘encode is the identity on its
@@ -286,75 +363,6 @@ func FuzzDecodeRequest(f *testing.F) {
 		}
 		if re := EncodeRequest(req); !bytes.Equal(re, payload) {
 			t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", payload, re)
-		}
-	})
-}
-
-// FuzzTieRank feeds arbitrary payloads through the OpTieRank decoders on
-// both sides of the wire: a request decode must re-encode byte-identically
-// (the request encoding is canonical), and a response decode must survive
-// a canonical re-encode fixed point like FuzzDecodeResponse.
-func FuzzTieRank(f *testing.F) {
-	for _, req := range sampleRequests() {
-		if req.Op == OpTieRank {
-			f.Add(EncodeRequest(req))
-		}
-	}
-	for _, tc := range sampleResponses() {
-		if tc.Op == OpTieRank {
-			f.Add(EncodeResponse(tc.Op, tc.Resp))
-		}
-	}
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		if req, err := DecodeRequest(payload); err == nil && req.Op == OpTieRank {
-			if re := EncodeRequest(req); !bytes.Equal(re, payload) {
-				t.Fatalf("request decode/encode not canonical:\n in  %x\n out %x", payload, re)
-			}
-		}
-		resp, err := DecodeResponse(OpTieRank, payload)
-		if err != nil || resp.Err != nil {
-			return
-		}
-		canon := EncodeResponse(OpTieRank, resp)
-		again, err := DecodeResponse(OpTieRank, canon)
-		if err != nil {
-			t.Fatalf("canonical re-encode does not decode: %v", err)
-		}
-		if !bytes.Equal(EncodeResponse(OpTieRank, again), canon) {
-			t.Fatal("canonical encoding is not a fixed point")
-		}
-	})
-}
-
-// FuzzEvolution is FuzzTieRank for OpEvolution payloads.
-func FuzzEvolution(f *testing.F) {
-	for _, req := range sampleRequests() {
-		if req.Op == OpEvolution {
-			f.Add(EncodeRequest(req))
-		}
-	}
-	for _, tc := range sampleResponses() {
-		if tc.Op == OpEvolution {
-			f.Add(EncodeResponse(tc.Op, tc.Resp))
-		}
-	}
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		if req, err := DecodeRequest(payload); err == nil && req.Op == OpEvolution {
-			if re := EncodeRequest(req); !bytes.Equal(re, payload) {
-				t.Fatalf("request decode/encode not canonical:\n in  %x\n out %x", payload, re)
-			}
-		}
-		resp, err := DecodeResponse(OpEvolution, payload)
-		if err != nil || resp.Err != nil {
-			return
-		}
-		canon := EncodeResponse(OpEvolution, resp)
-		again, err := DecodeResponse(OpEvolution, canon)
-		if err != nil {
-			t.Fatalf("canonical re-encode does not decode: %v", err)
-		}
-		if !bytes.Equal(EncodeResponse(OpEvolution, again), canon) {
-			t.Fatal("canonical encoding is not a fixed point")
 		}
 	})
 }

@@ -267,21 +267,10 @@ func (n *Node) Checkpoint() error { return n.durable().Checkpoint() }
 
 // ---- serve.Backend ------------------------------------------------------
 
-// ActivateBatch applies a batch locally — refused while the node is an
-// unpromoted follower, with the typed read-only error the serving layer
-// forwards to clients.
-func (n *Node) ActivateBatch(batch []anc.Activation) error {
-	if n.readOnly.Load() {
-		return &serve.WireError{Code: serve.ErrCodeReadOnly,
-			Msg: "follower is read-only; ingest at the primary"}
-	}
-	return n.durable().ActivateBatch(batch)
-}
-
-// ActivateBatchTraced implements serve.TracedBackend: a traced ingest
-// batch flows through the durable network's traced path, so the request
-// span picks up the WAL/fsync/repair children. The read-only refusal
-// matches ActivateBatch.
+// ActivateBatchTraced applies a batch locally through the durable
+// network's traced path (a zero sp is the untraced case) — refused while
+// the node is an unpromoted follower, with the typed read-only error the
+// serving layer forwards to clients.
 func (n *Node) ActivateBatchTraced(batch []anc.Activation, sp trace.SpanHandle) error {
 	if n.readOnly.Load() {
 		return &serve.WireError{Code: serve.ErrCodeReadOnly,

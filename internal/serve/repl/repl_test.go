@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"anc"
+	"anc/internal/obs/trace"
 	"anc/internal/serve"
 	"anc/internal/serve/client"
 )
@@ -222,7 +223,7 @@ func TestFollowerCatchUpMidStream(t *testing.T) {
 	}
 
 	// Ingest at the follower must be refused with the typed code.
-	err = follower.ActivateBatch(batches[0])
+	err = follower.ActivateBatchTraced(batches[0], trace.SpanHandle{})
 	we, ok := err.(*serve.WireError)
 	if !ok || we.Code != serve.ErrCodeReadOnly {
 		t.Fatalf("follower ingest error %v, want read-only", err)
@@ -385,7 +386,7 @@ func TestReplFaultInjection(t *testing.T) {
 	defer follower.Close()
 
 	for i, b := range batches {
-		if err := primary.ActivateBatch(b); err != nil {
+		if err := primary.ActivateBatchTraced(b, trace.SpanHandle{}); err != nil {
 			t.Fatal(err)
 		}
 		if i%4 == 0 {
@@ -424,7 +425,7 @@ func TestReplFailover(t *testing.T) {
 	defer b.Close()
 
 	for _, batch := range batches[:9] {
-		if err := primary.ActivateBatch(batch); err != nil {
+		if err := primary.ActivateBatchTraced(batch, trace.SpanHandle{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -451,7 +452,7 @@ func TestReplFailover(t *testing.T) {
 
 	// Ingest continues on the new primary.
 	for _, batch := range batches[9:] {
-		if err := a.ActivateBatch(batch); err != nil {
+		if err := a.ActivateBatchTraced(batch, trace.SpanHandle{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -499,7 +500,7 @@ func TestReplChaos(t *testing.T) {
 
 	// Burst one: ingest over faulty links.
 	for i, batch := range batches[:12] {
-		if err := primary.ActivateBatch(batch); err != nil {
+		if err := primary.ActivateBatchTraced(batch, trace.SpanHandle{}); err != nil {
 			t.Fatal(err)
 		}
 		if i%5 == 0 {
@@ -523,7 +524,7 @@ func TestReplChaos(t *testing.T) {
 
 	// Burst two: the new primary carries the rest of the stream.
 	for _, batch := range batches[12:] {
-		if err := a.ActivateBatch(batch); err != nil {
+		if err := a.ActivateBatchTraced(batch, trace.SpanHandle{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -547,7 +548,7 @@ func TestPromoteOnLoss(t *testing.T) {
 	primary, server := newPrimary(t, dcfg)
 	batches := testStream(4, 10)
 	for _, batch := range batches {
-		if err := primary.ActivateBatch(batch); err != nil {
+		if err := primary.ActivateBatchTraced(batch, trace.SpanHandle{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -570,7 +571,7 @@ func TestPromoteOnLoss(t *testing.T) {
 	}
 	// The promoted node accepts writes that continue the sealed log.
 	more := testStream(6, 10)[5]
-	if err := f.ActivateBatch(more); err != nil {
+	if err := f.ActivateBatchTraced(more, trace.SpanHandle{}); err != nil {
 		t.Fatalf("post-promotion ingest: %v", err)
 	}
 }
@@ -582,7 +583,7 @@ func TestFaultConnCut(t *testing.T) {
 	primary, server := newPrimary(t, dcfg)
 	defer server.Kill()
 	for _, batch := range testStream(6, 10) {
-		if err := primary.ActivateBatch(batch); err != nil {
+		if err := primary.ActivateBatchTraced(batch, trace.SpanHandle{}); err != nil {
 			t.Fatal(err)
 		}
 	}

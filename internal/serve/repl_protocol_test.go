@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"reflect"
 	"testing"
 )
 
@@ -82,6 +83,16 @@ func TestReplSnapshotRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(EncodeReplSnapshot(got), payload) {
 		t.Fatal("re-encode differs")
+	}
+}
+
+// TestReplSnapshotWireRoundTrip: a snapshot chunk survives the stream
+// decoder field for field.
+func TestReplSnapshotWireRoundTrip(t *testing.T) {
+	in := sampleReplSnapshot()
+	msg, err := DecodeReplMessage(EncodeReplSnapshot(in))
+	if err != nil || msg.Snapshot == nil || !reflect.DeepEqual(msg.Snapshot, in) {
+		t.Fatalf("stream decode: got %+v (%v), want %+v", msg, err, in)
 	}
 }
 

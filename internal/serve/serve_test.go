@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"anc"
+	"anc/internal/obs/trace"
 )
 
 // barbell builds two K5s joined by a bridge — the suite's standard small
@@ -495,16 +496,16 @@ func TestHandleWhileDraining(t *testing.T) {
 	}
 }
 
-// blockingIngest blocks ActivateBatch until released, so a drain can be
+// blockingIngest blocks ingest until released, so a drain can be
 // started with batches provably still in flight and queued.
 type blockingIngest struct {
 	Backend
 	gate chan struct{}
 }
 
-func (b *blockingIngest) ActivateBatch(batch []anc.Activation) error {
+func (b *blockingIngest) ActivateBatchTraced(batch []anc.Activation, sp trace.SpanHandle) error {
 	<-b.gate
-	return b.Backend.ActivateBatch(batch)
+	return b.Backend.ActivateBatchTraced(batch, sp)
 }
 
 // TestServerDrainFlushesQueue checks the graceful-drain contract: batches

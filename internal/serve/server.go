@@ -23,7 +23,10 @@ import (
 // with a DurableNetwork the served stream is additionally write-ahead
 // logged, and Shutdown checkpoints before closing.
 type Backend interface {
-	ActivateBatch(batch []anc.Activation) error
+	// ActivateBatchTraced is the one ingest method: the backend records its
+	// WAL-append, fsync and core-apply stages as children of sp, and a zero
+	// handle — every untraced request — makes each of those a no-op.
+	ActivateBatchTraced(batch []anc.Activation, sp trace.SpanHandle) error
 	Clusters(level int) [][]int
 	EvenClusters(level int) [][]int
 	ClusterOf(v, level int) []int
@@ -67,15 +70,6 @@ type Replicator interface {
 	// learns about the end of the stream from the close (or the typed
 	// drain frame the server appends).
 	Stream(from uint64, send func(payload []byte) error, stop <-chan struct{}) error
-}
-
-// TracedBackend is the optional tracing surface a Backend may expose
-// (DurableNetwork does, also through repl.Node): an ActivateBatch that
-// records its WAL-append, fsync and core-apply stages as children of the
-// request's span. The writer goroutine uses it only for requests that are
-// actually being traced.
-type TracedBackend interface {
-	ActivateBatchTraced(batch []anc.Activation, sp trace.SpanHandle) error
 }
 
 // Config tunes a Server. The zero value is usable; every field has a
@@ -354,7 +348,6 @@ func (s *Server) acceptLoop() {
 // without applying on Kill.
 func (s *Server) writerLoop() {
 	defer close(s.writerDone)
-	tb, _ := s.backend.(TracedBackend)
 	for req := range s.ingestCh {
 		s.queued.Add(-1)
 		if !req.enq.IsZero() {
@@ -365,11 +358,7 @@ func (s *Server) writerLoop() {
 			req.done <- &WireError{Code: ErrCodeShuttingDown, Msg: "server killed"}
 			continue
 		}
-		if req.span.Active() && tb != nil {
-			req.done <- tb.ActivateBatchTraced(req.batch, req.span)
-		} else {
-			req.done <- s.backend.ActivateBatch(req.batch)
-		}
+		req.done <- s.backend.ActivateBatchTraced(req.batch, req.span)
 	}
 }
 
