@@ -95,15 +95,17 @@ fuzz-smoke:
 # assert every annotated kernel runs at 0 allocs/op, and the hot-path
 # benchmarks run under -benchmem so a regression is visible in the
 # output. The writer's two kernels ride the same gate: the pyramid
-# repair (relink/probe/markChanged, 0 allocs per update) and the
-# power/even extraction (a constant number of allocations whatever the
-# cluster count), with the orphaned-hub and Power benchmarks beside them;
-# BenchmarkPowerRepair is the tracked level's repair under a flip load, to
-# be read against BenchmarkPower (ns/op, B/op).
+# repair (relink/probe/markChanged, 0 allocs per update, serial and on the
+# worker pool) and the power/even extraction (a constant number of
+# allocations whatever the cluster count), with the orphaned-hub, batched
+# repair and Power benchmarks beside them; BenchmarkUpdateEdgesBatch runs
+# an 88-edge batch serially and on the pool, and BenchmarkPowerRepair is
+# the tracked level's repair under a flip load, to be read against
+# BenchmarkPower (ns/op, B/op).
 bench-smoke:
 	$(GO) test -run '^TestHotPathAllocs$$' -count=1 ./internal/serve ./internal/obs ./internal/obs/trace ./internal/decay ./internal/cluster/cache ./internal/analytics ./internal/pyramid ./internal/cluster
 	$(GO) test -run '^$$' -bench '^BenchmarkHotPath' -benchtime 100x -benchmem ./internal/serve ./internal/obs ./internal/obs/trace ./internal/decay ./internal/cluster/cache ./internal/analytics
-	$(GO) test -run '^$$' -bench '^(BenchmarkUpdateEdgesHub|BenchmarkPower|BenchmarkPowerRepair)$$' -benchtime 20x -benchmem ./internal/pyramid ./internal/cluster
+	$(GO) test -run '^$$' -bench '^(BenchmarkUpdateEdgesHub|BenchmarkUpdateEdgesBatch|BenchmarkPower|BenchmarkPowerRepair)$$' -benchtime 20x -benchmem ./internal/pyramid ./internal/cluster
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

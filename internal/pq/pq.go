@@ -1,4 +1,4 @@
-// Package pq implements an indexed binary min-heap keyed by float64
+// Package pq implements an indexed 4-ary min-heap keyed by float64
 // priority, supporting decrease-key and arbitrary update in O(log n).
 //
 // It is the queue behind every Dijkstra in this repository — Voronoi
@@ -7,20 +7,36 @@
 // the same node may be re-prioritized many times while queued.
 package pq
 
+// entry is one queued (priority, item) pair. Keeping the priority next to
+// the item makes a comparison one load instead of an item → priority
+// lookup.
+type entry struct {
+	prio float64
+	item int32
+}
+
+// less is the heap's total order: priority first, then smaller item ID, so
+// the pop sequence is fully determined by the queued pairs.
+func (a entry) less(b entry) bool {
+	if a.prio != b.prio {
+		return a.prio < b.prio
+	}
+	return a.item < b.item
+}
+
 // Heap is an indexed min-heap over items identified by dense int32 IDs in
 // [0, capacity). Priorities are float64 distances; ties are broken by
 // smaller item ID so the pop order is deterministic.
 type Heap struct {
-	items []int32   // heap order -> item
-	pos   []int32   // item -> heap index, -1 if absent
-	prio  []float64 // item -> priority (valid while in heap)
+	es  []entry // 4-ary heap order; capacity preallocated, never grows
+	pos []int32 // item -> heap index, -1 if absent
 }
 
 // New returns a heap able to hold items 0..capacity-1.
 func New(capacity int) *Heap {
 	h := &Heap{
-		pos:  make([]int32, capacity),
-		prio: make([]float64, capacity),
+		es:  make([]entry, 0, capacity),
+		pos: make([]int32, capacity),
 	}
 	for i := range h.pos {
 		h.pos[i] = -1
@@ -29,117 +45,90 @@ func New(capacity int) *Heap {
 }
 
 // Len reports the number of queued items.
-func (h *Heap) Len() int { return len(h.items) }
+func (h *Heap) Len() int { return len(h.es) }
 
 // Contains reports whether item x is queued.
 func (h *Heap) Contains(x int32) bool { return h.pos[x] >= 0 }
-
-// Priority returns the queued priority of x; only meaningful if Contains(x).
-func (h *Heap) Priority(x int32) float64 { return h.prio[x] }
 
 // Push inserts x with priority p, or updates x's priority if already queued
 // (either direction). This matches the "reinsert/update" behaviour the
 // paper's Example 6 notes for priority-queue implementations.
 func (h *Heap) Push(x int32, p float64) {
 	if i := h.pos[x]; i >= 0 {
-		old := h.prio[x]
-		h.prio[x] = p
-		if p < old {
-			h.up(int(i))
+		if old := h.es[i].prio; p < old {
+			h.up(int(i), entry{p, x})
 		} else if p > old {
-			h.down(int(i))
+			h.down(int(i), entry{p, x})
 		}
 		return
 	}
-	h.prio[x] = p
-	h.pos[x] = int32(len(h.items))
-	h.items = append(h.items, x)
-	h.up(len(h.items) - 1)
+	h.es = append(h.es, entry{})
+	h.up(len(h.es)-1, entry{p, x})
 }
 
 // Pop removes and returns the item with the smallest priority.
 // It panics if the heap is empty.
 func (h *Heap) Pop() (x int32, p float64) {
-	if len(h.items) == 0 {
+	if len(h.es) == 0 {
 		panic("pq: Pop on empty heap")
 	}
-	x = h.items[0]
-	p = h.prio[x]
-	last := len(h.items) - 1
-	h.swap(0, last)
-	h.items = h.items[:last]
-	h.pos[x] = -1
+	top := h.es[0]
+	last := len(h.es) - 1
+	tail := h.es[last]
+	h.es = h.es[:last]
+	h.pos[top.item] = -1
 	if last > 0 {
-		h.down(0)
+		h.down(0, tail)
 	}
-	return x, p
-}
-
-// Remove deletes x from the heap if present.
-func (h *Heap) Remove(x int32) {
-	i := h.pos[x]
-	if i < 0 {
-		return
-	}
-	last := len(h.items) - 1
-	h.swap(int(i), last)
-	h.items = h.items[:last]
-	h.pos[x] = -1
-	if int(i) < last {
-		h.down(int(i))
-		h.up(int(h.pos[h.items[i]]))
-	}
+	return top.item, top.prio
 }
 
 // Reset empties the heap in O(len) without reallocating.
 func (h *Heap) Reset() {
-	for _, x := range h.items {
-		h.pos[x] = -1
+	for _, e := range h.es {
+		h.pos[e.item] = -1
 	}
-	h.items = h.items[:0]
+	h.es = h.es[:0]
 }
 
-func (h *Heap) less(i, j int) bool {
-	a, b := h.items[i], h.items[j]
-	pa, pb := h.prio[a], h.prio[b]
-	if pa != pb {
-		return pa < pb
-	}
-	return a < b
-}
-
-func (h *Heap) swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.pos[h.items[i]] = int32(i)
-	h.pos[h.items[j]] = int32(j)
-}
-
-func (h *Heap) up(i int) {
+// up places e at the hole i, moving smaller-ranked ancestors down into the
+// hole until e's slot is found: one write per level instead of a swap.
+func (h *Heap) up(i int, e entry) {
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		parent := (i - 1) / 4
+		if !e.less(h.es[parent]) {
 			break
 		}
-		h.swap(i, parent)
+		h.es[i] = h.es[parent]
+		h.pos[h.es[i].item] = int32(i)
 		i = parent
 	}
+	h.es[i] = e
+	h.pos[e.item] = int32(i)
 }
 
-func (h *Heap) down(i int) {
-	n := len(h.items)
+// down places e at the hole i, moving the smallest of up to four children
+// up into the hole while it ranks before e.
+func (h *Heap) down(i int, e entry) {
+	n := len(h.es)
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.less(l, smallest) {
-			smallest = l
+		c := 4*i + 1
+		if c >= n {
+			break
 		}
-		if r < n && h.less(r, smallest) {
-			smallest = r
+		best := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if h.es[j].less(h.es[best]) {
+				best = j
+			}
 		}
-		if smallest == i {
-			return
+		if !h.es[best].less(e) {
+			break
 		}
-		h.swap(i, smallest)
-		i = smallest
+		h.es[i] = h.es[best]
+		h.pos[h.es[i].item] = int32(i)
+		i = best
 	}
+	h.es[i] = e
+	h.pos[e.item] = int32(i)
 }

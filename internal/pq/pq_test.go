@@ -64,35 +64,11 @@ func TestTieBreakByID(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	h := New(6)
-	for i := int32(0); i < 6; i++ {
-		h.Push(i, float64(10-i))
-	}
-	h.Remove(5) // currently minimum
-	h.Remove(0) // currently maximum
-	h.Remove(0) // no-op on absent item
-	var got []int32
-	for h.Len() > 0 {
-		x, _ := h.Pop()
-		got = append(got, x)
-	}
-	want := []int32{4, 3, 2, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
-func TestContainsAndPriority(t *testing.T) {
+func TestContains(t *testing.T) {
 	h := New(3)
 	h.Push(2, 7)
 	if !h.Contains(2) || h.Contains(1) {
 		t.Fatal("Contains wrong")
-	}
-	if h.Priority(2) != 7 {
-		t.Fatal("Priority wrong")
 	}
 	h.Pop()
 	if h.Contains(2) {
@@ -165,5 +141,59 @@ func TestHeapSortProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPopSequenceMatchesSortedReference is the differential test of the
+// heap's total order: random push/update/pop tapes over few items and a
+// handful of distinct priorities (so ties are the common case) must pop
+// exactly the (item, prio) sequence of a reference that keeps the queued
+// pairs in a slice sorted by (prio, ID). Every tie-broken seed and parent
+// choice of the Dijkstras, and so the saved index bytes, rest on this.
+func TestPopSequenceMatchesSortedReference(t *testing.T) {
+	type pair struct {
+		item int32
+		prio float64
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(64)
+		h := New(n)
+		var ref []pair // queued pairs, kept sorted by (prio, item)
+		for op := 0; op < 40*n; op++ {
+			if rng.Intn(3) > 0 { // push or update
+				x, p := int32(rng.Intn(n)), float64(rng.Intn(4))/2
+				h.Push(x, p)
+				for i := range ref {
+					if ref[i].item == x {
+						ref = append(ref[:i], ref[i+1:]...)
+						break
+					}
+				}
+				ref = append(ref, pair{x, p})
+				sort.Slice(ref, func(i, j int) bool {
+					if ref[i].prio != ref[j].prio {
+						return ref[i].prio < ref[j].prio
+					}
+					return ref[i].item < ref[j].item
+				})
+			} else if len(ref) > 0 {
+				x, p := h.Pop()
+				if want := ref[0]; x != want.item || p != want.prio {
+					t.Fatalf("seed %d op %d: popped (%d, %v), want (%d, %v)", seed, op, x, p, want.item, want.prio)
+				}
+				ref = ref[1:]
+			}
+			if h.Len() != len(ref) {
+				t.Fatalf("seed %d op %d: Len %d, reference holds %d", seed, op, h.Len(), len(ref))
+			}
+		}
+		for len(ref) > 0 {
+			x, p := h.Pop()
+			if want := ref[0]; x != want.item || p != want.prio {
+				t.Fatalf("seed %d drain: popped (%d, %v), want (%d, %v)", seed, x, p, want.item, want.prio)
+			}
+			ref = ref[1:]
+		}
 	}
 }

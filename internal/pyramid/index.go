@@ -20,9 +20,10 @@ type Config struct {
 	// ⌈Theta·K⌉ pyramids. The paper's default is 0.7.
 	Theta float64
 	// Parallel runs partition builds and updates on a long-lived pool of
-	// min(GOMAXPROCS, K·⌈log₂ n⌉) workers (Lemma 13: partitions are
-	// mutually independent). Off by default so timing benchmarks match
-	// the paper's single-core setup. Call Index.Close to stop the pool.
+	// min(GOMAXPROCS, ⌈log₂ n⌉) workers, one update task per granularity
+	// level (Lemma 13: partitions are mutually independent). Off by
+	// default so timing benchmarks match the paper's single-core setup.
+	// Call Index.Close to stop the pool.
 	Parallel bool
 }
 
@@ -81,12 +82,13 @@ type Index struct {
 	buildSeconds float64  // construction wall time, observed at Instrument
 
 	// Reusable per-call buffers of the batched update path, so steady
-	// ingest allocates nothing.
-	batchEdges  []graph.EdgeID
-	batchOld    []float64
-	oneEdge     [1]graph.EdgeID
-	oneWeight   [1]float64
-	voteChanged [][]graph.NodeID // per-slot changed-set copies; nil until vote tracking is on
+	// ingest allocates nothing: the staged batch the level tasks read, and
+	// repairLevel bound once as a method value.
+	batchEdges []graph.EdgeID
+	batchOld   []float64
+	oneEdge    [1]graph.EdgeID
+	oneWeight  [1]float64
+	levelTask  func(l int, s *scratch)
 }
 
 // Build constructs the index over g with the given initial anchored edge
@@ -147,23 +149,32 @@ func BuildWithSeeds(g *graph.Graph, weight func(e graph.EdgeID) float64, cfg Con
 		}
 		ix.weights[e] = w
 	}
-	slots := cfg.K * ix.levels
 	ix.parts = make([][]*Partition, cfg.K)
 	for p := 0; p < cfg.K; p++ {
 		ix.parts[p] = make([]*Partition, ix.levels)
 	}
+	ix.levelTask = ix.repairLevel
 	if cfg.Parallel {
-		ix.pool = newPool(poolSize(slots), n)
-		ix.pool.run(slots, func(slot int, s *scratch) {
-			ix.parts[slot/ix.levels][slot%ix.levels] = newPartition(g, ix.weights, seedSets[slot], s)
-		})
-	} else {
-		for slot := 0; slot < slots; slot++ {
-			ix.parts[slot/ix.levels][slot%ix.levels] = newPartition(g, ix.weights, seedSets[slot], ix.scratch)
-		}
+		ix.pool = newPool(poolSize(ix.levels), n)
 	}
+	ix.each(cfg.K*ix.levels, func(slot int, s *scratch) {
+		ix.parts[slot/ix.levels][slot%ix.levels] = newPartition(g, ix.weights, seedSets[slot], s)
+	})
 	ix.buildSeconds = sw.Seconds()
 	return ix, nil
+}
+
+// each runs fn for every task in [0, tasks): on the worker pool when there
+// is one, otherwise inline in task order on the serial scratch — one task
+// function, two schedulers.
+func (ix *Index) each(tasks int, fn func(task int, s *scratch)) {
+	if ix.pool != nil {
+		ix.pool.run(tasks, fn)
+		return
+	}
+	for i := 0; i < tasks; i++ {
+		fn(i, ix.scratch)
+	}
 }
 
 // Close stops the worker pool, waiting until every worker goroutine has
@@ -277,7 +288,10 @@ func (ix *Index) UpdateEdge(e graph.EdgeID, newWeight float64) {
 // Compared with a loop over UpdateEdge it saves one heap pass and one
 // pool barrier per edge per partition, and relaxes overlapping affected
 // regions once. Edges must be distinct; bit-exact no-op changes are
-// skipped (the same contract as UpdateEdge).
+// skipped (the same contract as UpdateEdge). The repair runs as one
+// repairLevel task per granularity level, dispatched level 1 first: the
+// lowest levels have the fewest seeds and so the largest Voronoi cells to
+// repair, and starting them first is longest-first scheduling.
 func (ix *Index) UpdateEdges(edges []graph.EdgeID, newWeights []float64) {
 	ix.batchEdges = ix.batchEdges[:0]
 	ix.batchOld = ix.batchOld[:0]
@@ -295,45 +309,29 @@ func (ix *Index) UpdateEdges(edges []graph.EdgeID, newWeights []float64) {
 		return
 	}
 	t := ix.met.updateStart()
-	changed, olds := ix.batchEdges, ix.batchOld
-	if ix.pool != nil {
-		// Vote counts are shared across the pyramids of one level, so
-		// they are applied after the barrier, from per-slot copies of the
-		// changed sets — copies, because each worker's scratch is reused
-		// by its next task. Nothing is copied when tracking is off.
-		ix.pool.run(ix.cfg.K*ix.levels, func(slot int, s *scratch) {
-			moved := ix.parts[slot/ix.levels][slot%ix.levels].applyBatch(s, changed, olds)
-			if len(moved) > 0 {
-				ix.met.partitionRepaired()
-			}
-			if ix.votes != nil {
-				ix.voteChanged[slot] = append(ix.voteChanged[slot][:0], moved...)
-			}
-		})
-		if ix.votes != nil {
-			for slot := range ix.voteChanged {
-				ix.votes.applyBatch(slot/ix.levels, slot%ix.levels+1, ix.voteChanged[slot])
-			}
-			ix.votes.flushFlips()
-		}
-		t.Stop()
-		return
-	}
-	for p := range ix.parts {
-		for l := range ix.parts[p] {
-			moved := ix.parts[p][l].applyBatch(ix.scratch, changed, olds)
-			if len(moved) > 0 {
-				ix.met.partitionRepaired()
-			}
-			if ix.votes != nil {
-				ix.votes.applyBatch(p, l+1, moved)
-			}
-		}
-	}
+	ix.each(ix.levels, ix.levelTask)
 	if ix.votes != nil {
 		ix.votes.flushFlips()
 	}
 	t.Stop()
+}
+
+// repairLevel is the level task of UpdateEdges: it repairs the K
+// partitions of level l+1 in pyramid order against the staged batch, then
+// refreshes that level's vote counts from each partition's seed-changed
+// set while it is still in the scratch. Every piece of mutable state it
+// touches — the partitions, the counts, the coalescing buffers — belongs
+// to its level, so tasks of different levels run concurrently unsynchronized.
+func (ix *Index) repairLevel(l int, s *scratch) {
+	for p := range ix.parts {
+		moved := ix.parts[p][l].applyBatch(s, ix.batchEdges, ix.batchOld)
+		if len(moved) > 0 {
+			ix.met.partitionRepaired()
+		}
+		if ix.votes != nil {
+			ix.votes.applyBatch(p, l+1, moved)
+		}
+	}
 }
 
 // Reconstruct rebuilds every partition from scratch at the current weights
@@ -342,17 +340,9 @@ func (ix *Index) UpdateEdges(edges []graph.EdgeID, newWeights []float64) {
 func (ix *Index) Reconstruct() {
 	t := ix.met.reconstructStart()
 	defer t.Stop()
-	if ix.pool != nil {
-		ix.pool.run(ix.cfg.K*ix.levels, func(slot int, s *scratch) {
-			ix.parts[slot/ix.levels][slot%ix.levels].rebuild(s)
-		})
-	} else {
-		for p := range ix.parts {
-			for l := range ix.parts[p] {
-				ix.parts[p][l].rebuild(ix.scratch)
-			}
-		}
-	}
+	ix.each(ix.cfg.K*ix.levels, func(slot int, s *scratch) {
+		ix.parts[slot/ix.levels][slot%ix.levels].rebuild(s)
+	})
 	if ix.votes != nil {
 		ix.votes.rebuild()
 	}
@@ -402,11 +392,11 @@ func (ix *Index) Validate() string {
 // per worker plus the serial one — no longer one per partition).
 func (ix *Index) MemoryBytes() int64 {
 	n := int64(ix.g.N())
-	perPartition := n*4 + n*8 + n*4           // seedOf + dist + parent: 16 B per node
-	perScratch := n*8 + n*4 + n*4 + n*4 + n*4 // heap prio + heap pos + stamp + entry seed + changed
+	perPartition := n*4 + n*8 + n*4            // seedOf + dist + parent: 16 B per node
+	perScratch := n*16 + n*4 + n*4 + n*4 + n*4 // heap (prio, item) entries + heap pos + stamp + entry seed + changed
 	scratches := int64(1)
 	if ix.pool != nil {
-		scratches += int64(poolSize(ix.cfg.K * ix.levels))
+		scratches += int64(poolSize(ix.levels))
 	}
 	total := int64(ix.cfg.K*ix.levels)*perPartition + scratches*perScratch + int64(ix.g.M())*8
 	if ix.votes != nil {

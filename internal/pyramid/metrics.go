@@ -75,7 +75,7 @@ func (ix *Index) Instrument(reg *obs.Registry) {
 	ix.met.BuildSeconds.Observe(ix.buildSeconds)
 	if p := ix.pool; p != nil {
 		reg.Gauge("anc_pyramid_pool_workers",
-			"size of the partition-update worker pool").Set(int64(poolSize(ix.cfg.K * ix.levels)))
+			"size of the partition-update worker pool").Set(int64(poolSize(ix.levels)))
 		reg.GaugeFunc("anc_pyramid_pool_busy",
 			"partition-update tasks executing right now", func() float64 {
 				return float64(p.busy.Load())

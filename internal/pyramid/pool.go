@@ -60,31 +60,32 @@ func (s *scratch) begin() {
 }
 
 // pool is a fixed set of long-lived workers, each owning one scratch, fed
-// over an unbuffered task channel. It replaces the previous
-// goroutine-per-partition-per-update spawn: partition updates are mutually
-// independent (Lemma 13), so a persistent pool of min(GOMAXPROCS, K·L)
-// workers saturates the hardware without per-activation goroutine churn.
+// over an unbuffered task channel. Updates hand it one task per
+// granularity level (Index.repairLevel): levels share nothing mutable
+// (Lemma 13 plus per-level vote state), so a persistent pool of
+// min(GOMAXPROCS, levels) workers saturates the hardware without
+// per-activation goroutine churn.
 type pool struct {
 	tasks   chan poolTask
+	done    sync.WaitGroup // run's barrier, reused by every call
 	workers sync.WaitGroup
 	// busy counts tasks executing right now; always maintained (two atomic
-	// adds per partition-sized task) so the occupancy gauge can sample it
-	// without the workers ever reading mutable metrics state.
+	// adds per task) so the occupancy gauge can sample it without the
+	// workers ever reading mutable metrics state.
 	busy atomic.Int64
 }
 
 type poolTask struct {
-	fn   func(slot int, s *scratch)
-	slot int
-	done *sync.WaitGroup
+	fn   func(task int, s *scratch)
+	task int
 }
 
-// poolSize returns min(GOMAXPROCS, slots): more workers than independent
-// partitions would only idle.
-func poolSize(slots int) int {
+// poolSize returns min(GOMAXPROCS, tasks): more workers than independent
+// tasks would only idle.
+func poolSize(tasks int) int {
 	w := runtime.GOMAXPROCS(0)
-	if w > slots {
-		w = slots
+	if w > tasks {
+		w = tasks
 	}
 	if w < 1 {
 		w = 1
@@ -103,25 +104,24 @@ func newPool(workers, n int) *pool {
 			s := newScratch(n)
 			for t := range p.tasks {
 				p.busy.Add(1)
-				t.fn(t.slot, s)
+				t.fn(t.task, s)
 				p.busy.Add(-1)
-				t.done.Done()
+				p.done.Done()
 			}
 		}()
 	}
 	return p
 }
 
-// run dispatches fn for every slot in [0, slots) across the workers and
-// blocks until all complete (the per-dispatch barrier the vote tracker
-// needs before it may read changed sets).
-func (p *pool) run(slots int, fn func(slot int, s *scratch)) {
-	var done sync.WaitGroup
-	done.Add(slots)
-	for i := 0; i < slots; i++ {
-		p.tasks <- poolTask{fn: fn, slot: i, done: &done}
+// run dispatches fn for every task in [0, tasks), lowest first, and blocks
+// until all complete. The barrier is the pool's own, so a call allocates
+// nothing; calls must not overlap (the index's single writer guarantees it).
+func (p *pool) run(tasks int, fn func(task int, s *scratch)) {
+	p.done.Add(tasks)
+	for i := 0; i < tasks; i++ {
+		p.tasks <- poolTask{fn: fn, task: i}
 	}
-	done.Wait()
+	p.done.Wait()
 }
 
 // close drains the pool: no task is in flight after run returns, so

@@ -3,6 +3,7 @@ package pyramid
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -485,7 +486,13 @@ func TestMemoryBytesTracksActualSlices(t *testing.T) {
 		}
 		s := ix.scratch
 		actual += int64(cap(s.changed)+cap(s.stamp)+cap(s.entrySeed)+cap(s.sub)+cap(s.stack)) * 4
-		actual += int64(g.N()) * (8 + 4) // the heap's priority and position arrays (unexported in pq)
+		// The heap's entry and position arrays are unexported in pq; read
+		// their capacities and element sizes through reflection.
+		hv := reflect.ValueOf(s.heap).Elem()
+		for _, f := range []string{"es", "pos"} {
+			fv := hv.FieldByName(f)
+			actual += int64(fv.Cap()) * int64(fv.Type().Elem().Size())
+		}
 		est := ix.MemoryBytes()
 		if diff := float64(est-actual) / float64(actual); diff < -0.10 || diff > 0.10 {
 			t.Errorf("K=%d: MemoryBytes() = %d, slices hold %d (%+.1f%%, want within 10%%)",

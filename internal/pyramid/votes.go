@@ -28,20 +28,14 @@ type VoteTracker struct {
 	// edge once per pyramid, so its count can cross the threshold several
 	// times before settling; listeners must only see the net crossing.
 	// touched marks edges whose count changed this cycle, wasPass records
-	// the pass state each edge had when first touched, and dirty lists the
-	// touched (level, edge) pairs in first-touch order so flush emission is
+	// the pass state each edge had when first touched, and dirty lists each
+	// level's touched edges in first-touch order so flush emission is
 	// deterministic. flushFlips compares wasPass against the settled state
-	// and emits at most one event per (level, edge) per cycle.
-	touched [][]uint64 // [level-1] bitset over edge IDs
-	wasPass [][]uint64 // [level-1] bitset over edge IDs
-	dirty   []flipKey
-}
-
-// flipKey identifies one (level, edge) whose vote count changed during the
-// current update cycle.
-type flipKey struct {
-	l int32
-	e graph.EdgeID
+	// and emits at most one event per (level, edge) per cycle. All of it is
+	// per level, like counts, so the level tasks of one cycle never share it.
+	touched [][]uint64       // [level-1] bitset over edge IDs
+	wasPass [][]uint64       // [level-1] bitset over edge IDs
+	dirty   [][]graph.EdgeID // [level-1] touched edges, first-touch order
 }
 
 // OnFlip registers a support-threshold crossing listener; multiple
@@ -78,13 +72,13 @@ func (ix *Index) EnableVoteTracking() *VoteTracker {
 	vt.counts = make([][]uint16, ix.levels)
 	vt.touched = make([][]uint64, ix.levels)
 	vt.wasPass = make([][]uint64, ix.levels)
+	vt.dirty = make([][]graph.EdgeID, ix.levels)
 	for l := range vt.counts {
 		vt.counts[l] = make([]uint16, ix.g.M())
 		vt.touched[l] = make([]uint64, words)
 		vt.wasPass[l] = make([]uint64, words)
 	}
 	ix.votes = vt
-	ix.voteChanged = make([][]graph.NodeID, ix.cfg.K*ix.levels)
 	vt.rebuild()
 	return vt
 }
@@ -142,7 +136,7 @@ func (vt *VoteTracker) refreshEdge(p, l int, e graph.EdgeID) {
 		} else {
 			vt.wasPass[l-1][w] &^= b
 		}
-		vt.dirty = append(vt.dirty, flipKey{l: int32(l), e: e})
+		vt.dirty[l-1] = append(vt.dirty[l-1], e)
 	}
 }
 
@@ -150,28 +144,27 @@ func (vt *VoteTracker) refreshEdge(p, l int, e graph.EdgeID) {
 // cycle is compared against the pass state it entered the cycle with, and
 // listeners see exactly the net crossings — an edge that crossed the
 // threshold transiently across pyramids but settled where it started emits
-// nothing. Emission order is first-touch order, which is deterministic
-// (slots are applied in pyramid-major order on both the serial and the
-// parallel path). The coalescing buffers are reused across cycles, so
-// steady ingest allocates nothing here.
+// nothing. Emission is level-major, and within a level in first-touch
+// order — pyramid order, since a level task applies its partitions in
+// pyramid order whichever scheduler runs it — so it is deterministic and
+// the same serial or parallel. The coalescing buffers are reused across
+// cycles, so steady ingest allocates nothing here.
 func (vt *VoteTracker) flushFlips() {
-	if len(vt.dirty) == 0 {
-		return
-	}
 	min := vt.ix.MinSupport()
-	for _, d := range vt.dirty {
-		l, e := int(d.l), d.e
-		w, b := e/64, uint64(1)<<(uint(e)%64)
-		vt.touched[l-1][w] &^= b
-		was := vt.wasPass[l-1][w]&b != 0
-		now := int(vt.counts[l-1][e]) >= min
-		if was != now {
-			for _, fn := range vt.onFlip {
-				fn(l, e, now)
+	for i, dirty := range vt.dirty {
+		for _, e := range dirty {
+			w, b := e/64, uint64(1)<<(uint(e)%64)
+			vt.touched[i][w] &^= b
+			was := vt.wasPass[i][w]&b != 0
+			now := int(vt.counts[i][e]) >= min
+			if was != now {
+				for _, fn := range vt.onFlip {
+					fn(i+1, e, now)
+				}
 			}
 		}
+		vt.dirty[i] = dirty[:0]
 	}
-	vt.dirty = vt.dirty[:0]
 }
 
 // applyBatch processes the seed-changed node set reported by one partition
@@ -179,10 +172,10 @@ func (vt *VoteTracker) flushFlips() {
 // pure function of the two endpoint seeds, so an edge whose weight changed
 // but whose endpoints kept their seeds needs no look. refreshEdge is
 // idempotent per current state, so an edge touched through both endpoints
-// settles once. Counts are shared across the pyramids of a level; callers
-// invoke this serially after the parallel barrier, then flushFlips once all
-// slots are applied. Cost O(Σ_{x∈changed} deg x) — within the bound of the
-// update itself.
+// settles once. It touches level l's state only, so the level task calls
+// it right after each partition's repair, concurrently with other levels;
+// flushFlips runs once every level is done. Cost O(Σ_{x∈changed} deg x) —
+// within the bound of the update itself.
 func (vt *VoteTracker) applyBatch(p, l int, changed []graph.NodeID) {
 	for _, x := range changed {
 		for _, h := range vt.ix.g.Neighbors(x) {

@@ -178,9 +178,13 @@ func TestFlipsCoalescedPerCycle(t *testing.T) {
 		cycle = cycle[:0]
 		ix.UpdateEdges(edges, weights)
 
+		type flipKey struct {
+			l int
+			e graph.EdgeID
+		}
 		seen := map[flipKey]bool{}
 		for _, f := range cycle {
-			key := flipKey{l: int32(f.l), e: f.e}
+			key := flipKey{l: f.l, e: f.e}
 			if seen[key] {
 				t.Fatalf("step %d: flip storm — (level %d, edge %d) emitted twice in one cycle", step, f.l, f.e)
 			}
@@ -196,7 +200,7 @@ func TestFlipsCoalescedPerCycle(t *testing.T) {
 		for l := 1; l <= ix.Levels(); l++ {
 			for e := 0; e < g.M(); e++ {
 				now := pass(graph.EdgeID(e), l)
-				if now != before[l-1][e] && !seen[flipKey{l: int32(l), e: graph.EdgeID(e)}] {
+				if now != before[l-1][e] && !seen[flipKey{l: l, e: graph.EdgeID(e)}] {
 					t.Fatalf("step %d: missed flip — (level %d, edge %d) changed %v -> %v with no event", step, l, e, before[l-1][e], now)
 				}
 			}
