@@ -178,7 +178,6 @@ func main() {
 		// named upstream and refuses local ingest until promoted.
 		replNode = repl.New(d, repl.Config{
 			Upstream:     *follow,
-			Durable:      dcfg,
 			PromoteAfter: *promoteOnLoss,
 			Logf:         logger.Printf,
 			Obs:          reg,

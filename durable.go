@@ -244,28 +244,32 @@ func NewDurable(net *Network, dir string, cfg DurableConfig) (*DurableNetwork, e
 	if err := writeCheckpoint(dir, 0, net.Save); err != nil {
 		return nil, err
 	}
-	return openDurable(net, dir, 0, cfg)
-}
-
-// openDurable is the constructor tail shared by NewDurable, Recover and
-// RestoreDurable. net already holds the state that checkpoint-<index> plus
-// any replayed WAL tail describe; the tail instruments it, puts it behind
-// the lock layer and opens the log at index.
-func openDurable(net *Network, dir string, index uint64, cfg DurableConfig) (*DurableNetwork, error) {
-	net.Instrument(cfg.Obs)
 	d := &DurableNetwork{dir: dir, cfg: cfg, met: newDurableMetrics(cfg.Obs)}
-	d.wrap(net)
-	opts := cfg.walOptions()
-	// The facade exists before the writer, so the fsync hook binds to it
-	// directly. It runs on the appending goroutine, which holds d.mu, so the
-	// plain field add is safe.
-	opts.OnFsync = func(seconds float64) { d.fsyncAccum += seconds }
-	w, err := wal.OpenWriter(dir, index, opts)
-	if err != nil {
+	if err := d.reset(net, 0); err != nil {
 		return nil, err
 	}
-	d.w = w
 	return d, nil
+}
+
+// reset points the facade at net, which holds the state checkpoint-<index>
+// plus any replayed WAL tail describe: it opens the log at index, then
+// instruments net (only now, so replay does not inflate the ingest
+// counters) and wraps it. NewDurable, Recover and Restore all end here.
+// The caller holds d.mu exclusively or has not shared d yet.
+func (d *DurableNetwork) reset(net *Network, index uint64) error {
+	opts := d.cfg.walOptions()
+	// The fsync hook runs on the appending goroutine, which holds d.mu, so
+	// the plain field add is safe.
+	opts.OnFsync = func(seconds float64) { d.fsyncAccum += seconds }
+	w, err := wal.OpenWriter(d.dir, index, opts)
+	if err != nil {
+		return err
+	}
+	net.Instrument(d.cfg.Obs)
+	d.wrap(net)
+	d.w = w
+	d.acts, d.sinceCheckpoint = 0, 0
+	return nil
 }
 
 // Recover rebuilds the durable network persisted in dir: it loads the
@@ -288,6 +292,7 @@ func Recover(dir string, cfg DurableConfig) (*DurableNetwork, error) {
 		return nil, fmt.Errorf("%w in %s", ErrNoDurableState, dir)
 	}
 	os.Remove(filepath.Join(dir, "checkpoint.tmp")) // a crashed half-written checkpoint
+	d := &DurableNetwork{dir: dir, cfg: cfg, met: newDurableMetrics(cfg.Obs)}
 	var lastErr error
 	for i := len(cps) - 1; i >= 0; i-- {
 		cp := cps[i]
@@ -321,12 +326,9 @@ func Recover(dir string, cfg DurableConfig) (*DurableNetwork, error) {
 		// [cp.index, next) was replayed into memory but is not covered by
 		// any checkpoint yet, so it must survive on disk until the next
 		// checkpoint — passing next would let OpenWriter discard it as
-		// stale, losing acknowledged records on the next crash.
-		// The tail instruments only now, after the replay, so recovered
-		// history does not inflate the live ingest counters; the replayed
-		// volume is reported through the dedicated recovery metrics instead.
-		d, err := openDurable(net, dir, cp.index, cfg)
-		if err != nil {
+		// stale, losing acknowledged records on the next crash. The replayed
+		// volume is reported through the dedicated recovery metrics.
+		if err := d.reset(net, cp.index); err != nil {
 			return nil, err
 		}
 		if d.w.NextIndex() != next {

@@ -52,7 +52,6 @@ func main() {
 	// replication loop: dial, subscribe from the local log end, apply.
 	follower := startNode(pl, cfg, dcfg, repl.Config{
 		Upstream:  psrv.Addr().String(),
-		Durable:   dcfg,
 		Heartbeat: 100 * time.Millisecond,
 	})
 	follower.Start()

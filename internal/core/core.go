@@ -527,10 +527,15 @@ func (nw *Network) afterRepair() {
 // already; it returns the cache so facades can probe it before taking
 // their locks. Idempotent.
 func (nw *Network) EnableClusterCache() *clustercache.Cache {
-	if nw.cache != nil {
-		return nw.cache
+	if nw.cache == nil {
+		nw.attachClusterCache(clustercache.New(nw.ix.Levels()))
 	}
-	c := clustercache.New(nw.ix.Levels())
+	return nw.cache
+}
+
+// attachClusterCache makes c this network's clustering cache: vote flips
+// invalidate its levels from now on.
+func (nw *Network) attachClusterCache(c *clustercache.Cache) {
 	vt := nw.ix.EnableVoteTracking()
 	vt.OnFlip(func(l int, _ graph.EdgeID, _ bool) {
 		// The evolution tracker's level is repaired by afterRepair before
@@ -543,7 +548,6 @@ func (nw *Network) EnableClusterCache() *clustercache.Cache {
 	})
 	c.Instrument(nw.reg)
 	nw.cache = c
-	return c
 }
 
 // ClusterCache returns the materialized clustering cache, or nil if
@@ -560,10 +564,16 @@ func (nw *Network) ClusterCache() *clustercache.Cache { return nw.cache }
 // initialization, and it returns the rank cache so facades can probe it
 // before taking their locks. Idempotent.
 func (nw *Network) EnableAnalytics() *analytics.RankCache {
-	if nw.rank != nil {
-		return nw.rank
+	if nw.rank == nil {
+		nw.attachAnalytics(analytics.NewRankCache())
 	}
-	nw.rank = analytics.NewRankCache()
+	return nw.rank
+}
+
+// attachAnalytics makes r this network's rank cache and starts a fresh
+// evolution tracker seeded with the current clustering.
+func (nw *Network) attachAnalytics(r *analytics.RankCache) {
+	nw.rank = r
 	level := pyramid.SqrtLevel(nw.g.N())
 	if max := nw.ix.Levels(); level > max {
 		level = max
@@ -581,7 +591,18 @@ func (nw *Network) EnableAnalytics() *analytics.RankCache {
 	nw.evo.Seed(nw.Clusters(level))
 	nw.rank.Instrument(nw.reg)
 	nw.evo.Instrument(nw.reg)
-	return nw.rank
+}
+
+// AdoptCaches is EnableClusterCache and EnableAnalytics over another
+// same-shaped network's caches, invalidated first: a facade restoring a
+// snapshot keeps the instances its lock-free readers probe, and their
+// counters. Neither cache may be enabled on nw yet. Exclusive-writer
+// context.
+func (nw *Network) AdoptCaches(c *clustercache.Cache, r *analytics.RankCache) {
+	c.InvalidateAll()
+	r.Invalidate()
+	nw.attachClusterCache(c)
+	nw.attachAnalytics(r)
 }
 
 // RankCache returns the TieRank snapshot cache, or nil if

@@ -5,34 +5,29 @@ import (
 	"anc/internal/serve"
 )
 
-// metrics is the nil-safe handle bundle for the anc_repl_* families,
-// mirroring the serving layer's pattern: a nil *metrics (observability
-// off) makes every method a no-op.
+// metrics holds the anc_repl_* counters. With observability off every
+// handle is nil, and obs counters are nil-safe, so call sites need no
+// branch.
 type metrics struct {
-	appliedC    *obs.Counter
-	duplicatesC *obs.Counter
-	streamedC   *obs.Counter
-	snapshotsC  *obs.Counter
-	restoresC   *obs.Counter
-	reconnectsC *obs.Counter
+	applied, duplicates, streamed, snapshots, restores, reconnects *obs.Counter
 }
 
-func newMetrics(r *obs.Registry, n *Node) *metrics {
+func newMetrics(r *obs.Registry, n *Node) metrics {
 	if r == nil {
-		return nil
+		return metrics{}
 	}
-	m := &metrics{
-		appliedC: r.Counter("anc_repl_applied_frames_total",
+	m := metrics{
+		applied: r.Counter("anc_repl_applied_frames_total",
 			"Replicated WAL frames applied to the local log."),
-		duplicatesC: r.Counter("anc_repl_duplicate_frames_total",
+		duplicates: r.Counter("anc_repl_duplicate_frames_total",
 			"Shipped frames skipped as already-applied duplicates (reconnect overlap)."),
-		streamedC: r.Counter("anc_repl_streamed_frames_total",
+		streamed: r.Counter("anc_repl_streamed_frames_total",
 			"WAL frames shipped to subscribers."),
-		snapshotsC: r.Counter("anc_repl_snapshots_shipped_total",
+		snapshots: r.Counter("anc_repl_snapshots_shipped_total",
 			"Checkpoint snapshots shipped to bootstrap lagging subscribers."),
-		restoresC: r.Counter("anc_repl_snapshot_restores_total",
+		restores: r.Counter("anc_repl_snapshot_restores_total",
 			"Local states rebuilt from a shipped snapshot."),
-		reconnectsC: r.Counter("anc_repl_reconnects_total",
+		reconnects: r.Counter("anc_repl_reconnects_total",
 			"Replication session re-establishments."),
 	}
 	r.GaugeFunc("anc_repl_role",
@@ -54,42 +49,4 @@ func newMetrics(r *obs.Registry, n *Node) *metrics {
 		"Wall-clock age of the last replication message (0 on the primary).",
 		func() float64 { return n.Status().LagSeconds })
 	return m
-}
-
-func (m *metrics) subscribed() {}
-
-func (m *metrics) applied() {
-	if m != nil {
-		m.appliedC.Inc()
-	}
-}
-
-func (m *metrics) duplicate() {
-	if m != nil {
-		m.duplicatesC.Inc()
-	}
-}
-
-func (m *metrics) streamed(frames int) {
-	if m != nil {
-		m.streamedC.Add(uint64(frames))
-	}
-}
-
-func (m *metrics) snapshotShipped() {
-	if m != nil {
-		m.snapshotsC.Inc()
-	}
-}
-
-func (m *metrics) restored() {
-	if m != nil {
-		m.restoresC.Inc()
-	}
-}
-
-func (m *metrics) reconnected() {
-	if m != nil {
-		m.reconnectsC.Inc()
-	}
 }

@@ -6,7 +6,7 @@
 //
 // # Topology
 //
-// One Node wraps one DurableNetwork and plays one of two roles. A
+// One Node embeds one DurableNetwork and plays one of two roles. A
 // primary (Config.Upstream == "") accepts ingest and answers
 // OpReplSubscribe by streaming frames straight from its durable
 // directory: the subscriber names its next frame index, and the primary
@@ -59,9 +59,8 @@ import (
 	"anc/internal/wal"
 )
 
-// Config tunes a replication node. Only Durable is required for a
-// follower that may bootstrap from a shipped snapshot; everything else
-// has serving-grade defaults.
+// Config tunes a replication node. Every field has a serving-grade
+// default.
 type Config struct {
 	// Upstream is the primary's address. Empty means this node IS the
 	// primary: it serves subscriptions and never dials out.
@@ -69,9 +68,6 @@ type Config struct {
 	// Dial opens the upstream connection (default: TCP with a 5s
 	// timeout). Tests interpose FaultConn here.
 	Dial func(addr string) (net.Conn, error)
-	// Durable rebuilds the follower's DurableNetwork after a snapshot
-	// bootstrap — pass the same config the network was opened with.
-	Durable anc.DurableConfig
 	// PromoteAfter, when positive, self-promotes a follower that has been
 	// without its upstream for this long. 0 never self-promotes.
 	PromoteAfter time.Duration
@@ -139,29 +135,26 @@ func (c Config) withDefaults() Config {
 // frame bound.
 const chunkBytes = 1 << 20
 
-// Node is one replication participant: it wraps a DurableNetwork,
-// implements serve.Backend (so a Server can front it directly),
-// serve.Replicator (the replication ops) and the durable surface
-// (Checkpoint/Close) the server's shutdown paths use.
-//
-// The wrapped network is swappable — a follower bootstrapping from a
-// shipped snapshot atomically replaces it — so every access goes through
-// the node's own read lock.
+// Node is one replication participant: it embeds the DurableNetwork it
+// replicates — a follower bootstrapping from a shipped snapshot restores
+// into it, so the read surface is the network's own — and implements
+// serve.Backend, serve.Replicator (the replication ops) and the durable
+// surface (Checkpoint/Close) the server's shutdown paths use. The local
+// write methods refuse with ErrCodeReadOnly while the node follows.
 type Node struct {
+	*anc.DurableNetwork
 	cfg Config
 
-	mu sync.RWMutex
-	d  *anc.DurableNetwork
-
-	follower bool
 	readOnly atomic.Bool
-	promoted chan struct{}
-	promOnce sync.Once
 
-	stopCh   chan struct{}
-	stopOnce sync.Once
-	doneCh   chan struct{}
-	started  atomic.Bool
+	// life serializes the lifecycle transitions — Start, Retarget, Promote
+	// and Close — and guards the replication loop's handles: stop ends the
+	// running loop (nil once closed), done closes when it has exited (nil
+	// before the first loop). The loop gets its upstream and stop channel
+	// as arguments, so it reads neither field.
+	life sync.Mutex
+	stop chan struct{}
+	done chan struct{}
 
 	// Follower session health, guarded by hmu: the follower loop writes,
 	// Status reads.
@@ -173,7 +166,7 @@ type Node struct {
 	lastCause   string
 
 	subscribers atomic.Int32
-	met         *metrics
+	met         metrics
 	log         *obs.Logger
 }
 
@@ -185,17 +178,8 @@ func New(d *anc.DurableNetwork, cfg Config) *Node {
 	// logger, which discards without formatting — cheaper than logging
 	// through withDefaults' no-op closure.
 	log := obs.NewLogger("repl", obs.LevelInfo, cfg.Logf)
-	cfg = cfg.withDefaults()
-	n := &Node{
-		cfg:      cfg,
-		d:        d,
-		follower: cfg.Upstream != "",
-		promoted: make(chan struct{}),
-		stopCh:   make(chan struct{}),
-		doneCh:   make(chan struct{}),
-		log:      log,
-	}
-	n.readOnly.Store(n.follower)
+	n := &Node{DurableNetwork: d, cfg: cfg.withDefaults(), log: log}
+	n.readOnly.Store(cfg.Upstream != "")
 	n.met = newMetrics(cfg.Obs, n)
 	return n
 }
@@ -203,10 +187,11 @@ func New(d *anc.DurableNetwork, cfg Config) *Node {
 // Start launches a follower's replication loop; on a primary it is a
 // no-op. It may be called once.
 func (n *Node) Start() {
-	if !n.follower || !n.started.CompareAndSwap(false, true) {
-		return
+	n.life.Lock()
+	defer n.life.Unlock()
+	if n.cfg.Upstream != "" && n.done == nil {
+		n.startLocked(n.cfg.Upstream)
 	}
-	go n.run()
 }
 
 // Retarget points the node at a new upstream and (re)starts its
@@ -214,94 +199,97 @@ func (n *Node) Start() {
 // step after a failover. A still-running loop is stopped first; the node
 // returns to read-only until its next promotion.
 func (n *Node) Retarget(addr string) {
-	n.stopOnce.Do(func() { close(n.stopCh) })
-	<-n.doneOrNothing()
-	n.cfg.Upstream = addr
-	n.follower = true
+	n.life.Lock()
+	defer n.life.Unlock()
+	n.stopLocked()
 	n.readOnly.Store(true)
-	n.promoted = make(chan struct{})
-	n.promOnce = sync.Once{}
-	n.stopCh = make(chan struct{})
-	n.stopOnce = sync.Once{}
-	n.doneCh = make(chan struct{})
-	n.started.Store(true)
-	go n.run()
+	n.startLocked(addr)
 }
 
-// doneOrNothing returns doneCh when a loop ever started, or a closed
-// channel otherwise, so Retarget never blocks on a fresh node.
-func (n *Node) doneOrNothing() <-chan struct{} {
-	if n.started.Load() {
-		return n.doneCh
+// startLocked launches a replication loop following addr.
+func (n *Node) startLocked(addr string) {
+	n.stop, n.done = make(chan struct{}), make(chan struct{})
+	go n.run(addr, n.stop, n.done)
+}
+
+// stopLocked ends the replication loop, if one runs, and waits for it to
+// exit. The loop never takes life — it self-promotes through promote — so
+// waiting while holding life cannot deadlock.
+func (n *Node) stopLocked() {
+	if n.stop != nil {
+		close(n.stop)
+		n.stop = nil
 	}
-	ch := make(chan struct{})
-	close(ch)
-	return ch
+	if n.done != nil {
+		<-n.done
+	}
 }
 
-// durable returns the current wrapped network under the node lock.
-func (n *Node) durable() *anc.DurableNetwork {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.d
-}
-
-// Durable returns the currently wrapped network. A follower that
-// bootstraps from a shipped snapshot swaps networks, so callers must not
-// cache the result across replication events.
-func (n *Node) Durable() *anc.DurableNetwork { return n.durable() }
-
-// Close stops the replication loop (if any) and closes the wrapped
-// network. It satisfies the server's durable-backend surface, so a
-// Server Shutdown/Kill over this node tears replication down too.
+// Close stops the replication loop (if any) and closes the network. It
+// satisfies the server's durable-backend surface, so a Server
+// Shutdown/Kill over this node tears replication down too.
 func (n *Node) Close() error {
-	n.stopOnce.Do(func() { close(n.stopCh) })
-	if n.started.Load() {
-		<-n.doneCh
-	}
-	return n.durable().Close()
+	n.life.Lock()
+	n.stopLocked()
+	n.cfg.Upstream = "" // a closed node follows nothing; a late Start is a no-op
+	n.life.Unlock()
+	return n.DurableNetwork.Close()
 }
-
-// Checkpoint checkpoints the wrapped network.
-func (n *Node) Checkpoint() error { return n.durable().Checkpoint() }
 
 // ---- serve.Backend ------------------------------------------------------
 
-// ActivateBatchTraced applies a batch locally through the durable
-// network's traced path (a zero sp is the untraced case) — refused while
-// the node is an unpromoted follower, with the typed read-only error the
-// serving layer forwards to clients.
-func (n *Node) ActivateBatchTraced(batch []anc.Activation, sp trace.SpanHandle) error {
+// writable returns the typed read-only error the serving layer forwards to
+// clients while the node is an unpromoted follower, nil otherwise.
+func (n *Node) writable() error {
 	if n.readOnly.Load() {
 		return &serve.WireError{Code: serve.ErrCodeReadOnly,
 			Msg: "follower is read-only; ingest at the primary"}
 	}
-	return n.durable().ActivateBatchTraced(batch, sp)
+	return nil
 }
 
-func (n *Node) Clusters(level int) [][]int                { return n.durable().Clusters(level) }
-func (n *Node) EvenClusters(level int) [][]int            { return n.durable().EvenClusters(level) }
-func (n *Node) ClusterOf(v, level int) []int              { return n.durable().ClusterOf(v, level) }
-func (n *Node) SmallestClusterOf(v int) []int             { return n.durable().SmallestClusterOf(v) }
-func (n *Node) EstimateDistance(u, v int) float64         { return n.durable().EstimateDistance(u, v) }
-func (n *Node) EstimateAttraction(u, v int) float64       { return n.durable().EstimateAttraction(u, v) }
-func (n *Node) Watch(v int)                               { n.durable().Watch(v) }
-func (n *Node) Unwatch(v int)                             { n.durable().Unwatch(v) }
-func (n *Node) DrainEvents() ([]anc.ClusterEvent, uint64) { return n.durable().DrainEvents() }
-func (n *Node) TieRank(level, k int) anc.TieRankResult    { return n.durable().TieRank(level, k) }
-func (n *Node) Evolution(since uint64) ([]anc.EvolutionEvent, uint64, uint64) {
-	return n.durable().Evolution(since)
+// ActivateBatchTraced applies a batch locally through the durable
+// network's traced path (a zero sp is the untraced case) — refused while
+// the node is an unpromoted follower. ApplyFrame, the replication path,
+// stays open.
+func (n *Node) ActivateBatchTraced(batch []anc.Activation, sp trace.SpanHandle) error {
+	if err := n.writable(); err != nil {
+		return err
+	}
+	return n.DurableNetwork.ActivateBatchTraced(batch, sp)
 }
-func (n *Node) Stats() anc.Stats { return n.durable().Stats() }
+
+// ActivateBatch is ActivateBatchTraced without a span.
+func (n *Node) ActivateBatch(batch []anc.Activation) error {
+	return n.ActivateBatchTraced(batch, trace.SpanHandle{})
+}
+
+// Activate applies one activation locally, refused like ActivateBatch.
+func (n *Node) Activate(u, v int, t float64) error {
+	if err := n.writable(); err != nil {
+		return err
+	}
+	return n.DurableNetwork.Activate(u, v, t)
+}
+
+// Snapshot finalizes buffered work (see DurableNetwork.Snapshot): a state
+// change outside the log, so a follower refuses it like ingest.
+func (n *Node) Snapshot() error {
+	if err := n.writable(); err != nil {
+		return err
+	}
+	return n.DurableNetwork.Snapshot()
+}
 
 // ---- serve.Replicator ---------------------------------------------------
 
 // ReadOnly reports whether local ingest must be refused.
 func (n *Node) ReadOnly() bool { return n.readOnly.Load() }
 
-// Role returns the node's current replication role.
+// Role returns the node's current replication role: a read-only node is
+// a follower.
 func (n *Node) Role() uint8 {
-	if n.follower && n.readOnly.Load() {
+	if n.readOnly.Load() {
 		return serve.RoleFollower
 	}
 	return serve.RolePrimary
@@ -312,31 +300,34 @@ func (n *Node) Role() uint8 {
 // no-op. Promotion is idempotent and one-way — a promoted node never
 // silently re-follows (use Retarget for that, deliberately).
 func (n *Node) Promote() error {
-	if !n.follower {
-		return nil
+	n.life.Lock()
+	defer n.life.Unlock()
+	err := n.promote()
+	if n.stop != nil {
+		close(n.stop)
+		n.stop = nil
 	}
-	var err error
-	n.promOnce.Do(func() {
-		err = n.durable().Sync()
-		n.readOnly.Store(false)
-		close(n.promoted)
-		n.log.Info("promoted; log sealed, accepting writes")
-	})
 	return err
 }
 
-func (n *Node) isPromoted() bool {
-	select {
-	case <-n.promoted:
-		return true
-	default:
-		return false
+// promote is Promote without the lifecycle lock — the loop's own
+// self-promotion, which must not wait on a Retarget or Close that is
+// waiting on the loop. The log is sealed even when a concurrent promotion
+// wins the flip.
+func (n *Node) promote() error {
+	if !n.readOnly.Load() {
+		return nil
 	}
+	err := n.Sync()
+	if n.readOnly.CompareAndSwap(true, false) {
+		n.log.Info("promoted; log sealed, accepting writes")
+	}
+	return err
 }
 
-func (n *Node) isStopped() bool {
+func stopped(stop <-chan struct{}) bool {
 	select {
-	case <-n.stopCh:
+	case <-stop:
 		return true
 	default:
 		return false
@@ -346,11 +337,10 @@ func (n *Node) isStopped() bool {
 // Status reports replication health for OpReplStatus, OpStats and the
 // gauges.
 func (n *Node) Status() serve.ReplStatus {
-	d := n.durable()
-	bs := d.Stats()
+	bs := n.Stats()
 	st := serve.ReplStatus{
 		Role:        n.Role(),
-		Next:        d.LoggedActivations(),
+		Next:        n.LoggedActivations(),
 		Activations: bs.Activations,
 		Now:         bs.Now,
 	}
@@ -385,19 +375,17 @@ var errStopTail = errors.New("repl: chunk full")
 // the primary's traces.
 func (n *Node) Stream(from uint64, send func(payload []byte) error, stop <-chan struct{}) error {
 	n.subscribers.Add(1)
-	n.met.subscribed()
 	defer n.subscribers.Add(-1)
 
-	d := n.durable()
 	// Bootstrap: a subscriber below the retained tail gets the newest
 	// checkpoint, then the tail from the checkpoint's index.
-	earliest, ok, err := wal.EarliestIndex(d.Dir())
+	earliest, ok, err := wal.EarliestIndex(n.Dir())
 	if err != nil {
 		return err
 	}
 	cur := from
 	if !ok || from < earliest {
-		idx, path, ok, err := d.NewestCheckpoint()
+		idx, path, ok, err := n.NewestCheckpoint()
 		if err != nil {
 			return err
 		}
@@ -422,14 +410,14 @@ func (n *Node) Stream(from uint64, send func(payload []byte) error, stop <-chan 
 				break
 			}
 		}
-		n.met.snapshotShipped()
+		n.met.snapshots.Inc()
 		cur = idx
 	}
 
 	// Tell the subscriber where the primary stands before the first tail
 	// chunk, so lag is observable immediately.
 	if err := send(serve.EncodeReplStatus(&serve.ReplStatus{
-		Role: n.Role(), Next: d.LoggedActivations(), PrimaryNext: d.LoggedActivations(),
+		Role: n.Role(), Next: n.LoggedActivations(), PrimaryNext: n.LoggedActivations(),
 	})); err != nil {
 		return err
 	}
@@ -442,12 +430,12 @@ func (n *Node) Stream(from uint64, send func(payload []byte) error, stop <-chan 
 			return nil
 		default:
 		}
-		next, wake := d.FrameSignal()
+		next, wake := n.FrameSignal()
 		if cur < next {
 			batch := &serve.ReplFrames{First: cur}
 			var bytes int
 			anyTraced := false
-			_, err := wal.Replay(d.Dir(), cur, func(idx uint64, payload []byte) error {
+			_, err := wal.Replay(n.Dir(), cur, func(idx uint64, payload []byte) error {
 				if idx != cur+uint64(len(batch.Frames)) {
 					return fmt.Errorf("repl: tail gap: frame %d after %d", idx, cur+uint64(len(batch.Frames)))
 				}
@@ -459,7 +447,7 @@ func (n *Node) Stream(from uint64, send func(payload []byte) error, stop <-chan 
 				copy(cp, payload)
 				batch.Frames = append(batch.Frames, cp)
 				bytes += len(cp)
-				tid := d.TraceOf(idx)
+				tid := n.TraceOf(idx)
 				batch.Traces = append(batch.Traces, tid)
 				anyTraced = anyTraced || tid != 0
 				if len(batch.Frames) >= n.cfg.ChunkFrames || bytes >= chunkBytes {
@@ -485,10 +473,10 @@ func (n *Node) Stream(from uint64, send func(payload []byte) error, stop <-chan 
 				return err
 			}
 			cur += uint64(len(batch.Frames))
-			n.met.streamed(len(batch.Frames))
+			n.met.streamed.Add(uint64(len(batch.Frames)))
 			continue
 		}
-		status := &serve.ReplStatus{Role: n.Role(), Next: next, PrimaryNext: next, Now: d.Now()}
+		status := &serve.ReplStatus{Role: n.Role(), Next: next, PrimaryNext: next, Now: n.Now()}
 		select {
 		case <-stop:
 			return nil
@@ -503,26 +491,27 @@ func (n *Node) Stream(from uint64, send func(payload []byte) error, stop <-chan 
 
 // ---- follower loop ------------------------------------------------------
 
-// run is the follower loop: dial, subscribe, apply until the session
-// ends, note the cause, back off, repeat — until stopped or promoted.
-func (n *Node) run() {
-	defer close(n.doneCh)
+// run is the follower loop: dial upstream, subscribe, apply until the
+// session ends, note the cause, back off, repeat — until stop closes or
+// the node is promoted.
+func (n *Node) run(upstream string, stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
 	bo := backoff.New(n.cfg.ReconnectMin, n.cfg.ReconnectMax, n.cfg.Seed)
 	var lostSince time.Time
 	for {
-		if n.isStopped() || n.isPromoted() {
+		if stopped(stop) || !n.readOnly.Load() {
 			return
 		}
-		cause, subscribed := n.session()
-		if n.isStopped() || n.isPromoted() {
+		cause, subscribed := n.session(upstream, stop)
+		if stopped(stop) || !n.readOnly.Load() {
 			return
 		}
 		n.hmu.Lock()
 		n.reconnects++
 		n.lastCause = cause
 		n.hmu.Unlock()
-		n.met.reconnected()
-		n.log.Warn("session ended; reconnecting", "cause", cause, "upstream", n.cfg.Upstream)
+		n.met.reconnects.Inc()
+		n.log.Warn("session ended; reconnecting", "cause", cause, "upstream", upstream)
 		if subscribed {
 			bo.Reset()
 			lostSince = time.Time{}
@@ -532,17 +521,14 @@ func (n *Node) run() {
 		}
 		if n.cfg.PromoteAfter > 0 && time.Since(lostSince) >= n.cfg.PromoteAfter {
 			n.log.Warn("upstream lost; self-promoting", "after", n.cfg.PromoteAfter)
-			if err := n.Promote(); err != nil {
+			if err := n.promote(); err != nil {
 				n.log.Error("self-promotion failed", "err", err)
 			}
 			return
 		}
 		timer := time.NewTimer(bo.Next())
 		select {
-		case <-n.stopCh:
-			timer.Stop()
-			return
-		case <-n.promoted:
+		case <-stop: // closed by Promote, Retarget and Close alike
 			timer.Stop()
 			return
 		case <-timer.C:
@@ -554,8 +540,8 @@ func (n *Node) run() {
 // subscription, applied until something breaks. It returns the cause
 // label and whether the subscription was acknowledged (progress, for
 // backoff reset).
-func (n *Node) session() (cause string, subscribed bool) {
-	conn, err := n.cfg.Dial(n.cfg.Upstream)
+func (n *Node) session(upstream string, stop <-chan struct{}) (cause string, subscribed bool) {
+	conn, err := n.cfg.Dial(upstream)
 	if err != nil {
 		return "dial", false
 	}
@@ -571,7 +557,7 @@ func (n *Node) session() (cause string, subscribed bool) {
 	if err := serve.ReadPreamble(br); err != nil {
 		return "handshake", false
 	}
-	from := n.durable().LoggedActivations()
+	from := n.LoggedActivations()
 	if err := serve.WriteRequest(bw, &serve.Request{Op: serve.OpReplSubscribe, ID: 1, From: from}); err != nil {
 		return "handshake", false
 	}
@@ -585,7 +571,7 @@ func (n *Node) session() (cause string, subscribed bool) {
 		}
 		return "rejected", false
 	}
-	n.log.Info("subscribed", "upstream", n.cfg.Upstream, "from", from)
+	n.log.Info("subscribed", "upstream", upstream, "from", from)
 	n.hmu.Lock()
 	n.lastMsg = time.Now()
 	n.hmu.Unlock()
@@ -593,7 +579,7 @@ func (n *Node) session() (cause string, subscribed bool) {
 	var snap []byte // snapshot assembly buffer, nil when none in flight
 	var snapIdx uint64
 	for {
-		if n.isStopped() || n.isPromoted() {
+		if stopped(stop) || !n.readOnly.Load() {
 			return "stop", true
 		}
 		conn.SetReadDeadline(time.Now().Add(liveness))
@@ -653,19 +639,18 @@ func (n *Node) session() (cause string, subscribed bool) {
 // trace, so the distributed trace shows the follower's replay. An empty
 // cause means success.
 func (n *Node) applyFrames(f *serve.ReplFrames) string {
-	d := n.durable()
 	for i, frame := range f.Frames {
 		idx := f.First + uint64(i)
-		next := d.LoggedActivations()
+		next := n.LoggedActivations()
 		if idx < next {
-			n.met.duplicate()
+			n.met.duplicates.Inc()
 			continue
 		}
 		if idx > next {
 			n.log.Warn("frame gap", "got", idx, "log", next)
 			return "gap"
 		}
-		if n.isPromoted() {
+		if !n.readOnly.Load() {
 			// A promotion raced this batch: the log is sealed; do not
 			// apply replicated frames over locally accepted writes.
 			return "stop"
@@ -679,7 +664,7 @@ func (n *Node) applyFrames(f *serve.ReplFrames) string {
 			sp = n.cfg.Tracer.Start("repl.apply", trace.Context{TraceID: tid})
 			sp.AnnotateInt("frame", int64(idx))
 		}
-		err := d.ApplyFrameTraced(idx, frame, sp)
+		err := n.ApplyFrameTraced(idx, frame, sp)
 		if err != nil {
 			sp.Fail()
 		}
@@ -688,7 +673,7 @@ func (n *Node) applyFrames(f *serve.ReplFrames) string {
 			n.log.Error("apply failed", "frame", idx, "err", err, "trace", trace.FormatID(tid))
 			return "apply"
 		}
-		n.met.applied()
+		n.met.applied.Inc()
 	}
 	n.hmu.Lock()
 	if end := f.First + uint64(len(f.Frames)); end > n.primaryNext {
@@ -698,29 +683,18 @@ func (n *Node) applyFrames(f *serve.ReplFrames) string {
 	return ""
 }
 
-// restore bootstraps the follower from a fully assembled snapshot: the
-// wrapped network is closed, the durable directory is rebuilt around the
-// shipped checkpoint at index, and the new network swaps in. A snapshot
-// at or below the local cursor is ignored (the local log is already
-// further along).
+// restore bootstraps the follower from a fully assembled snapshot through
+// DurableNetwork.Restore. A snapshot at or below the local cursor is
+// ignored (the local log is already further along).
 func (n *Node) restore(snap []byte, index uint64) string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if index <= n.d.LoggedActivations() {
+	if index <= n.LoggedActivations() {
 		return ""
 	}
-	dir, cfg := n.d.Dir(), n.cfg.Durable
-	if err := n.d.Close(); err != nil {
-		n.log.Error("closing pre-snapshot state failed", "err", err)
-		return "apply"
-	}
-	d, err := anc.RestoreDurable(snap, index, dir, cfg)
-	if err != nil {
+	if err := n.Restore(snap, index); err != nil {
 		n.log.Error("snapshot restore failed", "err", err)
 		return "apply"
 	}
-	n.d = d
-	n.met.restored()
+	n.met.restores.Inc()
 	n.log.Info("bootstrapped from snapshot", "frame", index)
 	return ""
 }

@@ -107,7 +107,6 @@ func newFollower(t *testing.T, addr, name string, dcfg anc.DurableConfig, tweak 
 	}
 	cfg := Config{
 		Upstream:     addr,
-		Durable:      dcfg,
 		Heartbeat:    20 * time.Millisecond,
 		ReconnectMin: 5 * time.Millisecond,
 		ReconnectMax: 100 * time.Millisecond,
@@ -154,7 +153,7 @@ func waitCause(t *testing.T, n *Node, want string) {
 func saveBytes(t *testing.T, n *Node) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := n.Durable().Unwrap().Save(&buf); err != nil {
+	if err := n.Unwrap().Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

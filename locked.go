@@ -36,12 +36,19 @@ type lockedNetwork struct {
 	rank *analytics.RankCache
 }
 
-// wrap puts net behind a zero-valued lock layer — the facades' constructors
-// call it before the value is shared. It enables net's materialized
-// clustering cache and analytics layer and keeps their probe handles, so
-// hits bypass the lock entirely.
+// wrap puts net behind the lock layer. The first call, before the facade
+// is shared, enables net's clustering cache and analytics layer and keeps
+// their probe handles, so hits bypass the lock. A later one (a durable
+// reset, under the exclusive lock) hands net those same instances: the
+// fields are written once, so lock-free probes never race a write, and
+// the caches' counters stay monotone.
 func (l *lockedNetwork) wrap(net *Network) {
-	l.net, l.cache, l.rank = net, net.inner.EnableClusterCache(), net.inner.EnableAnalytics()
+	if l.net == nil {
+		l.cache, l.rank = net.inner.EnableClusterCache(), net.inner.EnableAnalytics()
+	} else {
+		net.inner.AdoptCaches(l.cache, l.rank)
+	}
+	l.net = net
 }
 
 // N returns the node count.

@@ -1,6 +1,7 @@
 package anc
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -14,7 +15,7 @@ import (
 // This file is the durable layer's replication surface: the hooks a
 // primary needs to ship its committed WAL frames (Dir, FrameSignal,
 // NewestCheckpoint) and the hooks a follower needs to replay them
-// byte-identically (ApplyFrame, RestoreDurable). Replication rides
+// byte-identically (ApplyFrame, Restore). Replication rides
 // entirely on the existing durability machinery — a follower is just a
 // DurableNetwork whose frames arrive over the wire instead of from local
 // Activate calls, so crash recovery, checkpoint retention and the
@@ -105,40 +106,70 @@ func (d *DurableNetwork) ApplyFrameTraced(index uint64, payload []byte, sp trace
 // duplicate) or resubscribe (gap).
 var ErrFrameGap = errors.New("anc: replicated frame out of sequence")
 
-// RestoreDurable builds a durable network in dir from a checkpoint
-// snapshot shipped over the wire: the follower bootstrap path when its
-// local log is too far behind the primary's retained segments. Any
-// existing durable state in dir is discarded first (it is strictly older
-// than the snapshot), the snapshot is persisted as checkpoint-<index>.snap
-// via the same temp/fsync/rename dance writeCheckpoint uses, and the WAL
-// reopens at exactly index so the next replicated frame lines up.
-func RestoreDurable(snapshot []byte, index uint64, dir string, cfg DurableConfig) (*DurableNetwork, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	entries, err := os.ReadDir(dir)
+// Restore resets the network, in place, to a checkpoint snapshot of the
+// same relation graph shipped over the wire: the follower bootstrap when
+// its log has fallen below the primary's retained segments. It is a no-op
+// when the log already reaches index, and returns ErrClosed after Close.
+// The snapshot is decoded off the lock; then, under the exclusive lock,
+// the log is closed, the directory's (older) durable state is discarded,
+// the snapshot is persisted as checkpoint-<index>.snap, and reset reopens
+// the log at index. Readers see the old state or the new one; the caches
+// they probe, and their counters, carry over. A failure once the old log
+// is closed leaves the network closed, answering from the old state.
+//
+//anclint:ignore lockdiscipline the decode runs off the lock on purpose; restore, the exclusive section, takes it itself
+func (d *DurableNetwork) Restore(snapshot []byte, index uint64) error {
+	net, err := Load(bytes.NewReader(snapshot))
 	if err != nil {
-		return nil, err
+		return err
+	}
+	spare, err := d.restore(net, snapshot, index)
+	spare.Close()
+	return err
+}
+
+// restore is Restore's exclusive section. It returns the core network
+// for the caller to release: the old one once net is in, else net.
+func (d *DurableNetwork) restore(net *Network, snapshot []byte, index uint64) (*Network, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	old := d.net
+	switch {
+	case d.closed:
+		return net, ErrClosed
+	case index <= d.w.NextIndex():
+		return net, nil
+	case net.N() != old.N() || net.M() != old.M() || net.Levels() != old.Levels():
+		return net, fmt.Errorf("anc: snapshot of a %d-node, %d-edge network does not fit this %d-node, %d-edge one",
+			net.N(), net.M(), old.N(), old.M())
+	}
+	d.closed = true // the old log goes first; only a completed reset reopens one
+	if err := d.w.Close(); err != nil {
+		return net, err
+	}
+	entries, err := os.ReadDir(d.dir)
+	if err != nil {
+		return net, err
 	}
 	for _, e := range entries {
 		name := e.Name()
 		if strings.HasSuffix(name, ".wal") || strings.HasSuffix(name, ".snap") ||
 			strings.HasSuffix(name, ".corrupt") || name == "checkpoint.tmp" {
-			if err := os.Remove(filepath.Join(dir, name)); err != nil {
-				return nil, err
+			if err := os.Remove(filepath.Join(d.dir, name)); err != nil {
+				return net, err
 			}
 		}
 	}
-	err = writeCheckpoint(dir, index, func(w io.Writer) error {
+	err = writeCheckpoint(d.dir, index, func(w io.Writer) error {
 		_, err := w.Write(snapshot)
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return net, err
 	}
-	net, err := loadCheckpoint(filepath.Join(dir, checkpointName(index)))
-	if err != nil {
-		return nil, err
+	if err := d.reset(net, index); err != nil {
+		return net, err
 	}
-	return openDurable(net, dir, index, cfg)
+	d.closed = false
+	return old, nil
 }
