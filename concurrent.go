@@ -12,7 +12,8 @@ import (
 // activations serialize — the deployment shape of the paper's online
 // scenario (one ingest stream, many query clients). The query surface is
 // the embedded lock layer's (see lockedNetwork); this type adds in-memory
-// ingest, zoom views and Save.
+// ingest and Save. A zooming caller holds its level and asks
+// Clusters(level) / ClusterOf(v, level).
 type ConcurrentNetwork struct {
 	lockedNetwork
 }
@@ -66,47 +67,6 @@ func (c *ConcurrentNetwork) Instrument(reg *obs.Registry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.net.Instrument(reg)
-}
-
-// ConcurrentView is a zoomable navigator over a ConcurrentNetwork. Zoom
-// state is per-view (not shared), and every query takes the network's
-// shared lock, so any number of views may be used from any goroutines as
-// long as each individual view stays on one goroutine at a time.
-type ConcurrentView struct {
-	c    *ConcurrentNetwork
-	view *View
-}
-
-// View opens a navigator positioned at the Θ(√n) granularity (shared
-// lock).
-func (c *ConcurrentNetwork) View() *ConcurrentView {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return &ConcurrentView{c: c, view: c.net.View()}
-}
-
-// Level reports the navigator's current granularity level.
-func (v *ConcurrentView) Level() int { return v.view.Level() }
-
-// ZoomIn moves one level finer; false at the finest level.
-func (v *ConcurrentView) ZoomIn() bool { return v.view.ZoomIn() }
-
-// ZoomOut moves one level coarser; false at the coarsest level.
-func (v *ConcurrentView) ZoomOut() bool { return v.view.ZoomOut() }
-
-// Clusters reports all clusters at the current level (shared lock).
-func (v *ConcurrentView) Clusters() [][]int {
-	v.c.mu.RLock()
-	defer v.c.mu.RUnlock()
-	return v.view.Clusters()
-}
-
-// ClusterOf reports the cluster containing x at the current level (shared
-// lock).
-func (v *ConcurrentView) ClusterOf(x int) []int {
-	v.c.mu.RLock()
-	defer v.c.mu.RUnlock()
-	return v.view.ClusterOf(x)
 }
 
 // Close releases the index worker pool (exclusive lock).

@@ -2,6 +2,7 @@ package anc
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -73,8 +74,9 @@ func TestConcurrentNetworkRace(t *testing.T) {
 
 // TestConcurrentBatchIngestRace drives ActivateBatch against concurrent
 // readers of Clusters/ClusterOf/EstimateDistance and the parity wrappers
-// (Activeness, EstimateAttraction, View); run with -race to verify every
-// batch happens under one exclusive lock acquisition.
+// (Activeness, EstimateAttraction), each reader zooming over the levels as
+// a caller-held level; run with -race to verify every batch happens under
+// one exclusive lock acquisition.
 func TestConcurrentBatchIngestRace(t *testing.T) {
 	n, edges := barbell()
 	cfg := testConfig()
@@ -105,7 +107,7 @@ func TestConcurrentBatchIngestRace(t *testing.T) {
 		wg.Add(1)
 		go func(q int) {
 			defer wg.Done()
-			view := c.View()
+			level := c.SqrtLevel()
 			for i := 0; i < 80; i++ {
 				c.Clusters(c.SqrtLevel())
 				if len(c.ClusterOf(q, 2)) == 0 {
@@ -118,10 +120,12 @@ func TestConcurrentBatchIngestRace(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				view.Clusters()
-				view.ClusterOf(q)
-				view.ZoomIn()
-				view.ZoomOut()
+				c.Clusters(level)
+				if len(c.ClusterOf(q, level)) == 0 {
+					t.Errorf("empty cluster of %d at level %d", q, level)
+					return
+				}
+				level = 1 + (level+q)%c.Levels()
 			}
 		}(q)
 	}
@@ -191,5 +195,114 @@ func TestConcurrentServeShapeRace(t *testing.T) {
 	wg.Wait()
 	if st := c.Stats(); st.Activations != 240 || st.Now != 159 {
 		t.Fatalf("final stats %+v", st)
+	}
+}
+
+// TestTieRankPerClusterConsistent: a lock-free per-cluster TieRank pairs
+// a rank snapshot with a clustering snapshot, read by two loads, and both
+// must belong to the same write. One writer with strictly increasing batch
+// times keeps the tracked level flipping and records, per Now, the
+// clustering its write left; readers check that every per-cluster group of
+// every reply is the matching cluster of the clustering recorded at the
+// reply's Now. Run under -race by make race.
+func TestTieRankPerClusterConsistent(t *testing.T) {
+	net, edges := seededCacheNetwork(t, 13, 64)
+	c := NewConcurrent(net)
+	defer c.Close()
+	n, level := c.N(), c.SqrtLevel()
+
+	var mu sync.Mutex
+	recorded := map[float64][][]int{c.Now(): c.Clusters(level)}
+	// check reports whether the reply is consistent; ok is false when its
+	// Now is not recorded yet (the writer records after its write returns).
+	check := func(res TieRankResult) (consistent, ok bool) {
+		mu.Lock()
+		want, ok := recorded[res.Now]
+		mu.Unlock()
+		if !ok {
+			return false, false
+		}
+		if len(res.Clusters) != len(want) {
+			return false, true
+		}
+		for i, g := range res.Clusters {
+			in := map[int]bool{}
+			for _, v := range want[i] {
+				in[v] = true
+			}
+			if len(g) != len(want[i]) {
+				return false, true
+			}
+			for _, e := range g {
+				if !in[e.Node] {
+					return false, true
+				}
+			}
+		}
+		return true, true
+	}
+
+	var replies, mixed atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	pending := make([][]TieRankResult, 4)
+	for r := range pending {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				res := c.TieRank(level, n)
+				replies.Add(1)
+				if consistent, ok := check(res); !ok {
+					pending[r] = append(pending[r], res)
+				} else if !consistent {
+					mixed.Add(1)
+				}
+			}
+		}(r)
+	}
+
+	// canonClusters sorts in place, so it gets its own copy, not the
+	// recorded one the readers compare against.
+	swaps, last, now := 0, canonClusters(c.Clusters(level)), c.Now()
+	for i := 0; i < 100; i++ {
+		hot := edges[(i%2)*12 : (i%2)*12+12]
+		now += 3
+		batch := make([]Activation, 0, 2*len(hot))
+		for j := 0; j < 2*len(hot); j++ {
+			e := hot[j%len(hot)]
+			batch = append(batch, Activation{U: e[0], V: e[1], T: now})
+		}
+		if err := c.ActivateBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		cl := c.Clusters(level)
+		mu.Lock()
+		recorded[now] = cl
+		mu.Unlock()
+		if got := canonClusters(c.Clusters(level)); got != last {
+			swaps, last = swaps+1, got
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	for _, rs := range pending {
+		for _, res := range rs {
+			if consistent, ok := check(res); !ok || !consistent {
+				mixed.Add(1)
+			}
+		}
+	}
+	if swaps < 20 {
+		t.Fatalf("the tracked level changed %d times in 100 batches: the workload does not flip it", swaps)
+	}
+	if m := mixed.Load(); m != 0 {
+		t.Fatalf("%d of %d per-cluster TieRank replies pair a rank and a clustering from different writes", m, replies.Load())
 	}
 }

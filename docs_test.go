@@ -2,6 +2,9 @@ package anc_test
 
 import (
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -16,7 +19,9 @@ import (
 // benchmark metric and a results file. Each mention must resolve against the one
 // place that defines it (Makefile rules, cmd/ancbench's run(...) calls,
 // BENCHMARK.json — which benchmark.TestSpecMatchesJSON holds equal to
-// benchmark/spec.go — and the working tree). Every fuzz-smoke line of the
+// benchmark/spec.go — and the working tree), and a backticked Go name of the
+// anc, serve or client package (`pkg.Name` or `pkg.Type.Member`) must be
+// declared in that package's non-test sources. Every fuzz-smoke line of the
 // Makefile must name a fuzz function its package declares. In the newest CHANGES.md
 // entry — the line the next session starts from — a backticked file path
 // must exist in the working tree; older entries are history and
@@ -75,9 +80,59 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		}
 	}
 
-	if len(targets) == 0 || len(experiments) < 2 || len(workloads) == 0 || len(metrics) == 0 || len(fuzz) == 0 {
-		t.Fatalf("empty name table: %d targets, %d experiments, %d workloads, %d metrics, %d fuzz targets",
-			len(targets), len(experiments), len(workloads), len(metrics), len(fuzz))
+	// declared holds pkg.Name for every top-level declaration and
+	// pkg.Type.Member for every method and named struct field of the three
+	// packages the docs name Go identifiers from. A promoted member is
+	// named on the type that declares it.
+	declared := map[string]bool{}
+	for pkg, dir := range map[string]string{"anc": ".", "serve": "internal/serve", "client": "internal/serve/client"} {
+		files, _ := filepath.Glob(dir + "/*.go")
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					name := d.Name.Name
+					if d.Recv != nil {
+						recv := d.Recv.List[0].Type
+						if star, ok := recv.(*ast.StarExpr); ok {
+							recv = star.X
+						}
+						name = recv.(*ast.Ident).Name + "." + name
+					}
+					declared[pkg+"."+name] = true
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch sp := spec.(type) {
+						case *ast.TypeSpec:
+							declared[pkg+"."+sp.Name.Name] = true
+							if st, ok := sp.Type.(*ast.StructType); ok {
+								for _, field := range st.Fields.List {
+									for _, n := range field.Names {
+										declared[pkg+"."+sp.Name.Name+"."+n.Name] = true
+									}
+								}
+							}
+						case *ast.ValueSpec:
+							for _, n := range sp.Names {
+								declared[pkg+"."+n.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	if len(targets) == 0 || len(experiments) < 2 || len(workloads) == 0 || len(metrics) == 0 || len(fuzz) == 0 || len(declared) == 0 {
+		t.Fatalf("empty name table: %d targets, %d experiments, %d workloads, %d metrics, %d fuzz targets, %d Go names",
+			len(targets), len(experiments), len(workloads), len(metrics), len(fuzz), len(declared))
 	}
 
 	var comments []string
@@ -115,6 +170,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		// Backticked, shaped like a metric: layer.words_with_underscores,
 		// or words ending in a unit the end-to-end table uses.
 		{"benchmark metric", "`([a-z]+\\.[a-z0-9]+_[a-z0-9_]+|[a-z]+(?:_[a-z0-9]+)*_(?:s|ms|us|mb|share))`", in(metrics)},
+		{"Go name", "`((?:anc|serve|client)\\.[A-Z]\\w*(?:\\.[A-Z]\\w*)?)", in(declared)},
 		{"results file", `\b(BENCH_\w*(?:\.json)?|bench_results\w*(?:\.txt)?)`, func(name string) bool {
 			_, err := os.Stat(name)
 			return err == nil

@@ -1,8 +1,8 @@
 // Serveclient: the serving layer end to end in one process — an
 // ancserve-style TCP server over a small activation network on an
 // ephemeral port, and the typed client driving it: batched ingest,
-// clustering queries, change watching, and a zoom session, all over the
-// wire protocol (DESIGN.md §11).
+// clustering queries, change watching, and a client-side zoom view, all
+// over the wire protocol (DESIGN.md §11).
 //
 //	go run ./examples/serveclient
 package main
@@ -106,7 +106,8 @@ func main() {
 	}
 	fmt.Printf("node 0 saw %d membership changes (%d dropped)\n", len(events), dropped)
 
-	// A zoom session: server-side state keyed to this connection.
+	// A zoom view: the level lives in the client, each read is an
+	// ordinary Clusters/ClusterOf call at that level.
 	v, err := c.OpenView(ctx)
 	if err != nil {
 		log.Fatal(err)
@@ -125,10 +126,6 @@ func main() {
 			break
 		}
 	}
-	if err := v.Close(ctx); err != nil {
-		log.Fatal(err)
-	}
-
 	// Graceful drain: queued ingest commits, then the listener closes.
 	sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()

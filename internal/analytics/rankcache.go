@@ -48,6 +48,10 @@ func (c *RankCache) Get() (*Rank, bool) {
 	return nil, false
 }
 
+// Current reports whether r is still the published snapshot — a re-check
+// after a second lock-free load, not a probe, so it counts no hit.
+func (c *RankCache) Current(r *Rank) bool { return c != nil && c.snap.Load() == r }
+
 // Store publishes a freshly computed Rank. The caller must hold at
 // least the facade's shared lock (so no invalidation is concurrently in
 // flight) and r must be computed from the current state; concurrent

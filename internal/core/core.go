@@ -565,23 +565,23 @@ func (nw *Network) ClusterCache() *clustercache.Cache { return nw.cache }
 // before taking their locks. Idempotent.
 func (nw *Network) EnableAnalytics() *analytics.RankCache {
 	if nw.rank == nil {
-		nw.attachAnalytics(analytics.NewRankCache())
+		level := pyramid.SqrtLevel(nw.g.N())
+		if max := nw.ix.Levels(); level > max {
+			level = max
+		}
+		if level < 1 {
+			level = 1
+		}
+		nw.attachAnalytics(analytics.NewRankCache(), analytics.NewTracker(level, analytics.DefaultTrackerConfig()))
 	}
 	return nw.rank
 }
 
-// attachAnalytics makes r this network's rank cache and starts a fresh
-// evolution tracker seeded with the current clustering.
-func (nw *Network) attachAnalytics(r *analytics.RankCache) {
-	nw.rank = r
-	level := pyramid.SqrtLevel(nw.g.N())
-	if max := nw.ix.Levels(); level > max {
-		level = max
-	}
-	if level < 1 {
-		level = 1
-	}
-	nw.evo = analytics.NewTracker(level, analytics.DefaultTrackerConfig())
+// attachAnalytics makes r this network's rank cache and evo its evolution
+// tracker, seeded silently with the current clustering at evo's level.
+func (nw *Network) attachAnalytics(r *analytics.RankCache, evo *analytics.Tracker) {
+	nw.rank, nw.evo = r, evo
+	level := evo.Level()
 	vt := nw.ix.EnableVoteTracking()
 	vt.OnFlip(func(l int, e graph.EdgeID, _ bool) {
 		if l == level {
@@ -593,16 +593,18 @@ func (nw *Network) attachAnalytics(r *analytics.RankCache) {
 	nw.evo.Instrument(nw.reg)
 }
 
-// AdoptCaches is EnableClusterCache and EnableAnalytics over another
-// same-shaped network's caches, invalidated first: a facade restoring a
-// snapshot keeps the instances its lock-free readers probe, and their
-// counters. Neither cache may be enabled on nw yet. Exclusive-writer
-// context.
-func (nw *Network) AdoptCaches(c *clustercache.Cache, r *analytics.RankCache) {
-	c.InvalidateAll()
-	r.Invalidate()
-	nw.attachClusterCache(c)
-	nw.attachAnalytics(r)
+// AdoptCaches is EnableClusterCache and EnableAnalytics over the caches
+// and evolution tracker of from, a same-shaped network being replaced: a
+// facade restoring a snapshot keeps the instances its lock-free readers
+// probe, and their counters. The caches are invalidated first; the
+// tracker keeps its sequence, ring and drop total and is re-seeded
+// silently with nw's clustering. from must have both enabled, nw
+// neither. Exclusive-writer context.
+func (nw *Network) AdoptCaches(from *Network) {
+	from.cache.InvalidateAll()
+	from.rank.Invalidate()
+	nw.attachClusterCache(from.cache)
+	nw.attachAnalytics(from.rank, from.evo)
 }
 
 // RankCache returns the TieRank snapshot cache, or nil if

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -111,5 +112,73 @@ func repairDifferential(t *testing.T, g *graph.Graph, m Method, parallel bool) {
 	}
 	if _, seq, _ := shadow.Events(0); seq == 0 {
 		t.Fatal("the history emitted no evolution event")
+	}
+}
+
+// TestAdoptCachesKeepsEvolution: a network restored from a snapshot adopts
+// the evolution tracker of the one it replaces, so the sequence, the ring
+// and the drop total carry over. The restored clustering is seeded
+// silently: adopting emits nothing, and the next event numbers on.
+func TestAdoptCachesKeepsEvolution(t *testing.T) {
+	g := gen.PlantedPartition([]int{40, 40, 40, 40}, 0.2, 0.01, rand.New(rand.NewSource(1))).Graph
+	old, err := New(g, options(ANCO))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	old.EnableClusterCache()
+	old.EnableAnalytics()
+	level := old.EvolutionTracker().Level()
+
+	rng := rand.New(rand.NewSource(3))
+	now := 0.0
+	// ingest heats a fresh set of edges, so each call moves the clustering.
+	ingest := func(nw *Network) {
+		hot := make([]graph.EdgeID, 12)
+		for i := range hot {
+			hot[i] = graph.EdgeID(rng.Intn(g.M()))
+		}
+		for step := 0; step < 60; step++ {
+			batch := make([]Activation, 32)
+			for i := range batch {
+				now += 0.1
+				batch[i] = Activation{Edge: hot[rng.Intn(len(hot))], T: now}
+			}
+			if err := nw.ActivateBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ingest(old)
+	wantEv, wantSeq, wantDropped := old.EvolutionEvents(0)
+	if wantSeq == 0 {
+		t.Fatal("the history emitted no evolution event")
+	}
+
+	var snap bytes.Buffer
+	if err := old.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Load(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	restored.AdoptCaches(old)
+
+	gotEv, gotSeq, gotDropped := restored.EvolutionEvents(0)
+	if gotSeq < wantSeq {
+		t.Fatalf("adopted tracker restarted: seq %d, the replaced network's was %d", gotSeq, wantSeq)
+	}
+	if gotSeq != wantSeq || gotDropped != wantDropped || !reflect.DeepEqual(gotEv, wantEv) {
+		t.Fatalf("adopting changed the stream: seq %d → %d, dropped %d → %d, %d → %d events",
+			wantSeq, gotSeq, wantDropped, gotDropped, len(wantEv), len(gotEv))
+	}
+	if base := restored.EvolutionTracker().Baseline(); !reflect.DeepEqual(base.Labels, cluster.Power(restored.ix, level).Labels) {
+		t.Fatal("the adopted tracker is not seeded with the restored clustering")
+	}
+	ingest(restored)
+	if evs, seq, _ := restored.EvolutionEvents(wantSeq); seq <= wantSeq || len(evs) == 0 || evs[0].Seq != wantSeq+1 {
+		t.Fatalf("after adopting, the next events do not number on from %d: seq %d, %d events", wantSeq, seq, len(evs))
 	}
 }

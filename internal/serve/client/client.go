@@ -10,7 +10,6 @@ package client
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -55,8 +54,7 @@ func WithTracer(t *trace.Tracer) Option {
 // — the two cases where the same bytes can safely be asked again. Ingest
 // (ActivateBatch) is NEVER retried: a write whose reply was lost may have
 // been applied, and replaying it would double activations. Mutating ops
-// (watch, drain-events, promote) and view calls (whose session dies with
-// the connection) are likewise excluded.
+// (watch, drain-events, promote) are likewise excluded.
 func WithRetry(attempts int, min, max time.Duration) Option {
 	return func(c *Client) {
 		if attempts < 1 {
@@ -88,10 +86,6 @@ type Client struct {
 	br     *bufio.Reader
 	bw     *bufio.Writer
 	nextID uint64
-	// epoch counts connections: connectLocked bumps it, and a View is good
-	// only on the connection it was opened on (the server numbers views per
-	// connection, restarting at 1).
-	epoch uint64
 }
 
 // Dial connects to an ancserve server and performs the version handshake.
@@ -133,7 +127,6 @@ func (c *Client) connectLocked() error {
 	c.conn = conn
 	c.br = br
 	c.bw = bufio.NewWriter(conn)
-	c.epoch++
 	return nil
 }
 
@@ -159,26 +152,13 @@ func (c *Client) Close() error {
 	return err
 }
 
-// ErrViewLost is returned by calls on a View whose connection has since
-// been closed or replaced: its server-side session died with it, and the
-// same view ID on the new connection is someone else's session.
-var ErrViewLost = errors.New("client: view lost with its connection; open a new one")
-
 // call runs one request, resending it per WithRetry when the op's row in
 // the wire's op table says an identical resend is safe. Without WithRetry
 // it is exactly one attempt.
 func (c *Client) call(ctx context.Context, req *serve.Request) (*serve.Response, error) {
-	resp, _, err := c.callOn(ctx, req, 0)
-	return resp, err
-}
-
-// callOn is call pinned to a connection: a nonzero epoch must still be the
-// live connection's, or the call fails with ErrViewLost before touching
-// the wire. It also returns the epoch the exchange ran on.
-func (c *Client) callOn(ctx context.Context, req *serve.Request, epoch uint64) (*serve.Response, uint64, error) {
-	resp, on, err := c.attempt(ctx, req, epoch)
+	resp, err := c.attempt(ctx, req)
 	if c.retries == 0 || !serve.ResendSafe(req.Op) || !retryable(err) {
-		return resp, on, err
+		return resp, err
 	}
 	// One Backoff per retrying call: queries run concurrently across
 	// goroutines, and a Backoff is single-owner by contract. Seed 0 =
@@ -189,27 +169,24 @@ func (c *Client) callOn(ctx context.Context, req *serve.Request, epoch uint64) (
 		select {
 		case <-ctx.Done():
 			timer.Stop()
-			return nil, 0, ctx.Err()
+			return nil, ctx.Err()
 		case <-timer.C:
 		}
-		resp, on, err = c.attempt(ctx, req, epoch)
+		resp, err = c.attempt(ctx, req)
 	}
-	return resp, on, err
+	return resp, err
 }
 
 // attempt runs one request/response exchange. A server error reply comes
 // back as *serve.WireError; transport errors drop the connection so the
 // next call redials. When a tracer samples the call, a client-side span
 // wraps the exchange and its context rides the request.
-func (c *Client) attempt(ctx context.Context, req *serve.Request, epoch uint64) (*serve.Response, uint64, error) {
+func (c *Client) attempt(ctx context.Context, req *serve.Request) (*serve.Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if epoch != 0 && (c.conn == nil || c.epoch != epoch) {
-		return nil, 0, ErrViewLost
-	}
 	if c.conn == nil {
 		if err := c.connectLocked(); err != nil { //anclint:ignore lockorder c.mu is the connection serializer; DialTimeout bounds the hold
-			return nil, 0, err
+			return nil, err
 		}
 	}
 	var sp trace.SpanHandle
@@ -222,7 +199,7 @@ func (c *Client) attempt(ctx context.Context, req *serve.Request, epoch uint64) 
 		sp.Fail()
 	}
 	sp.End()
-	return resp, c.epoch, err
+	return resp, err
 }
 
 // exchangeLocked is attempt's wire half: deadline, write, read, validate.
@@ -429,74 +406,51 @@ func (c *Client) DrainEvents(ctx context.Context) ([]anc.ClusterEvent, uint64, e
 	return resp.Events, resp.Dropped, nil
 }
 
-// View is a server-side zoom session bound to the connection it was opened
-// on. Its state does not survive a reconnect: once that connection is
-// closed or broken, calls on the view fail with ErrViewLost without
-// touching the wire.
+// View is a zoom position over the server's granularity levels. The level
+// lives in the View, so a zoom costs no round trip, and its reads are the
+// plain Clusters/ClusterOf ops at that level: resend-safe under WithRetry
+// and good across reconnects. A View is not safe for concurrent use.
 type View struct {
-	c     *Client
-	id    uint32
-	epoch uint64 // the Client.epoch of the connection that holds the session
-	level int
+	c      *Client
+	level  int
+	levels int
 }
 
-// OpenView opens a zoom session positioned at the server's Θ(√n) level.
+// OpenView opens a view positioned at the server's Θ(√n) level.
 func (c *Client) OpenView(ctx context.Context) (*View, error) {
-	resp, epoch, err := c.callOn(ctx, &serve.Request{Op: serve.OpViewOpen}, 0)
+	st, err := c.Stats(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return &View{c: c, id: resp.View, epoch: epoch, level: int(resp.Level)}, nil
+	return &View{c: c, level: int(st.SqrtLevel), levels: int(st.Levels)}, nil
 }
 
-// Level reports the view's granularity level as of the last server reply.
+// Level reports the view's granularity level.
 func (v *View) Level() int { return v.level }
 
-// ZoomIn moves one level finer; false at the finest level.
-func (v *View) ZoomIn(ctx context.Context) (bool, error) {
-	return v.zoom(ctx, serve.OpViewZoomIn)
-}
+// ZoomIn moves one level finer; false at the finest level. It never
+// touches the wire, so the error is always nil.
+func (v *View) ZoomIn(context.Context) (bool, error) { return v.zoom(v.level + 1), nil }
 
-// ZoomOut moves one level coarser; false at the coarsest level.
-func (v *View) ZoomOut(ctx context.Context) (bool, error) {
-	return v.zoom(ctx, serve.OpViewZoomOut)
-}
+// ZoomOut moves one level coarser; false at the coarsest level. It never
+// touches the wire, so the error is always nil.
+func (v *View) ZoomOut(context.Context) (bool, error) { return v.zoom(v.level - 1), nil }
 
-// call runs one request on the view's own connection, or fails.
-func (v *View) call(ctx context.Context, req *serve.Request) (*serve.Response, error) {
-	resp, _, err := v.c.callOn(ctx, req, v.epoch)
-	return resp, err
-}
-
-func (v *View) zoom(ctx context.Context, op uint8) (bool, error) {
-	resp, err := v.call(ctx, &serve.Request{Op: op, View: v.id})
-	if err != nil {
-		return false, err
+// zoom moves the view to next when it lies within [1, levels].
+func (v *View) zoom(next int) bool {
+	if next < 1 || next > v.levels {
+		return false
 	}
-	v.level = int(resp.Level)
-	return resp.Moved, nil
+	v.level = next
+	return true
 }
 
-// Clusters reports all clusters at the view's current level.
+// Clusters reports all clusters at the view's level.
 func (v *View) Clusters(ctx context.Context) ([][]int, error) {
-	resp, err := v.call(ctx, &serve.Request{Op: serve.OpViewClusters, View: v.id})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Clusters, nil
+	return v.c.Clusters(ctx, v.level)
 }
 
-// ClusterOf reports the cluster containing x at the view's current level.
+// ClusterOf reports the cluster containing x at the view's level.
 func (v *View) ClusterOf(ctx context.Context, x int) ([]int, error) {
-	resp, err := v.call(ctx, &serve.Request{Op: serve.OpViewClusterOf, View: v.id, Node: uint32(x)})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Members, nil
-}
-
-// Close releases the server-side session.
-func (v *View) Close(ctx context.Context) error {
-	_, err := v.call(ctx, &serve.Request{Op: serve.OpViewClose, View: v.id})
-	return err
+	return v.c.ClusterOf(ctx, x, v.level)
 }

@@ -205,8 +205,9 @@ func TestRetryContextCancel(t *testing.T) {
 	}
 }
 
-// startReal serves a 16-node ring from a real serve.Server with metrics on.
-func startReal(t *testing.T) (*Client, *obs.Registry) {
+// startReal serves a 16-node ring from a real serve.Server with metrics on;
+// cfg adds the rest of the server's configuration (e.g. a label table).
+func startReal(t *testing.T, cfg serve.Config) (*Client, *obs.Registry) {
 	t.Helper()
 	var ring [][2]int
 	for i := 0; i < 16; i++ {
@@ -217,7 +218,8 @@ func startReal(t *testing.T) (*Client, *obs.Registry) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	s := serve.New(anc.NewConcurrent(nw), serve.Config{Obs: reg})
+	cfg.Obs = reg
+	s := serve.New(anc.NewConcurrent(nw), cfg)
 	if err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -230,25 +232,89 @@ func startReal(t *testing.T) (*Client, *obs.Registry) {
 	return c, reg
 }
 
-// TestStaleViewFailsTyped: view IDs restart at 1 on every connection, so a
-// view that outlived its connection would alias whichever view the new
-// connection opens next. It must fail typed, before the wire, and leave
-// that other session alone.
-func TestStaleViewFailsTyped(t *testing.T) {
-	c, _ := startReal(t)
-	ctx := context.Background()
-	v1, err1 := c.OpenView(ctx)
-	c.Close()
-	v2, err2 := c.OpenView(ctx)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
+// TestViewIsClientSide: a View opens at the server's √n level, zooms
+// within [1, Levels] exactly as the server-side sessions it replaces did
+// (moved and one level per step inside, false and unchanged at either
+// end), reads what the plain Clusters/ClusterOf ops answer at its level —
+// in file labels when the server has a label table — and keeps working
+// after the client's connection is closed.
+func TestViewIsClientSide(t *testing.T) {
+	labels := map[int64]int32{}
+	for v := int32(0); v < 16; v++ {
+		labels[1000+7*int64(v)] = v
 	}
-	if moved, err := v1.ZoomIn(ctx); !errors.Is(err, ErrViewLost) || moved {
-		t.Fatalf("stale view zoomed: moved=%v err=%v, want ErrViewLost", moved, err)
-	}
-	start := v2.Level()
-	if moved, err := v2.ZoomOut(ctx); err != nil || !moved || v2.Level() != start-1 {
-		t.Fatalf("v2 zoom-out from %d: moved=%v level=%d err=%v; the stale view moved it", start, moved, v2.Level(), err)
+	for name, cfg := range map[string]serve.Config{"dense": {}, "labels": {Labels: labels}} {
+		t.Run(name, func(t *testing.T) {
+			c, _ := startReal(t, cfg)
+			ctx := context.Background()
+			nodes := []int{0, 5, 15}
+			if cfg.Labels != nil {
+				nodes = []int{1000, 1035, 1105}
+			}
+			st, err := c.Stats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := c.OpenView(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.Level() != int(st.SqrtLevel) {
+				t.Fatalf("view opened at %d, want SqrtLevel %d", v.Level(), st.SqrtLevel)
+			}
+			// reads checks the view against the plain ops at its level.
+			reads := func() {
+				t.Helper()
+				got, err := v.Clusters(ctx)
+				want, werr := c.Clusters(ctx, v.Level())
+				if err != nil || werr != nil || !reflect.DeepEqual(got, want) {
+					t.Fatalf("level %d: view clusters %v (%v), Clusters %v (%v)", v.Level(), got, err, want, werr)
+				}
+				for _, x := range nodes {
+					got, err := v.ClusterOf(ctx, x)
+					want, werr := c.ClusterOf(ctx, x, v.Level())
+					if err != nil || werr != nil || len(got) == 0 || !reflect.DeepEqual(got, want) {
+						t.Fatalf("level %d: view ClusterOf(%d) %v (%v), ClusterOf %v (%v)", v.Level(), x, got, err, want, werr)
+					}
+				}
+			}
+			// zoom steps until the view stops, checking every move.
+			zoom := func(step func(context.Context) (bool, error), delta int) {
+				t.Helper()
+				for {
+					before := v.Level()
+					moved, err := step(ctx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !moved {
+						if v.Level() != before {
+							t.Fatalf("refused zoom moved the level %d -> %d", before, v.Level())
+						}
+						return
+					}
+					if v.Level() != before+delta {
+						t.Fatalf("zoom by %d moved the level %d -> %d", delta, before, v.Level())
+					}
+					reads()
+				}
+			}
+			reads()
+			zoom(v.ZoomIn, +1)
+			if v.Level() != int(st.Levels) {
+				t.Fatalf("finest reachable level %d, want %d", v.Level(), st.Levels)
+			}
+			zoom(v.ZoomOut, -1)
+			if v.Level() != 1 {
+				t.Fatalf("coarsest reachable level %d, want 1", v.Level())
+			}
+			// The level outlives the connection: the next read redials.
+			c.Close()
+			if moved, err := v.ZoomIn(ctx); err != nil || !moved || v.Level() != 2 {
+				t.Fatalf("zoom after Close: moved=%v level=%d err=%v", moved, v.Level(), err)
+			}
+			reads()
+		})
 	}
 }
 
@@ -258,7 +324,7 @@ func TestStaleViewFailsTyped(t *testing.T) {
 // wire's table without a client method stays at 0. A typed server reply
 // (replication and tracing are off) still proves the round trip.
 func TestEveryOpHasAClientMethod(t *testing.T) {
-	c, reg := startReal(t)
+	c, reg := startReal(t, serve.Config{})
 	ctx := reflect.ValueOf(context.Background())
 	v, err := c.OpenView(context.Background())
 	if err != nil {

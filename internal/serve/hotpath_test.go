@@ -28,29 +28,24 @@ func TestHotPathAllocs(t *testing.T) {
 		t.Errorf("frame header kernels: %v allocs/op, want 0", n)
 	}
 
-	m := newServerMetrics(obs.NewRegistry(), &Server{})
-	if n := testing.AllocsPerRun(1000, func() {
-		m.request(OpActivateBatch)
-		m.observe(OpActivateBatch, 1e-4)
-		m.observe(OpClusters, 2e-4)
-		m.readBytes(128)
-		m.wroteBytes(256)
-		m.connOpened()
-		m.connClosed()
-		m.slow()
-	}); n != 0 {
-		t.Errorf("serverMetrics handles: %v allocs/op, want 0", n)
-	}
-
-	// Observability off: a nil *serverMetrics must also be free.
-	var off *serverMetrics
-	if n := testing.AllocsPerRun(1000, func() {
-		off.request(OpActivateBatch)
-		off.observe(OpClusters, 1e-4)
-		off.readBytes(1)
-		off.wroteBytes(1)
-	}); n != 0 {
-		t.Errorf("nil serverMetrics: %v allocs/op, want 0", n)
+	// The per-request handle calls the server makes, with observability on
+	// and off (every handle nil).
+	for _, reg := range []*obs.Registry{obs.NewRegistry(), nil} {
+		m := newServerMetrics(reg, &Server{})
+		if n := testing.AllocsPerRun(1000, func() {
+			m.requests[OpActivateBatch].Inc()
+			m.ingestSeconds.Observe(1e-4)
+			m.querySeconds.Observe(2e-4)
+			m.queueWaitSeconds.Observe(1e-5)
+			m.replySeconds.Observe(1e-5)
+			m.bytesRead.Add(128)
+			m.bytesWritten.Add(256)
+			m.connections.Inc()
+			m.connections.Dec()
+			m.slowRequests.Inc()
+		}); n != 0 {
+			t.Errorf("serverMetrics handles (registry %v): %v allocs/op, want 0", reg != nil, n)
+		}
 	}
 
 	// No label table (the dense path): the two translate calls every

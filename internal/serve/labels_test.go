@@ -105,11 +105,6 @@ func TestServerLabelTranslation(t *testing.T) {
 		labelClusters(twin.EvenClusters(level)); !reflect.DeepEqual(got, want) {
 		t.Fatalf("even clusters: %v, want %v", got, want)
 	}
-	view := c.rpc(&Request{Op: OpViewOpen})
-	if got, want := c.rpc(&Request{Op: OpViewClusters, View: view.View}).Clusters,
-		labelClusters(twin.Clusters(level)); !reflect.DeepEqual(got, want) {
-		t.Fatalf("view clusters: %v, want %v", got, want)
-	}
 	for v, label := range testLabels {
 		node := uint32(label)
 		if got, want := c.rpc(&Request{Op: OpClusterOf, Node: node, Level: int32(level)}).Members,
@@ -119,10 +114,6 @@ func TestServerLabelTranslation(t *testing.T) {
 		if got, want := c.rpc(&Request{Op: OpSmallestClusterOf, Node: node}).Members,
 			labelMembers(twin.SmallestClusterOf(v)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("smallestClusterOf(%d): %v, want %v", label, got, want)
-		}
-		if got, want := c.rpc(&Request{Op: OpViewClusterOf, View: view.View, Node: node}).Members,
-			labelMembers(twin.ClusterOf(v, level)); !reflect.DeepEqual(got, want) {
-			t.Fatalf("view clusterOf(%d): %v, want %v", label, got, want)
 		}
 		u := (v + 3) % len(testLabels)
 		if got, want := c.rpc(&Request{Op: OpEstimateDistance, U: node, V: uint32(testLabels[u])}).Value,

@@ -3,9 +3,9 @@ package serve
 import "anc/internal/obs"
 
 // serverMetrics are the serving layer's observability handles, registered
-// under the anc_serve_* families (see DESIGN.md §12). A nil *serverMetrics
-// (the default — no Config.Obs) disables them; every method is nil-safe,
-// so the request loop pays one predictable branch per site when
+// under the anc_serve_* families (see DESIGN.md §12). Without Config.Obs
+// every handle is nil, and obs handles are nil-safe, so the request loop
+// calls them unconditionally and pays one predictable branch per site when
 // observability is off.
 type serverMetrics struct {
 	// requests is indexed by wire op: the per-op children of
@@ -39,12 +39,9 @@ type serverMetrics struct {
 }
 
 // newServerMetrics registers the serve metric families on reg (nil reg →
-// nil metrics, observability off). The server's live admission and queue
+// nil handles, observability off). The server's live admission and queue
 // gauges are sampled at scrape time straight from its atomics.
 func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
-	if reg == nil {
-		return nil
-	}
 	m := &serverMetrics{
 		errors: reg.CounterVec("anc_serve_errors_total",
 			"error replies sent, by wire error code", "code"),
@@ -69,8 +66,11 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		"requests handled, by wire op", "op")
 	// Resolve every op's child now so each series exists (at 0) from the
 	// first scrape and the request path is a plain indexed atomic add.
-	for op := uint8(1); op < uint8(opMax); op++ {
-		m.requests[op] = requests.With(OpName(op))
+	// Reserved numbers have no row, no series and a nil handle.
+	for op, row := range opTable {
+		if row.name != "" {
+			m.requests[op] = requests.With(row.name)
+		}
 	}
 	reg.GaugeFunc("anc_serve_inflight",
 		"requests currently holding an admission slot",
@@ -79,89 +79,4 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		"batches waiting in the ingest queue",
 		func() float64 { return float64(s.queued.Load()) })
 	return m
-}
-
-//anclint:hotpath
-func (m *serverMetrics) request(op uint8) {
-	if m == nil {
-		return
-	}
-	if op < uint8(opMax) {
-		m.requests[op].Inc()
-	}
-}
-
-func (m *serverMetrics) errored(code uint8) {
-	if m == nil {
-		return
-	}
-	m.errors.With(errCodeName(code)).Inc()
-}
-
-//anclint:hotpath
-func (m *serverMetrics) observe(op uint8, seconds float64) {
-	if m == nil {
-		return
-	}
-	if op == OpActivateBatch {
-		m.ingestSeconds.Observe(seconds)
-	} else {
-		m.querySeconds.Observe(seconds)
-	}
-}
-
-//anclint:hotpath
-func (m *serverMetrics) queueWait(seconds float64) {
-	if m == nil {
-		return
-	}
-	m.queueWaitSeconds.Observe(seconds)
-}
-
-//anclint:hotpath
-func (m *serverMetrics) replyTime(seconds float64) {
-	if m == nil {
-		return
-	}
-	m.replySeconds.Observe(seconds)
-}
-
-//anclint:hotpath
-func (m *serverMetrics) readBytes(n int) {
-	if m == nil {
-		return
-	}
-	m.bytesRead.Add(uint64(n))
-}
-
-//anclint:hotpath
-func (m *serverMetrics) wroteBytes(n int) {
-	if m == nil {
-		return
-	}
-	m.bytesWritten.Add(uint64(n))
-}
-
-//anclint:hotpath
-func (m *serverMetrics) connOpened() {
-	if m == nil {
-		return
-	}
-	m.connections.Inc()
-}
-
-//anclint:hotpath
-func (m *serverMetrics) connClosed() {
-	if m == nil {
-		return
-	}
-	m.connections.Dec()
-}
-
-//anclint:hotpath
-func (m *serverMetrics) slow() {
-	if m == nil {
-		return
-	}
-	m.slowRequests.Inc()
 }

@@ -89,17 +89,15 @@ const (
 	OpWatch
 	OpUnwatch
 	OpDrainEvents
-	OpViewOpen
-	OpViewZoomIn
-	OpViewZoomOut
-	OpViewClusters
-	OpViewClusterOf
-	OpViewClose
+	// Ops 12–17 are reserved: they carried the retired server-side zoom
+	// sessions, and no later op's wire value moves. Their opTable rows stay
+	// empty, so they decode as unknown ops.
+	//
 	// OpReplSubscribe turns the connection into a replication stream: the
 	// request carries the follower's next frame index, the OK response is
 	// followed by an unbounded sequence of push frames (OpReplFrames /
 	// OpReplStatus / OpReplSnapshot payloads) until either side closes.
-	OpReplSubscribe
+	OpReplSubscribe uint8 = iota + 7
 	// OpReplFrames and OpReplSnapshot are push-only: they appear as the
 	// leading byte of server→follower stream payloads and are rejected as
 	// request ops.
@@ -134,8 +132,8 @@ const (
 
 // Typed error codes carried by error replies.
 const (
-	// ErrCodeBadRequest: the body did not decode, the op is unknown, or a
-	// referenced view does not exist. The connection stays usable.
+	// ErrCodeBadRequest: the body did not decode or the op is unknown. The
+	// connection stays usable.
 	ErrCodeBadRequest uint8 = iota + 1
 	// ErrCodeBadFrame: the frame CRC did not match or the header was
 	// malformed. Framing is no longer trustworthy, so after the reply the
@@ -175,7 +173,6 @@ const (
 	fNode               // Request.Node, uint32
 	fU                  // Request.U, uint32
 	fV                  // Request.V, uint32
-	fView               // Request.View, uint32
 	fK                  // Request.K, int32
 	fFrom               // Request.From, uint64 — the one 8-byte field
 )
@@ -198,7 +195,7 @@ type opRow struct {
 	enc func(b []byte, resp *Response) []byte
 	dec func(c *cursor, resp *Response)
 	// resend says an identical resend is safe after a lost reply: the op
-	// neither mutates the server nor depends on per-connection state.
+	// does not mutate the server.
 	resend bool
 }
 
@@ -216,12 +213,6 @@ var opTable = [opMax]opRow{
 	OpWatch:              {name: "watch", fields: []field{fNode}, enc: encEmpty, dec: decEmpty},
 	OpUnwatch:            {name: "unwatch", fields: []field{fNode}, enc: encEmpty, dec: decEmpty},
 	OpDrainEvents:        {name: "drain-events", enc: encEvents, dec: decEvents},
-	OpViewOpen:           {name: "view-open", enc: encViewOpen, dec: decViewOpen},
-	OpViewZoomIn:         {name: "view-zoom-in", fields: []field{fView}, enc: encZoom, dec: decZoom},
-	OpViewZoomOut:        {name: "view-zoom-out", fields: []field{fView}, enc: encZoom, dec: decZoom},
-	OpViewClusters:       {name: "view-clusters", fields: []field{fView}, enc: encClusters, dec: decClusters},
-	OpViewClusterOf:      {name: "view-cluster-of", fields: []field{fView, fNode}, enc: encMembers, dec: decMembers},
-	OpViewClose:          {name: "view-close", fields: []field{fView}, enc: encEmpty, dec: decEmpty},
 	OpReplSubscribe:      {name: "repl-subscribe", fields: []field{fFrom}, enc: encEmpty, dec: decEmpty},
 	OpReplFrames:         {name: "repl-frames", push: true},
 	OpReplStatus:         {name: "repl-status", enc: encReplStatus, dec: decReplStatus, resend: true},
@@ -287,7 +278,6 @@ type Request struct {
 	Level int32  // granularity level; OpTieRank: -1 is global only
 	Node  uint32 // the node asked about
 	U, V  uint32 // the pair asked about
-	View  uint32 // a zoom session of this connection
 	From  uint64 // OpReplSubscribe: next frame index; OpEvolution: event cursor; OpTraces: trace ID (0 = all)
 	K     int32  // OpTieRank: the top-k size (must be positive); OpTraces: 0 text, nonzero JSON
 
@@ -331,9 +321,6 @@ type Response struct {
 	Stats    StatsReply           // OpStats
 	Events   []anc.ClusterEvent   // OpDrainEvents
 	Dropped  uint64               // OpDrainEvents; OpEvolution: cumulative ring-overwrite count
-	View     uint32               // OpViewOpen
-	Level    int32                // view replies
-	Moved    bool                 // OpViewZoomIn / OpViewZoomOut
 	Accepted uint32               // OpActivateBatch
 	Repl     ReplStatus           // OpReplStatus
 	Rank     anc.TieRankResult    // OpTieRank
@@ -478,8 +465,6 @@ func (f field) put(b []byte, req *Request) []byte {
 		return binary.LittleEndian.AppendUint32(b, req.U)
 	case fV:
 		return binary.LittleEndian.AppendUint32(b, req.V)
-	case fView:
-		return binary.LittleEndian.AppendUint32(b, req.View)
 	case fK:
 		return binary.LittleEndian.AppendUint32(b, uint32(req.K))
 	}
@@ -497,8 +482,6 @@ func (f field) get(body []byte, req *Request) {
 		req.U = binary.LittleEndian.Uint32(body)
 	case fV:
 		req.V = binary.LittleEndian.Uint32(body)
-	case fView:
-		req.View = binary.LittleEndian.Uint32(body)
 	case fK:
 		req.K = int32(binary.LittleEndian.Uint32(body))
 	case fFrom:
@@ -551,7 +534,7 @@ func DecodeRequest(payload []byte) (*Request, error) {
 		}
 		body = body[:len(body)-trace.ContextWireSize]
 	}
-	if req.Op == 0 || req.Op >= opMax {
+	if req.Op >= opMax || opTable[req.Op].name == "" {
 		return nil, fmt.Errorf("unknown op %d", req.Op)
 	}
 	row := &opTable[req.Op]
@@ -817,24 +800,6 @@ func decEvents(c *cursor, resp *Response) {
 			Joined: c.u8() != 0, Time: c.float(),
 		})
 	}
-}
-
-func encViewOpen(b []byte, resp *Response) []byte {
-	b = binary.LittleEndian.AppendUint32(b, resp.View)
-	return binary.LittleEndian.AppendUint32(b, uint32(resp.Level))
-}
-
-func decViewOpen(c *cursor, resp *Response) {
-	resp.View, resp.Level = c.u32(), int32(c.u32())
-}
-
-func encZoom(b []byte, resp *Response) []byte {
-	b = appendBool(b, resp.Moved)
-	return binary.LittleEndian.AppendUint32(b, uint32(resp.Level))
-}
-
-func decZoom(c *cursor, resp *Response) {
-	resp.Moved, resp.Level = c.u8() != 0, int32(c.u32())
 }
 
 func encReplStatus(b []byte, resp *Response) []byte { return appendReplStatus(b, &resp.Repl) }

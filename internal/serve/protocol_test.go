@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -30,12 +31,6 @@ func sampleRequests() []*Request {
 		{Op: OpWatch, ID: 9, Node: 3},
 		{Op: OpUnwatch, ID: 10, Node: 3},
 		{Op: OpDrainEvents, ID: 11},
-		{Op: OpViewOpen, ID: 12},
-		{Op: OpViewZoomIn, ID: 13, View: 1},
-		{Op: OpViewZoomOut, ID: 14, View: 1},
-		{Op: OpViewClusters, ID: 15, View: 1},
-		{Op: OpViewClusterOf, ID: 16, View: 1, Node: 6},
-		{Op: OpViewClose, ID: 17, View: 1},
 		{Op: OpReplSubscribe, ID: 18, From: 123456},
 		{Op: OpReplStatus, ID: 19},
 		{Op: OpPromote, ID: 20},
@@ -77,6 +72,7 @@ func TestDecodeRequestRejects(t *testing.T) {
 		{"short header", []byte{OpStats, 0, 0}},
 		{"zero op", append([]byte{0}, make([]byte, 8)...)},
 		{"unknown op", append([]byte{opMax}, make([]byte, 8)...)},
+		{"reserved op", append([]byte{OpDrainEvents + 1}, make([]byte, 8)...)},
 		{"trailing bytes", append(EncodeRequest(&Request{Op: OpStats, ID: 1}), 0)},
 		{"short body", EncodeRequest(&Request{Op: OpClusters, ID: 1})[:10]},
 		{"batch count lies", func() []byte {
@@ -103,10 +99,8 @@ func sampleResponses() []sampleResponse {
 		{OpActivateBatch, &Response{ID: 1, Accepted: 64}},
 		{OpClusters, &Response{ID: 2, Clusters: [][]int{{0, 1, 2}, {3}, {4, 5}}}},
 		{OpEvenClusters, &Response{ID: 3, Clusters: [][]int{{9, 8, 7, 6}}}},
-		{OpViewClusters, &Response{ID: 4, Clusters: [][]int{}}},
 		{OpClusterOf, &Response{ID: 5, Members: []int{0, 4, 2}}},
 		{OpSmallestClusterOf, &Response{ID: 6, Members: []int{9}}},
-		{OpViewClusterOf, &Response{ID: 7, Members: []int{}}},
 		{OpEstimateDistance, &Response{ID: 8, Value: 0.625}},
 		{OpEstimateAttraction, &Response{ID: 9, Value: math.Inf(1)}},
 		{OpStats, &Response{ID: 10, Stats: StatsReply{
@@ -120,10 +114,6 @@ func sampleResponses() []sampleResponse {
 			{Node: 1, Other: 2, Level: 3, Joined: true, Time: 4.5},
 			{Node: 6, Other: 7, Level: 1, Joined: false, Time: 9.75},
 		}}},
-		{OpViewOpen, &Response{ID: 14, View: 3, Level: 2}},
-		{OpViewZoomIn, &Response{ID: 15, Moved: true, Level: 3}},
-		{OpViewZoomOut, &Response{ID: 16, Moved: false, Level: 1}},
-		{OpViewClose, &Response{ID: 17}},
 		{OpReplSubscribe, &Response{ID: 18}},
 		{OpReplStatus, &Response{ID: 19, Repl: ReplStatus{
 			Role: RolePrimary, Next: 1000, PrimaryNext: 1000, Activations: 9999,
@@ -171,7 +161,7 @@ func TestResponseRoundTrip(t *testing.T) {
 func TestErrorReplyRoundTrip(t *testing.T) {
 	payload := EncodeError(42, ErrCodeOverloaded, "queue full")
 	// Error replies decode regardless of the request op.
-	for _, op := range []uint8{OpActivateBatch, OpStats, OpViewClusters} {
+	for _, op := range []uint8{OpActivateBatch, OpStats, OpClusters} {
 		resp, err := DecodeResponse(op, payload)
 		if err != nil {
 			t.Fatalf("op %d: %v", op, err)
@@ -269,11 +259,13 @@ func TestPreamble(t *testing.T) {
 }
 
 // TestOpTableComplete holds what the wirecomplete analyzer held, as
-// behaviour: unique names; push-only rows refused as requests; every other
-// row with both codec halves and a sample request and response (hence a
-// golden line, both round-trip tests, both fuzz corpora); the resend flag
-// equal to the split the client has always made; a live server with an
-// execQuery arm for each. TestAllErrCodesRoundTrip is the error-code half.
+// behaviour: unique names; the reserved numbers 12–17 (the retired zoom
+// session ops) and only they without a row, decoding as unknown ops;
+// push-only rows refused as requests; every other row with both codec
+// halves and a sample request and response (hence a golden line, both
+// round-trip tests, both fuzz corpora); the resend flag equal to the split
+// the client has always made; a live server with an execQuery arm for
+// each. TestAllErrCodesRoundTrip is the error-code half.
 func TestOpTableComplete(t *testing.T) {
 	resend := map[string]bool{"clusters": true, "even-clusters": true, "cluster-of": true,
 		"smallest-cluster-of": true, "estimate-distance": true, "estimate-attraction": true,
@@ -288,7 +280,14 @@ func TestOpTableComplete(t *testing.T) {
 	names := map[string]uint8{}
 	for op := uint8(1); op < opMax; op++ {
 		row := opTable[op]
-		if prev, dup := names[row.name]; row.name == "" || dup {
+		if reserved := op >= 12 && op <= 17; reserved || row.name == "" {
+			_, err := DecodeRequest(EncodeRequest(&Request{Op: op}))
+			if !reserved || !reflect.DeepEqual(row, opRow{}) || err == nil || !strings.Contains(err.Error(), "unknown op") {
+				t.Errorf("op %d: reserved %v, row %+v, decodes with %v; want only 12–17 empty and unknown", op, reserved, row, err)
+			}
+			continue
+		}
+		if prev, dup := names[row.name]; dup {
 			t.Errorf("op %d: name %q is empty or shared with op %d", op, row.name, prev)
 		}
 		names[row.name] = op
@@ -354,6 +353,9 @@ func FuzzDecodeRequest(f *testing.F) {
 	for _, req := range sampleRequests() {
 		f.Add(EncodeRequest(req))
 	}
+	for op := uint8(12); op <= 17; op++ { // reserved: must not decode
+		f.Add(EncodeRequest(&Request{Op: op, ID: uint64(op)}))
+	}
 	f.Add([]byte{})
 	f.Add([]byte{OpActivateBatch, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -375,6 +377,9 @@ func FuzzDecodeRequest(f *testing.F) {
 func FuzzDecodeResponse(f *testing.F) {
 	for _, tc := range sampleResponses() {
 		f.Add(tc.Op, EncodeResponse(tc.Op, tc.Resp))
+	}
+	for op := uint8(12); op <= 17; op++ { // reserved: must not decode
+		f.Add(op, EncodeResponse(op, &Response{ID: uint64(op)}))
 	}
 	f.Add(OpStats, EncodeError(1, ErrCodeDeadline, "late"))
 	f.Fuzz(func(t *testing.T, op uint8, payload []byte) {

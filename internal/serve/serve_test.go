@@ -249,42 +249,6 @@ func TestServerRoundTrip(t *testing.T) {
 		t.Fatalf("second drain returned %d events, %d dropped", len(resp.Events), resp.Dropped)
 	}
 	c.rpc(&Request{Op: OpUnwatch, Node: 4})
-
-	// Zoom session: open at √n, zoom to the finest level and past it.
-	open := c.rpc(&Request{Op: OpViewOpen})
-	if open.Level != int32(level) {
-		t.Fatalf("view opened at %d, want %d", open.Level, level)
-	}
-	cur := open.Level
-	for {
-		zr := c.rpc(&Request{Op: OpViewZoomIn, View: open.View})
-		if !zr.Moved {
-			if zr.Level != cur {
-				t.Fatalf("failed zoom moved level %d -> %d", cur, zr.Level)
-			}
-			break
-		}
-		if zr.Level != cur+1 {
-			t.Fatalf("zoom in %d -> %d", cur, zr.Level)
-		}
-		cur = zr.Level
-	}
-	if cur != int32(backend.Levels()) {
-		t.Fatalf("finest reachable level %d, want %d", cur, backend.Levels())
-	}
-	if got, want := canonClusters(c.rpc(&Request{Op: OpViewClusters, View: open.View}).Clusters),
-		canonClusters(backend.Clusters(int(cur))); got != want {
-		t.Fatalf("view clusters:\n got %s\n want %s", got, want)
-	}
-	if got, want := c.rpc(&Request{Op: OpViewClusterOf, View: open.View, Node: 4}).Members,
-		backend.ClusterOf(4, int(cur)); !reflect.DeepEqual(got, want) {
-		t.Fatalf("view clusterOf: %v, want %v", got, want)
-	}
-	c.rpc(&Request{Op: OpViewClose, View: open.View})
-	if resp := c.rpcAllowErr(&Request{Op: OpViewClusters, View: open.View}); resp.Err == nil ||
-		resp.Err.Code != ErrCodeBadRequest {
-		t.Fatalf("closed view answered: %+v", resp)
-	}
 }
 
 // TestServerAnalytics drives the analytics ops over TCP and checks every
@@ -412,6 +376,18 @@ func TestServerBadRequest(t *testing.T) {
 	if st := c.rpc(&Request{Op: OpStats}).Stats; st.Nodes != 10 {
 		t.Fatalf("stats after bad request: %+v", st)
 	}
+	// The reserved op numbers of the retired zoom sessions are unknown
+	// ops, each answered typed on a connection that stays usable.
+	for op := uint8(12); op <= 17; op++ {
+		c.send(EncodeRequest(&Request{Op: op, ID: uint64(op)}))
+		if resp := c.recv(OpStats); resp.Err == nil || resp.Err.Code != ErrCodeBadRequest ||
+			!strings.Contains(resp.Err.Msg, "unknown op") {
+			t.Fatalf("reserved op %d: %+v", op, resp)
+		}
+		if st := c.rpc(&Request{Op: OpStats}).Stats; st.Nodes != 10 {
+			t.Fatalf("stats after reserved op %d: %+v", op, st)
+		}
+	}
 }
 
 // slowBackend delays or blocks chosen queries to force deadline and
@@ -486,7 +462,7 @@ func TestHandleWhileDraining(t *testing.T) {
 	backend := anc.NewConcurrent(testNetwork(t))
 	s := New(backend, Config{})
 	s.draining.Store(true)
-	payload, _ := s.handle(&connState{views: map[uint32]int{}}, &Request{Op: OpStats, ID: 7})
+	payload, _ := s.handle(&Request{Op: OpStats, ID: 7})
 	resp, err := DecodeResponse(OpStats, payload)
 	if err != nil {
 		t.Fatal(err)

@@ -91,14 +91,9 @@ type Config struct {
 	// MaxFrame bounds request and response payloads (default
 	// DefaultMaxFrame).
 	MaxFrame int
-	// MaxViews caps zoom sessions per connection (default 64).
-	MaxViews int
-	// Logf, when non-nil, receives connection-level log lines.
+	// Logf, when non-nil, receives the server's own log lines (slow
+	// requests, handshake failures, stream errors).
 	Logf func(format string, args ...interface{})
-	// Log, when non-nil, is the structured logger for the server's own
-	// lines (slow requests, handshake failures, stream errors). When nil
-	// it is derived from Logf, so existing callers keep their sink.
-	Log *obs.Logger
 
 	// Obs, when non-nil, attaches the server's metrics (anc_serve_*
 	// families: per-op request counts, error counts by code, handling
@@ -153,14 +148,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = DefaultMaxFrame
 	}
-	if c.MaxViews <= 0 {
-		c.MaxViews = 64
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...interface{}) {}
-	}
-	if c.Log == nil {
-		c.Log = obs.NewLogger("serve", obs.LevelInfo, c.Logf)
 	}
 	return c
 }
@@ -187,6 +176,7 @@ type Server struct {
 	cfg     Config
 	backend Backend
 	labels  *labelTable // nil unless cfg.Labels needs translating; set by Start
+	log     *obs.Logger
 
 	lis      net.Listener
 	ingestCh chan ingestReq
@@ -208,7 +198,7 @@ type Server struct {
 	stopOnce   sync.Once
 
 	startedAt   time.Time      // set by Start; the base of healthz's uptime_seconds
-	met         *serverMetrics // nil unless cfg.Obs was set; all methods nil-safe
+	met         *serverMetrics // nil handles unless cfg.Obs was set; all nil-safe
 	metricsLis  net.Listener
 	metricsSrv  *http.Server
 	metricsDone chan struct{}
@@ -228,6 +218,7 @@ func New(backend Backend, cfg Config) *Server {
 		acceptDone: make(chan struct{}),
 		writerDone: make(chan struct{}),
 		drainCh:    make(chan struct{}),
+		log:        obs.NewLogger("serve", obs.LevelInfo, cfg.Logf),
 	}
 	s.met = newServerMetrics(cfg.Obs, s)
 	return s
@@ -351,7 +342,7 @@ func (s *Server) writerLoop() {
 	for req := range s.ingestCh {
 		s.queued.Add(-1)
 		if !req.enq.IsZero() {
-			s.met.queueWait(time.Since(req.enq).Seconds())
+			s.met.queueWaitSeconds.Observe(time.Since(req.enq).Seconds())
 		}
 		req.qspan.End()
 		if s.killed.Load() {
@@ -454,29 +445,11 @@ func (s *Server) closeConns() {
 	s.conns = map[net.Conn]struct{}{}
 }
 
-// connState is the per-connection session: open zoom views and their
-// levels. It has its own lock because a query that outlived its deadline
-// keeps running in the background and may touch the session concurrently
-// with the connection's next request.
-type connState struct {
-	mu       sync.Mutex
-	views    map[uint32]int
-	nextView uint32
-}
-
-// viewLevel reads a view's level under the session lock.
-func (st *connState) viewLevel(id uint32) (int, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	level, ok := st.views[id]
-	return level, ok
-}
-
 func (s *Server) serveConn(conn net.Conn) {
-	s.met.connOpened()
+	s.met.connections.Inc()
 	defer s.connWG.Done()
 	defer func() {
-		s.met.connClosed()
+		s.met.connections.Dec()
 		conn.Close() //anclint:ignore droppederr the connection carries no durable state
 		s.mu.Lock()
 		delete(s.conns, conn)
@@ -489,7 +462,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// is cut off rather than parked forever.
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	if err := ReadPreamble(br); err != nil {
-		s.cfg.Log.Warn("handshake failed", "remote", conn.RemoteAddr(), "err", err)
+		s.log.Warn("handshake failed", "remote", conn.RemoteAddr(), "err", err)
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
@@ -497,7 +470,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	}
 
-	st := &connState{views: map[uint32]int{}}
 	for {
 		payload, err := readFrame(br, s.cfg.MaxFrame)
 		if err != nil {
@@ -510,7 +482,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		s.met.readBytes(frameHeaderSize + len(payload))
+		s.met.bytesRead.Add(uint64(frameHeaderSize + len(payload)))
 		req, err := DecodeRequest(payload)
 		if err != nil {
 			// The frame was intact (length+CRC verified), so framing is
@@ -527,7 +499,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.serveSubscribe(conn, bw, req)
 			return
 		}
-		payload, sp := s.handle(st, req)
+		payload, sp := s.handle(req)
 		if err := s.reply(bw, payload, sp); err != nil {
 			return
 		}
@@ -539,13 +511,13 @@ func (s *Server) serveConn(conn net.Conn) {
 // it then finishes the request's root span, failing it for error
 // replies. The untraced, unobserved path stays clock-free.
 func (s *Server) reply(bw *bufio.Writer, payload []byte, sp trace.SpanHandle) error {
-	if s.met == nil && !sp.Active() {
+	if s.cfg.Obs == nil && !sp.Active() {
 		return s.writeReply(bw, payload)
 	}
 	child := sp.StartChild("reply")
 	start := time.Now()
 	err := s.writeReply(bw, payload)
-	s.met.replyTime(time.Since(start).Seconds())
+	s.met.replySeconds.Observe(time.Since(start).Seconds())
 	child.End()
 	if len(payload) > 0 && payload[0] == statusErr {
 		sp.Fail()
@@ -561,7 +533,7 @@ func (s *Server) reply(bw *bufio.Writer, payload []byte, sp trace.SpanHandle) er
 // a graceful drain appends the typed ErrCodeShuttingDown frame so the
 // follower records "drain", not "crash".
 func (s *Server) serveSubscribe(conn net.Conn, bw *bufio.Writer, req *Request) {
-	s.met.request(req.Op)
+	s.met.requests[req.Op].Inc()
 	if s.cfg.Repl == nil {
 		s.writeReply(bw, s.errReply(req.ID, ErrCodeBadRequest, "replication not enabled"))
 		return
@@ -582,7 +554,7 @@ func (s *Server) serveSubscribe(conn net.Conn, bw *bufio.Writer, req *Request) {
 		return err
 	}
 	if err := s.cfg.Repl.Stream(req.From, send, s.drainCh); err != nil {
-		s.cfg.Log.Warn("replication stream ended", "remote", conn.RemoteAddr(), "err", err)
+		s.log.Warn("replication stream ended", "remote", conn.RemoteAddr(), "err", err)
 	}
 	if s.draining.Load() && !s.killed.Load() {
 		send(s.errReply(0, ErrCodeShuttingDown, "server is draining"))
@@ -592,7 +564,7 @@ func (s *Server) serveSubscribe(conn net.Conn, bw *bufio.Writer, req *Request) {
 // writeReply frames one response payload, counting the bytes put on the
 // wire.
 func (s *Server) writeReply(bw *bufio.Writer, payload []byte) error {
-	s.met.wroteBytes(frameHeaderSize + len(payload))
+	s.met.bytesWritten.Add(uint64(frameHeaderSize + len(payload)))
 	return writeFrame(bw, payload)
 }
 
@@ -600,7 +572,7 @@ func (s *Server) writeReply(bw *bufio.Writer, payload []byte) error {
 // rates are visible per class (anc_serve_errors_total). Every server-
 // originated error reply is minted here.
 func (s *Server) errReply(id uint64, code uint8, msg string) []byte {
-	s.met.errored(code)
+	s.met.errors.With(errCodeName(code)).Inc()
 	return EncodeError(id, code, msg)
 }
 
@@ -611,21 +583,25 @@ func (s *Server) errReply(id uint64, code uint8, msg string) []byte {
 // demands it). The caller finishes the span after writing the reply.
 // When observability, tracing and the threshold are all off it never
 // reads the clock.
-func (s *Server) handle(st *connState, req *Request) ([]byte, trace.SpanHandle) {
-	s.met.request(req.Op)
+func (s *Server) handle(req *Request) ([]byte, trace.SpanHandle) {
+	s.met.requests[req.Op].Inc()
 	var sp trace.SpanHandle
 	if s.cfg.Tracer.ShouldTrace(req.Trace) {
 		sp = s.cfg.Tracer.Start("serve."+OpName(req.Op), req.Trace)
 	}
-	if s.met == nil && s.cfg.SlowQuery <= 0 && !sp.Active() {
-		return s.handleRequest(st, req, sp), sp
+	if s.cfg.Obs == nil && s.cfg.SlowQuery <= 0 && !sp.Active() {
+		return s.handleRequest(req, sp), sp
 	}
 	start := time.Now()
-	payload := s.handleRequest(st, req, sp)
+	payload := s.handleRequest(req, sp)
 	elapsed := time.Since(start)
-	s.met.observe(req.Op, elapsed.Seconds())
+	if req.Op == OpActivateBatch {
+		s.met.ingestSeconds.Observe(elapsed.Seconds())
+	} else {
+		s.met.querySeconds.Observe(elapsed.Seconds())
+	}
 	if s.cfg.SlowQuery > 0 && elapsed >= s.cfg.SlowQuery {
-		s.met.slow()
+		s.met.slowRequests.Inc()
 		s.logSlow(req.Op, elapsed, sp.TraceID())
 	}
 	return payload, sp
@@ -641,7 +617,7 @@ func (s *Server) logSlow(op uint8, elapsed time.Duration, traceID uint64) {
 	if now-last < int64(time.Second) || !s.slowLogAt.CompareAndSwap(last, now) {
 		return
 	}
-	s.cfg.Log.Warn("slow request",
+	s.log.Warn("slow request",
 		"op", OpName(op), "took", elapsed, "threshold", s.cfg.SlowQuery,
 		"trace", trace.FormatID(traceID))
 }
@@ -650,7 +626,7 @@ func (s *Server) logSlow(op uint8, elapsed time.Duration, traceID uint64) {
 // payload. Responses that would overflow MaxFrame are replaced by an
 // ErrCodeInternal reply so the client's frame reader never faces an
 // oversized frame.
-func (s *Server) handleRequest(st *connState, req *Request, sp trace.SpanHandle) []byte {
+func (s *Server) handleRequest(req *Request, sp trace.SpanHandle) []byte {
 	deadline := time.NewTimer(s.cfg.RequestTimeout)
 	defer deadline.Stop()
 
@@ -685,7 +661,7 @@ func (s *Server) handleRequest(st *connState, req *Request, sp trace.SpanHandle)
 	result := make(chan []byte, 1)
 	go func() {
 		defer func() { <-s.gate; s.inflight.Add(-1) }()
-		result <- s.execQuery(st, req)
+		result <- s.execQuery(req)
 	}()
 	select {
 	case payload := <-result:
@@ -711,7 +687,7 @@ func (s *Server) handleIngest(req *Request, deadline *time.Timer, sp trace.SpanH
 		return EncodeResponse(OpActivateBatch, &Response{ID: req.ID})
 	}
 	ir := ingestReq{batch: req.Batch, done: make(chan error, 1)}
-	if s.met != nil || sp.Active() {
+	if s.cfg.Obs != nil || sp.Active() {
 		ir.enq = time.Now()
 		ir.qspan = sp.StartChild("queue.wait")
 		ir.span = sp
@@ -744,7 +720,7 @@ func (s *Server) handleIngest(req *Request, deadline *time.Timer, sp trace.SpanH
 }
 
 // execQuery dispatches a non-ingest request against the backend.
-func (s *Server) execQuery(st *connState, req *Request) []byte {
+func (s *Server) execQuery(req *Request) []byte {
 	resp := &Response{ID: req.ID}
 	switch req.Op {
 	case OpClusters:
@@ -784,55 +760,6 @@ func (s *Server) execQuery(st *connState, req *Request) []byte {
 		s.backend.Unwatch(int(req.Node))
 	case OpDrainEvents:
 		resp.Events, resp.Dropped = s.backend.DrainEvents()
-	case OpViewOpen:
-		stats := s.backend.Stats()
-		st.mu.Lock()
-		if len(st.views) >= s.cfg.MaxViews {
-			st.mu.Unlock()
-			return s.errReply(req.ID, ErrCodeBadRequest,
-				fmt.Sprintf("view limit %d reached", s.cfg.MaxViews))
-		}
-		st.nextView++
-		st.views[st.nextView] = stats.SqrtLevel
-		resp.View = st.nextView
-		st.mu.Unlock()
-		resp.Level = int32(stats.SqrtLevel)
-	case OpViewZoomIn, OpViewZoomOut:
-		levels := s.backend.Stats().Levels
-		st.mu.Lock()
-		level, ok := st.views[req.View]
-		if !ok {
-			st.mu.Unlock()
-			return s.errReply(req.ID, ErrCodeBadRequest, fmt.Sprintf("no view %d", req.View))
-		}
-		next := level + 1
-		if req.Op == OpViewZoomOut {
-			next = level - 1
-		}
-		if next >= 1 && next <= levels {
-			st.views[req.View] = next
-			resp.Moved = true
-			resp.Level = int32(next)
-		} else {
-			resp.Level = int32(level)
-		}
-		st.mu.Unlock()
-	case OpViewClusters:
-		level, ok := st.viewLevel(req.View)
-		if !ok {
-			return s.errReply(req.ID, ErrCodeBadRequest, fmt.Sprintf("no view %d", req.View))
-		}
-		resp.Clusters = s.backend.Clusters(level)
-	case OpViewClusterOf:
-		level, ok := st.viewLevel(req.View)
-		if !ok {
-			return s.errReply(req.ID, ErrCodeBadRequest, fmt.Sprintf("no view %d", req.View))
-		}
-		resp.Members = s.backend.ClusterOf(int(req.Node), level)
-	case OpViewClose:
-		st.mu.Lock()
-		delete(st.views, req.View)
-		st.mu.Unlock()
 	case OpTieRank:
 		if req.K <= 0 {
 			return s.errReply(req.ID, ErrCodeBadRequest, fmt.Sprintf("tierank k %d, want positive", req.K))

@@ -39,14 +39,15 @@ type lockedNetwork struct {
 // wrap puts net behind the lock layer. The first call, before the facade
 // is shared, enables net's clustering cache and analytics layer and keeps
 // their probe handles, so hits bypass the lock. A later one (a durable
-// reset, under the exclusive lock) hands net those same instances: the
-// fields are written once, so lock-free probes never race a write, and
-// the caches' counters stay monotone.
+// reset, under the exclusive lock) hands net those same instances and the
+// evolution tracker: the fields are written once, so lock-free probes
+// never race a write, the caches' counters stay monotone, and evolution
+// sequence numbers keep counting.
 func (l *lockedNetwork) wrap(net *Network) {
 	if l.net == nil {
 		l.cache, l.rank = net.inner.EnableClusterCache(), net.inner.EnableAnalytics()
 	} else {
-		net.inner.AdoptCaches(l.cache, l.rank)
+		net.inner.AdoptCaches(l.net.inner)
 	}
 	l.net = net
 }
@@ -156,9 +157,12 @@ func (l *lockedNetwork) RankStats() (hits, misses, invalidations uint64) {
 // TieRank answers a centrality query (see Network.TieRank). When a
 // cached rank snapshot is valid the query is served without the lock: a
 // global-only query (level -1) needs nothing else, and a per-cluster
-// query additionally probes the materialized clustering snapshot. Only
-// a miss on either takes the shared lock to compute (and store for the
-// next caller).
+// query additionally probes the materialized clustering snapshot. The
+// two loads must see the same write: every write drops the rank before
+// it publishes a clustering, so a rank still current after the
+// clustering probe was current when the clustering was loaded. A miss,
+// or a rank replaced in between, takes the shared lock to compute (and
+// store for the next caller).
 //
 //anclint:ignore lockdiscipline cache probe is lock-free by design; the snapshots are internally synchronized and the miss path locks
 func (l *lockedNetwork) TieRank(level, k int) TieRankResult {
@@ -166,7 +170,7 @@ func (l *lockedNetwork) TieRank(level, k int) TieRankResult {
 		if level < 0 {
 			return tieRankResult(r, nil, -1, k)
 		}
-		if cl, ok := l.cache.Power(level); ok {
+		if cl, ok := l.cache.Power(level); ok && l.rank.Current(r) {
 			return tieRankResult(r, cl, level, k)
 		}
 	}
