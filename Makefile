@@ -98,14 +98,15 @@ fuzz-smoke:
 # repair (relink/probe/markChanged, 0 allocs per update, serial and on the
 # worker pool) and the power/even extraction (a constant number of
 # allocations whatever the cluster count), with the orphaned-hub, batched
-# repair and Power benchmarks beside them; BenchmarkUpdateEdgesBatch runs
-# an 88-edge batch serially and on the pool, and BenchmarkPowerRepair is
-# the tracked level's repair under a flip load, to be read against
-# BenchmarkPower (ns/op, B/op).
+# repair and extraction benchmarks beside them; BenchmarkUpdateEdgesBatch
+# runs an 88-edge batch serially and on the pool, and BenchmarkPowerRepair
+# and BenchmarkEvenRepair repair a level along flip logs of 1, 8 and 64
+# writes and one touching half the nodes, to be read against
+# BenchmarkPower and BenchmarkEven (ns/op, B/op).
 bench-smoke:
 	$(GO) test -run '^TestHotPathAllocs$$' -count=1 ./internal/serve ./internal/obs ./internal/obs/trace ./internal/decay ./internal/cluster/cache ./internal/analytics ./internal/pyramid ./internal/cluster
 	$(GO) test -run '^$$' -bench '^BenchmarkHotPath' -benchtime 100x -benchmem ./internal/serve ./internal/obs ./internal/obs/trace ./internal/decay ./internal/cluster/cache ./internal/analytics
-	$(GO) test -run '^$$' -bench '^(BenchmarkUpdateEdgesHub|BenchmarkUpdateEdgesBatch|BenchmarkPower|BenchmarkPowerRepair)$$' -benchtime 20x -benchmem ./internal/pyramid ./internal/cluster
+	$(GO) test -run '^$$' -bench '^(BenchmarkUpdateEdgesHub|BenchmarkUpdateEdgesBatch|BenchmarkPower|BenchmarkPowerRepair|BenchmarkEven|BenchmarkEvenRepair)$$' -benchtime 20x -benchmem ./internal/pyramid ./internal/cluster
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

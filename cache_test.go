@@ -298,3 +298,82 @@ func TestTrackedLevelSwappedNotDropped(t *testing.T) {
 		t.Fatalf("%d invalidations with only the tracked level ever filled, want 0", inv)
 	}
 }
+
+// TestStaleLevelRepairStress: four readers hammer the level next to the
+// tracked one in both variants while a writer keeps flipping it, so most
+// reads miss and repair the baseline the last write dropped along its flip
+// log, concurrently, under the shared lock. Every reply must partition
+// [0, n), and once the writer stops both variants equal a recompute. Run
+// under -race by make race.
+func TestStaleLevelRepairStress(t *testing.T) {
+	net, edges := seededCacheNetwork(t, 13, 64)
+	c := NewConcurrent(net)
+	defer c.Close()
+	n, level := c.N(), max(c.SqrtLevel()-1, 1)
+
+	var replies, broken atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			seen := make([]int, n)
+			for round := 1; ; round++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				read := c.Clusters
+				if (r+round)%2 == 0 {
+					read = c.EvenClusters
+				}
+				members := 0
+				for _, cluster := range read(level) {
+					for _, v := range cluster {
+						if v < 0 || v >= n || seen[v] == round {
+							broken.Add(1)
+							continue
+						}
+						seen[v] = round
+						members++
+					}
+				}
+				if members != n {
+					broken.Add(1)
+				}
+				replies.Add(1)
+			}
+		}(r)
+	}
+
+	now := 0.0
+	for i := 0; i < 150; i++ {
+		hot := edges[(i%2)*12 : (i%2)*12+12]
+		now += 3
+		batch := make([]Activation, 0, 2*len(hot))
+		for j := 0; j < 2*len(hot); j++ {
+			e := hot[j%len(hot)]
+			batch = append(batch, Activation{U: e[0], V: e[1], T: now})
+		}
+		if err := c.ActivateBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	if b := broken.Load(); b != 0 {
+		t.Fatalf("%d of %d replies at level %d do not partition [0, %d)", b, replies.Load(), level, n)
+	}
+	if _, misses, inv := c.CacheStats(); inv < 60 || misses < 60 {
+		t.Fatalf("%d invalidations and %d misses in 150 batches: the workload does not keep level %d stale", inv, misses, level)
+	}
+	if got, want := canonClusters(c.Clusters(level)), canonClusters(c.ClustersUncached(level)); got != want {
+		t.Fatalf("after the writer stopped, Clusters(%d) diverges from recompute:\n got %s\nwant %s", level, got, want)
+	}
+	if got, want := canonClusters(c.EvenClusters(level)), canonClusters(c.EvenClustersUncached(level)); got != want {
+		t.Fatalf("after the writer stopped, EvenClusters(%d) diverges from recompute", level)
+	}
+}

@@ -7,7 +7,7 @@
 //
 // The cache is one atomic.Pointer to an immutable snapshot holding, per
 // granularity level, the materialized power and even Clustering (nil when
-// not yet computed or invalidated). The four operations:
+// not yet computed or invalidated). The operations:
 //
 //   - Hit (Power/Even): a single atomic load plus a slice index. No locks,
 //     no allocation — annotated //anclint:hotpath and gated by the
@@ -16,21 +16,25 @@
 //     slices, set the new entry, publish with CompareAndSwap, retrying on
 //     contention with concurrent stores. Callers hold the facade's shared
 //     (read) lock, so stores only race other stores, never invalidation.
-//   - Invalidate/InvalidateAll: copy-on-write removal. Called only from
-//     exclusive-writer context — the vote tracker's OnFlip listener fires
-//     inside UpdateEdges, which runs under the facade's write lock — so an
-//     invalidation never races a store. That lock discipline is what makes
-//     the two-phase protocol sound without generation counters: a store
-//     publishing a result computed from pre-write state cannot clobber an
-//     invalidation that the write just issued.
-//   - Replace (ReplacePower): copy-on-write swap of one level's power entry
-//     for the clustering at the current index state, the even entry
-//     cleared. Exclusive-writer context only, like invalidation. It is for
-//     a level the writer brings up to date anyway before it releases the
-//     lock (the evolution tracker's, repaired along the call's flips):
-//     that level is not invalidated on flip, so lock-free
-//     probes keep hitting the pre-write snapshot until the swap instead of
-//     missing and queueing behind the writer.
+//   - Invalidate/DropEven/InvalidateAll: copy-on-write removal. Called
+//     only from exclusive-writer context — the vote tracker's OnFlip
+//     listener fires inside UpdateEdges, which runs under the facade's
+//     write lock — so an invalidation never races a store. That lock
+//     discipline is what makes the two-phase protocol sound without
+//     generation counters: a store publishing a result computed from
+//     pre-write state cannot clobber an invalidation that the write just
+//     issued. Invalidate and DropEven return what they removed: the
+//     caller keeps it as the baseline its next miss repairs from instead
+//     of recomputing (core.Network; DESIGN.md §15).
+//   - Replace (ReplacePower): copy-on-write swap of one level's power
+//     entry for the clustering at the current index state. Exclusive-writer
+//     context only, like invalidation. It is for a level the writer brings
+//     up to date anyway before it releases the lock (the evolution
+//     tracker's, repaired along the call's flips): that level's power
+//     entry is not invalidated on flip — only its even entry is dropped,
+//     with DropEven — so lock-free probes keep hitting the pre-write
+//     snapshot until the swap instead of missing and queueing behind the
+//     writer.
 //
 // # Correctness contract
 //
@@ -196,33 +200,58 @@ func (c *Cache) store(level int, cl *cluster.Clustering, even bool) {
 
 // Invalidate drops both variants of one level — the vote tracker reported
 // a net threshold crossing there, so the materialized results no longer
-// match a recompute. Must be called from exclusive-writer context only
+// match a recompute — and returns the entries it removed (nil where the
+// level held none). Must be called from exclusive-writer context only
 // (see the package comment); it is a no-op when the level holds nothing,
 // so repeated flips at one level within a cycle swap once.
-func (c *Cache) Invalidate(level int) {
+func (c *Cache) Invalidate(level int) (power, even *cluster.Clustering) {
 	if c == nil {
-		return
+		return nil, nil
 	}
 	level = c.clamp(level)
 	for {
 		old := c.snap.Load()
-		if old.power[level-1] == nil && old.even[level-1] == nil {
-			return
+		power, even = old.power[level-1], old.even[level-1]
+		if power == nil && even == nil {
+			return nil, nil
 		}
 		nw := old.clone()
 		nw.power[level-1] = nil
 		nw.even[level-1] = nil
 		if c.snap.CompareAndSwap(old, nw) {
 			c.invalidations.Add(1)
-			return
+			return power, even
+		}
+	}
+}
+
+// DropEven drops the even entry of a level whose power entry the writer
+// replaces instead (ReplacePower) and returns it, nil if there was none.
+// Exclusive-writer context only. Counted as neither hit, miss nor
+// invalidation: the level keeps serving power hits throughout.
+func (c *Cache) DropEven(level int) *cluster.Clustering {
+	if c == nil {
+		return nil
+	}
+	level = c.clamp(level)
+	for {
+		old := c.snap.Load()
+		even := old.even[level-1]
+		if even == nil {
+			return nil
+		}
+		nw := old.clone()
+		nw.even[level-1] = nil
+		if c.snap.CompareAndSwap(old, nw) {
+			return even
 		}
 	}
 }
 
 // ReplacePower swaps in cl, byte for byte the recompute at the current
-// index state, as the power clustering of level and clears the level's
-// even entry — the writer-side publication for a level whose flips were
-// not invalidated.
+// index state, as the power clustering of level — the writer-side
+// publication for a level whose flips were not invalidated. Its even
+// entry was dropped at the flip (DropEven).
 // Exclusive-writer context only: no store or invalidation can be in flight,
 // so one clone and one Store suffice. Counted as neither hit, miss nor
 // invalidation: no probe failed and no reader will recompute.
@@ -233,7 +262,6 @@ func (c *Cache) ReplacePower(level int, cl *cluster.Clustering) {
 	level = c.clamp(level)
 	nw := c.snap.Load().clone()
 	nw.power[level-1] = cl
-	nw.even[level-1] = nil
 	c.snap.Store(nw)
 }
 

@@ -55,6 +55,34 @@ func TestCacheStoreProbeInvalidate(t *testing.T) {
 	}
 }
 
+// TestCacheDropsReturnWhatTheyRemoved: Invalidate and DropEven hand the
+// removed entries back — the baselines a miss repairs from — and DropEven
+// leaves the power entry serving and counts no invalidation.
+func TestCacheDropsReturnWhatTheyRemoved(t *testing.T) {
+	c := New(2)
+	p, e := mkClustering(1), mkClustering(-1)
+	c.StorePower(1, p)
+	c.StoreEven(1, e)
+	if got := c.DropEven(1); got != e {
+		t.Fatalf("DropEven(1) = %v, want the even entry", got)
+	}
+	if got, ok := c.Power(1); !ok || got != p {
+		t.Fatal("DropEven(1) dropped the power entry")
+	}
+	if _, ok := c.Even(1); ok || c.DropEven(1) != nil {
+		t.Fatal("the even entry survived DropEven(1)")
+	}
+	if gotP, gotE := c.Invalidate(1); gotP != p || gotE != nil {
+		t.Fatalf("Invalidate(1) = (%v, %v), want (power entry, nil)", gotP, gotE)
+	}
+	if gotP, gotE := c.Invalidate(1); gotP != nil || gotE != nil {
+		t.Fatal("Invalidate of an empty level returned entries")
+	}
+	if _, _, inv := c.Stats(); inv != 1 {
+		t.Fatalf("%d invalidations counted, want 1 (DropEven counts none)", inv)
+	}
+}
+
 func TestCacheClampMirrorsFacade(t *testing.T) {
 	c := New(3)
 	top := mkClustering(3)
@@ -83,6 +111,7 @@ func TestCacheNilSafety(t *testing.T) {
 	c.StorePower(1, mkClustering(0))
 	c.StoreEven(1, mkClustering(0))
 	c.Invalidate(1)
+	c.DropEven(1)
 	c.InvalidateAll()
 	c.Instrument(obs.NewRegistry())
 	if h, m, i := c.Stats(); h+m+i != 0 {

@@ -281,8 +281,8 @@ func TestPowerOrderDeterminism(t *testing.T) {
 
 // TestClusterSlabDoesNotBleed pins the three-index carve: member lists share
 // one slab, so a caller appending to one cluster must get a fresh array
-// instead of overwriting the first member of the next. Repaired clusterings
-// are laid out the same way and held to the same rule.
+// instead of overwriting the first member of the next. Repaired clusterings,
+// power and even, are laid out the same way and held to the same rule.
 func TestClusterSlabDoesNotBleed(t *testing.T) {
 	g, w := twoCliques(t)
 	ix := buildIndex(t, g, w, 4, 7)
@@ -291,10 +291,13 @@ func TestClusterSlabDoesNotBleed(t *testing.T) {
 	feed := newFlipFeed(big, level, 13)
 	var r Repairer
 	repaired := Power(big, level)
+	even := Even(big, level)
 	for step := 0; step < 50; step++ {
-		repaired, _, _ = r.Repair(big, level, repaired, feed.step(8))
+		flips := feed.step(8)
+		repaired, _, _ = r.Repair(big, level, repaired, flips)
+		even = r.RepairEven(big, level, even, flips)
 	}
-	for _, cl := range []*Clustering{Power(ix, ix.Levels()), Even(ix, ix.Levels()), repaired} {
+	for _, cl := range []*Clustering{Power(ix, ix.Levels()), Even(ix, ix.Levels()), repaired, even} {
 		if cl.NumClusters() < 2 {
 			t.Fatalf("fixture yields %d clusters, need at least 2", cl.NumClusters())
 		}

@@ -15,7 +15,8 @@ import (
 // it, rides the same gate: its worklist, root table, remap and search
 // scratch are reused, so a repair allocates what it publishes — the
 // Clustering, the cluster headers, one member slab and at most one label
-// array — and nothing else.
+// array — and nothing else. RepairEven, which readers run on a cache miss,
+// is held to the same four.
 func TestHotPathAllocs(t *testing.T) {
 	ix := benchIndex(t, 1024)
 	for name, fn := range map[string]func(level int) *Clustering{
@@ -37,7 +38,7 @@ func TestHotPathAllocs(t *testing.T) {
 	level := pyramid.SqrtLevel(1024)
 	feed := newFlipFeed(ix, level, 3)
 	var r Repairer
-	cur := Power(ix, level)
+	cur, even := Power(ix, level), Even(ix, level)
 	for step := 0; step < 100; step++ {
 		flips := feed.step(1 + feed.rng.Intn(24))
 		// Repeating one repair gives the same answer each time; the warm-up
@@ -45,10 +46,13 @@ func TestHotPathAllocs(t *testing.T) {
 		// count is process-wide and the average truncates, so ten runs absorb
 		// the few objects the runtime allocates itself (the process's first GC
 		// cycle starting its workers) while a fifth object per repair shows.
-		var next *Clustering
+		var next, nextEven *Clustering
 		if a := testing.AllocsPerRun(10, func() { next, _, _ = r.Repair(ix, level, cur, flips) }); a > 4 {
 			t.Errorf("step %d: a repair of %d flips allocated %v objects, want at most the 4 it publishes", step, len(flips), a)
 		}
-		cur = next
+		if a := testing.AllocsPerRun(10, func() { nextEven = r.RepairEven(ix, level, even, flips) }); a > 4 {
+			t.Errorf("step %d: an even repair of %d flips allocated %v objects, want at most the 4 it publishes", step, len(flips), a)
+		}
+		cur, even = next, nextEven
 	}
 }

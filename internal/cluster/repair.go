@@ -12,7 +12,8 @@ import (
 // instead of recomputing it, at a cost bounded by the clusters the flips
 // touch. It carries the scratch one repair needs, reused across calls so
 // only the published result allocates. The zero value is ready to use; a
-// Repairer belongs to one writer and serves one graph.
+// Repairer runs one repair at a time and serves one graph. RepairEven does
+// the same for an even clustering.
 //
 // # Why a repair can be exact
 //
@@ -42,7 +43,7 @@ import (
 type Repairer struct {
 	rootOf   []graph.NodeID // new root of a node whose root changed, else -1
 	movedSet []graph.NodeID // the nodes with rootOf set, in position order
-	queue    []uint64       // phase A's worklist: a bitset over rank positions
+	queue    []uint64       // phase A's worklist: a bitset over rank positions (RepairEven: over node IDs)
 	seen     stampSet       // nodes visited by a phase-B search
 	dirtyPos []int32        // rank positions of the dirty roots
 	born     []graph.NodeID // moved nodes that became roots, in position order
@@ -50,6 +51,11 @@ type Repairer struct {
 
 	stack              []graph.NodeID
 	dirtyOld, dirtyNew []int32
+
+	// RepairEven: the components its search found, back to back, each
+	// starting at found[starts[i]].
+	found  []graph.NodeID
+	starts []int32
 }
 
 // Repair returns the power clustering of ix at level — byte for byte what
@@ -216,6 +222,104 @@ func (r *Repairer) Repair(ix *pyramid.Index, level int, prev *Clustering, flips 
 		}
 	}
 	return &Clustering{Labels: labels, Clusters: clusters}, r.dirtyOld, r.dirtyNew
+}
+
+// RepairEven returns the even clustering of ix at level — byte for byte
+// what Even(ix, level) returns — given prev, the even clustering before the
+// last vote changes, and flips, a superset of the edges whose pass state at
+// level differs from the one prev was computed from (repeats allowed).
+//
+// A component of prev holding an endpoint of a flipped edge is dirty. The
+// union of the dirty components is closed under the current surviving
+// edges: one that survived throughout lies inside a component of prev, an
+// added one joins two dirty components and a removed one lay inside a
+// dirty one. Every other component of prev is therefore a component of the
+// result, searched from the same smallest node along the same edges: the
+// same member list. Even numbers components by their smallest node,
+// Clusters[id][0], so the result is the clean components merged by first
+// member with what Even's stack search finds over the dirty union in
+// ascending node ID, laid out in one slab as Even lays it out.
+func (r *Repairer) RepairEven(ix *pyramid.Index, level int, prev *Clustering, flips []graph.EdgeID) *Clustering {
+	g := ix.Graph()
+	min := ix.MinSupport()
+	r.begin(g.N())
+	for _, e := range flips {
+		u, v := g.Endpoints(e)
+		r.dirtyOld = append(r.dirtyOld, prev.Labels[u], prev.Labels[v])
+	}
+	slices.Sort(r.dirtyOld)
+	r.dirtyOld = slices.Compact(r.dirtyOld)
+	// The dirty union goes into the queue bitset, here over node IDs, so
+	// one forward sweep visits it in ascending ID.
+	for _, id := range r.dirtyOld {
+		for _, x := range prev.Clusters[id] {
+			r.queue[x>>6] |= 1 << (x & 63)
+		}
+	}
+	r.found, r.starts = r.found[:0], r.starts[:0]
+	for w := range r.queue {
+		for r.queue[w] != 0 {
+			b := bits.TrailingZeros64(r.queue[w])
+			r.queue[w] &^= 1 << b
+			v := graph.NodeID(w<<6 | b)
+			if r.seen.has(v) {
+				continue
+			}
+			r.starts = append(r.starts, int32(len(r.found)))
+			r.seen.add(v)
+			r.stack = append(r.stack, v)
+			for len(r.stack) > 0 {
+				x := r.stack[len(r.stack)-1]
+				r.stack = r.stack[:len(r.stack)-1]
+				r.found = append(r.found, x)
+				for _, h := range g.Neighbors(x) {
+					if !r.seen.has(h.To) && ix.Votes(h.Edge, level) >= min {
+						r.seen.add(h.To)
+						r.stack = append(r.stack, h.To)
+					}
+				}
+			}
+		}
+	}
+	fresh := len(r.starts)
+	r.starts = append(r.starts, int32(len(r.found)))
+
+	slab := make([]graph.NodeID, 0, g.N())
+	clusters := make([][]graph.NodeID, 0, len(prev.Clusters)-len(r.dirtyOld)+fresh)
+	r.remap = slices.Grow(r.remap[:0], len(prev.Clusters))[:len(prev.Clusters)]
+	put := func(members []graph.NodeID) {
+		a := len(slab)
+		slab = append(slab, members...)
+		clusters = append(clusters, slab[a:len(slab):len(slab)])
+	}
+	f, d := 0, 0
+	putFound := func(first graph.NodeID) {
+		for ; f < fresh && r.found[r.starts[f]] < first; f++ {
+			r.dirtyNew = append(r.dirtyNew, int32(len(clusters)))
+			put(r.found[r.starts[f]:r.starts[f+1]])
+		}
+	}
+	for id, members := range prev.Clusters {
+		if d < len(r.dirtyOld) && r.dirtyOld[d] == int32(id) {
+			r.remap[id] = -1
+			d++
+			continue
+		}
+		putFound(members[0])
+		r.remap[id] = int32(len(clusters))
+		put(members)
+	}
+	putFound(graph.NodeID(g.N()))
+	labels := make([]int32, len(prev.Labels))
+	for v, id := range prev.Labels {
+		labels[v] = r.remap[id]
+	}
+	for _, id := range r.dirtyNew {
+		for _, y := range clusters[id] {
+			labels[y] = id
+		}
+	}
+	return &Clustering{Labels: labels, Clusters: clusters}
 }
 
 // begin sizes the scratch for an n-node graph and empties it. rootOf is

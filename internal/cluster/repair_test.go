@@ -51,20 +51,30 @@ func (f *flipFeed) step(size int) []graph.EdgeID {
 	return f.flips
 }
 
-// mustEqualPower fails unless got is byte for byte Power's answer: the same
-// Labels and every member list in the same order.
-func mustEqualPower(t *testing.T, step int, got *Clustering, ix *pyramid.Index, level int) {
+// accumulate runs `writes` steps of `size` reweights and returns the
+// distinct edges that flipped at the tracked level across them, appended to
+// log — the flip log core keeps for a level nobody read in between.
+func (f *flipFeed) accumulate(log []graph.EdgeID, writes, size int) []graph.EdgeID {
+	for i := 0; i < writes; i++ {
+		log = append(log, f.step(size)...)
+	}
+	slices.Sort(log)
+	return slices.Compact(log)
+}
+
+// mustEqual fails unless got is byte for byte want: the same Labels and
+// every member list in the same order, each a full sub-slice of its slab.
+func mustEqual(t *testing.T, step int, got, want *Clustering) {
 	t.Helper()
-	want := Power(ix, level)
 	if !reflect.DeepEqual(got.Labels, want.Labels) {
-		t.Fatalf("step %d: repaired Labels differ from Power", step)
+		t.Fatalf("step %d: repaired Labels differ from a recompute", step)
 	}
 	if len(got.Clusters) != len(want.Clusters) {
-		t.Fatalf("step %d: %d clusters, Power has %d", step, len(got.Clusters), len(want.Clusters))
+		t.Fatalf("step %d: %d clusters, a recompute has %d", step, len(got.Clusters), len(want.Clusters))
 	}
 	for i := range want.Clusters {
 		if !slices.Equal(got.Clusters[i], want.Clusters[i]) {
-			t.Fatalf("step %d: cluster %d = %v, Power has %v", step, i, got.Clusters[i], want.Clusters[i])
+			t.Fatalf("step %d: cluster %d = %v, a recompute has %v", step, i, got.Clusters[i], want.Clusters[i])
 		}
 		if cap(got.Clusters[i]) != len(got.Clusters[i]) {
 			t.Fatalf("step %d: cluster %d has len %d cap %d", step, i, len(got.Clusters[i]), cap(got.Clusters[i]))
@@ -93,7 +103,7 @@ func TestRepairMatchesPower(t *testing.T) {
 			flips = append(flips, flips[0])
 		}
 		cur, dirtyOld, dirtyNew := r.Repair(ix, level, prev, flips)
-		mustEqualPower(t, step, cur, ix, level)
+		mustEqual(t, step, cur, Power(ix, level))
 		if !slices.IsSorted(dirtyOld) || !slices.IsSorted(dirtyNew) {
 			t.Fatalf("step %d: dirty lists not in ID order: %v %v", step, dirtyOld, dirtyNew)
 		}
@@ -139,6 +149,40 @@ func TestRepairMatchesPower(t *testing.T) {
 		t.Fatalf("history never renumbered: %d repairs with a birth, %d with a death, %d with both", births, deaths, both)
 	}
 	t.Logf("births %d, deaths %d, both %d, label-aliasing repairs %d", births, deaths, both, aliasedLabels)
+}
+
+// TestRepairEvenMatchesEven is RepairEven's index-level differential: at the
+// coarsest level and two finer ones, logs accumulated over one to a
+// dozen random batches (repeats included) repair to a fresh Even, and the
+// histories both merge and split components.
+func TestRepairEvenMatchesEven(t *testing.T) {
+	sqrt := pyramid.SqrtLevel(700)
+	for _, level := range []int{1, sqrt, sqrt + 2} {
+		ix := benchIndex(t, 700)
+		feed := newFlipFeed(ix, level, int64(5+level))
+		var r Repairer
+		prev := Even(ix, level)
+		var log []graph.EdgeID
+		merged, split := 0, 0
+		for step := 0; step < 150; step++ {
+			log = feed.accumulate(log, 1+feed.rng.Intn(12), 1+feed.rng.Intn(40))
+			if step%5 == 0 && len(log) > 0 {
+				log = append(log, log[0])
+			}
+			cur := r.RepairEven(ix, level, prev, log)
+			mustEqual(t, step, cur, Even(ix, level))
+			switch {
+			case cur.NumClusters() < prev.NumClusters():
+				merged++
+			case cur.NumClusters() > prev.NumClusters():
+				split++
+			}
+			prev, log = cur, log[:0]
+		}
+		if merged == 0 || split == 0 {
+			t.Fatalf("level %d: %d repairs merged and %d split components, want both", level, merged, split)
+		}
+	}
 }
 
 // TestRepairPinsNothing: a repaired clustering owns one slab like Power's

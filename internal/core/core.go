@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"anc/internal/analytics"
 	"anc/internal/cluster"
@@ -120,13 +121,20 @@ type Network struct {
 
 	// Analytics (DESIGN.md §16): the TieRank snapshot cache and the
 	// cluster-evolution tracker. Nil until EnableAnalytics; all methods
-	// on both are nil-safe. evoFlips collects the edges whose vote flipped
-	// at the tracked level since the last diff; the ingest paths settle
-	// them via afterRepair, which repairs the level's clustering from them.
+	// on both are nil-safe. The tracked level's power log collects the
+	// edges whose vote flipped there since the last diff; the ingest paths
+	// settle them via afterRepair, which repairs the level's clustering
+	// from them with repairer.
 	rank     *analytics.RankCache
 	evo      *analytics.Tracker
-	evoFlips []graph.EdgeID
 	repairer cluster.Repairer
+
+	// logs holds, per level, each variant's baseline and flip log
+	// (repair.go): what a cache miss repairs instead of recomputing. Nil
+	// until the flip listener is registered (listen). readers pools the
+	// miss path's Repairers.
+	logs    []levelLogs
+	readers sync.Pool
 
 	// Batch-ingest scratch: dirty-edge/node sets of the current batch and
 	// the weight buffer handed to the index. Lazily allocated on the first
@@ -482,12 +490,13 @@ func (nw *Network) Snapshot() error {
 	nw.ix.Reconstruct()
 	// The reconstruction rebuilds vote counts wholesale without firing
 	// flip events, so the cache cannot invalidate itself level by level —
-	// drop everything. The tracked level has no flip list to be repaired
-	// along either: recompute it whole, diff it whole.
+	// drop everything, baselines and logs included. The tracked level has
+	// no flip list to be repaired along either: recompute it whole, diff
+	// it whole.
 	nw.cache.InvalidateAll()
 	nw.rank.Invalidate()
+	nw.resetLogs()
 	if nw.evo != nil {
-		nw.evoFlips = nw.evoFlips[:0]
 		cl := cluster.Power(nw.ix, nw.evo.Level())
 		nw.cache.ReplacePower(nw.evo.Level(), cl)
 		nw.evo.Observe(cl, nw.clock.Now())
@@ -501,20 +510,24 @@ func (nw *Network) Snapshot() error {
 // unconditionally; the evolution tracker diffs only when a vote flip
 // touched its level — clusterings are a pure function of vote pass
 // states, so no flip means no transition to report. The level's clustering
-// is repaired from the tracker's baseline along the collected flips, so
-// only the clusters they touch are searched and diffed; the result is
+// is repaired from the tracker's baseline along the level's power log, so
+// only the clusters it touches are searched and diffed; the result is
 // cluster.Power's, byte for byte, and it is also what the clustering cache
 // serves at that level from now on: it replaces the pre-write entry, which
-// the flips deliberately left in place (see EnableClusterCache).
+// the flips deliberately left in place (see onFlip).
 // Exclusive-writer context, like the cache invalidations it extends.
 func (nw *Network) afterRepair() {
 	nw.rank.Invalidate()
-	if len(nw.evoFlips) == 0 {
+	level := nw.evo.Level()
+	if level == 0 {
 		return
 	}
-	level := nw.evo.Level()
-	cl, dirtyOld, dirtyNew := nw.repairer.Repair(nw.ix, level, nw.evo.Baseline(), nw.evoFlips)
-	nw.evoFlips = nw.evoFlips[:0]
+	flips := &nw.logs[level-1].power
+	if len(flips.log) == 0 {
+		return
+	}
+	cl, dirtyOld, dirtyNew := nw.repairer.Repair(nw.ix, level, nw.evo.Baseline(), flips.log)
+	flips.rebase(nil)
 	nw.cache.ReplacePower(level, cl)
 	nw.evo.ObserveRepair(cl, dirtyOld, dirtyNew, nw.clock.Now())
 }
@@ -522,7 +535,8 @@ func (nw *Network) afterRepair() {
 // EnableClusterCache materializes per-level clustering results: Clusters
 // and EvenClusters memoize their answer and serve repeats lock-free from
 // an atomically swapped snapshot until a net vote-threshold crossing
-// invalidates the level (see internal/cluster/cache). The first call pays
+// invalidates the level (see internal/cluster/cache); the next miss
+// repairs the dropped entry along the level's flips. The first call pays
 // the vote tracker's one-time O(K·L·m) initialization if Watch has not
 // already; it returns the cache so facades can probe it before taking
 // their locks. Idempotent.
@@ -534,18 +548,11 @@ func (nw *Network) EnableClusterCache() *clustercache.Cache {
 }
 
 // attachClusterCache makes c this network's clustering cache: vote flips
-// invalidate its levels from now on.
+// invalidate its levels from now on (onFlip), and no baseline of an
+// earlier cache survives.
 func (nw *Network) attachClusterCache(c *clustercache.Cache) {
-	vt := nw.ix.EnableVoteTracking()
-	vt.OnFlip(func(l int, _ graph.EdgeID, _ bool) {
-		// The evolution tracker's level is repaired by afterRepair before
-		// the writer lets go, and swapped in there; dropping it here would
-		// only make lock-free readers miss and queue behind the writer.
-		// (Level is 0, no level, until EnableAnalytics.)
-		if l != nw.evo.Level() {
-			c.Invalidate(l)
-		}
-	})
+	nw.listen()
+	nw.resetLogs()
 	c.Instrument(nw.reg)
 	nw.cache = c
 }
@@ -580,15 +587,10 @@ func (nw *Network) EnableAnalytics() *analytics.RankCache {
 // attachAnalytics makes r this network's rank cache and evo its evolution
 // tracker, seeded silently with the current clustering at evo's level.
 func (nw *Network) attachAnalytics(r *analytics.RankCache, evo *analytics.Tracker) {
+	nw.listen()
+	nw.resetLogs()
 	nw.rank, nw.evo = r, evo
-	level := evo.Level()
-	vt := nw.ix.EnableVoteTracking()
-	vt.OnFlip(func(l int, e graph.EdgeID, _ bool) {
-		if l == level {
-			nw.evoFlips = append(nw.evoFlips, e)
-		}
-	})
-	nw.evo.Seed(nw.Clusters(level))
+	nw.evo.Seed(nw.Clusters(evo.Level()))
 	nw.rank.Instrument(nw.reg)
 	nw.evo.Instrument(nw.reg)
 }
@@ -646,12 +648,13 @@ func (nw *Network) EvolutionDrops() uint64 { return nw.evo.DroppedTotal() }
 
 // Clusters reports the power clustering (the paper's DirectedCluster) at
 // the given granularity level, served from the materialized cache when it
-// is enabled and the level is valid since the last vote flip.
+// is enabled and the level is valid since the last vote flip, and
+// otherwise repaired or recomputed (miss) and stored.
 func (nw *Network) Clusters(level int) *cluster.Clustering {
 	if cl, ok := nw.cache.Power(level); ok {
 		return cl
 	}
-	cl := cluster.Power(nw.ix, level)
+	cl := nw.miss(level, false)
 	nw.cache.StorePower(level, cl)
 	return cl
 }
@@ -662,7 +665,7 @@ func (nw *Network) EvenClusters(level int) *cluster.Clustering {
 	if cl, ok := nw.cache.Even(level); ok {
 		return cl
 	}
-	cl := cluster.Even(nw.ix, level)
+	cl := nw.miss(level, true)
 	nw.cache.StoreEven(level, cl)
 	return cl
 }

@@ -47,15 +47,16 @@ func (nw *Network) Watch() *Watcher {
 	if nw.watcher != nil {
 		return nw.watcher
 	}
-	w := &Watcher{nw: nw, watched: map[graph.NodeID]map[int]bool{}, cap: DefaultEventCap}
-	vt := nw.ix.EnableVoteTracking()
-	vt.OnFlip(func(l int, e graph.EdgeID, pass bool) {
-		u, v := nw.g.Endpoints(e)
-		w.emit(u, v, l, pass)
-		w.emit(v, u, l, pass)
-	})
-	nw.watcher = w
-	return w
+	nw.listen()
+	nw.watcher = &Watcher{nw: nw, watched: map[graph.NodeID]map[int]bool{}, cap: DefaultEventCap}
+	return nw.watcher
+}
+
+// flip reports a vote flip of e at level l to both endpoints' watches.
+func (w *Watcher) flip(l int, e graph.EdgeID, pass bool) {
+	u, v := w.nw.g.Endpoints(e)
+	w.emit(u, v, l, pass)
+	w.emit(v, u, l, pass)
 }
 
 // Watcher returns the watcher created by Watch, or nil if Watch was never
