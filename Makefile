@@ -102,11 +102,13 @@ fuzz-smoke:
 # runs an 88-edge batch serially and on the pool, and BenchmarkPowerRepair
 # and BenchmarkEvenRepair repair a level along flip logs of 1, 8 and 64
 # writes and one touching half the nodes, to be read against
-# BenchmarkPower and BenchmarkEven (ns/op, B/op).
+# BenchmarkPower and BenchmarkEven (ns/op, B/op); BenchmarkLocal times the
+# output-proportional local query, the third kernel that binds a level's
+# votes (pyramid.Voter).
 bench-smoke:
 	$(GO) test -run '^TestHotPathAllocs$$' -count=1 ./internal/serve ./internal/obs ./internal/obs/trace ./internal/decay ./internal/cluster/cache ./internal/analytics ./internal/pyramid ./internal/cluster
 	$(GO) test -run '^$$' -bench '^BenchmarkHotPath' -benchtime 100x -benchmem ./internal/serve ./internal/obs ./internal/obs/trace ./internal/decay ./internal/cluster/cache ./internal/analytics
-	$(GO) test -run '^$$' -bench '^(BenchmarkUpdateEdgesHub|BenchmarkUpdateEdgesBatch|BenchmarkPower|BenchmarkPowerRepair|BenchmarkEven|BenchmarkEvenRepair)$$' -benchtime 20x -benchmem ./internal/pyramid ./internal/cluster
+	$(GO) test -run '^$$' -bench '^(BenchmarkUpdateEdgesHub|BenchmarkUpdateEdgesBatch|BenchmarkPower|BenchmarkPowerRepair|BenchmarkEven|BenchmarkEvenRepair|BenchmarkLocal)$$' -benchtime 20x -benchmem ./internal/pyramid ./internal/cluster
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

@@ -642,13 +642,23 @@ func clampLevel(l, max int) int {
 	return l
 }
 
+// toInts converts member lists to the public []int form: one slab cut into
+// three-index sub-slices, so a call allocates twice whatever the cluster
+// count, and a caller's append to one cluster reallocates instead of
+// writing into the next.
 func toInts(cs [][]graph.NodeID) [][]int {
+	total := 0
+	for _, c := range cs {
+		total += len(c)
+	}
+	slab := make([]int, 0, total)
 	out := make([][]int, len(cs))
 	for i, c := range cs {
-		out[i] = make([]int, len(c))
-		for j, v := range c {
-			out[i][j] = int(v)
+		a := len(slab)
+		for _, v := range c {
+			slab = append(slab, int(v))
 		}
+		out[i] = slab[a:len(slab):len(slab)]
 	}
 	return out
 }

@@ -1,6 +1,8 @@
 package anc
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -200,5 +202,52 @@ func TestLevelClamping(t *testing.T) {
 	}
 	if len(net.EvenClusters(99)) == 0 {
 		t.Fatal("even clusters at clamped level")
+	}
+}
+
+// TestClustersOneSlab: the public member lists are one slab cut into
+// three-index sub-slices. Appending to one cluster leaves the next intact,
+// and converting a clustering allocates the same two objects at the
+// coarsest and the finest level, whatever the cluster count — as does the
+// whole query.
+func TestClustersOneSlab(t *testing.T) {
+	const n = 512
+	rng := rand.New(rand.NewSource(7))
+	var edges [][2]int
+	for v := 1; v < n; v++ {
+		edges = append(edges, [2]int{rng.Intn(v), v})
+	}
+	for i := 0; i < 2*n; i++ {
+		if u, v := rng.Intn(n), rng.Intn(n); u != v {
+			edges = append(edges, [2]int{u, v})
+		}
+	}
+	net, err := NewNetwork(n, edges, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	coarse, fine := 1, net.Levels()
+	few, many := len(net.Clusters(coarse)), len(net.Clusters(fine))
+	if many < 4*few || many < 50 {
+		t.Fatalf("%d clusters at level %d, %d at level %d: fixture does not spread the cluster count", few, coarse, many, fine)
+	}
+
+	cs := net.Clusters(fine)
+	next := slices.Clone(cs[1])
+	cs[0] = append(cs[0], -1, -2, -3)
+	if !slices.Equal(cs[1], next) {
+		t.Fatalf("appending to cluster 0 overwrote cluster 1: %v, was %v", cs[1], next)
+	}
+
+	for _, l := range []int{coarse, fine} {
+		members := net.inner.Clusters(l).Clusters
+		if a := testing.AllocsPerRun(20, func() { toInts(members) }); a != 2 {
+			t.Errorf("level %d: toInts of %d clusters allocates %v times, want 2", l, len(members), a)
+		}
+	}
+	a := testing.AllocsPerRun(20, func() { net.Clusters(coarse) })
+	b := testing.AllocsPerRun(20, func() { net.Clusters(fine) })
+	if a != b {
+		t.Errorf("Clusters allocates %v times for %d clusters and %v for %d, want one constant", a, few, b, many)
 	}
 }

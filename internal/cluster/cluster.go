@@ -38,49 +38,14 @@ func (c *Clustering) SizesAtLeast(minSize int) int {
 	return n
 }
 
-// keepFunc reports whether an edge survives the vote at the queried level.
-type keepFunc func(e graph.EdgeID) bool
-
-func voteKeep(ix *pyramid.Index, level int) keepFunc {
-	min := ix.MinSupport()
-	return func(e graph.EdgeID) bool { return ix.Votes(e, level) >= min }
-}
-
-// keepMemo caches keep decisions in a pair of bitmaps so each undirected
-// edge's vote is evaluated at most once per query, even though the edge
-// appears in both endpoints' neighbor lists. Without tracking, one vote
-// evaluation polls K partitions, so the full-graph traversals of Even and
-// Power would pay that twice per edge; with the memo, vote evaluation is
-// O(m) total.
-type keepMemo struct {
-	fn   keepFunc
-	seen []uint64
-	keep []uint64
-}
-
-func newKeepMemo(m int, fn keepFunc) *keepMemo {
-	words := (m + 63) / 64
-	return &keepMemo{fn: fn, seen: make([]uint64, words), keep: make([]uint64, words)}
-}
-
-func (k *keepMemo) Keep(e graph.EdgeID) bool {
-	w, b := e/64, uint64(1)<<(uint(e)%64)
-	if k.seen[w]&b == 0 {
-		k.seen[w] |= b
-		if k.fn(e) {
-			k.keep[w] |= b
-		}
-	}
-	return k.keep[w]&b != 0
-}
-
 // Even reports the even clustering at the given granularity level: the
 // connected components of the graph restricted to edges whose vote passes
-// the θ·K support threshold. O(n + m) plus vote evaluation (Lemma 8).
+// the θ·K support threshold. O(n + m) plus vote evaluation (Lemma 8): an
+// edge is voted on at most once, from whichever endpoint the search pops
+// first — by the time the other one pops, both are labelled.
 func Even(ix *pyramid.Index, level int) *Clustering {
 	g := ix.Graph()
-	memo := newKeepMemo(g.M(), voteKeep(ix, level))
-	keep := memo.Keep
+	vote := ix.Voter(level)
 	labels := make([]int32, g.N())
 	for i := range labels {
 		labels[i] = -1
@@ -101,7 +66,7 @@ func Even(ix *pyramid.Index, level int) *Clustering {
 			queue = queue[:len(queue)-1]
 			slab = append(slab, x)
 			for _, h := range g.Neighbors(x) {
-				if labels[h.To] < 0 && keep(h.Edge) {
+				if labels[h.To] < 0 && vote.Keep(x, h.To, h.Edge) {
 					labels[h.To] = id
 					queue = append(queue, h.To)
 				}
@@ -136,12 +101,12 @@ func carve(slab []graph.NodeID, labels []int32, count int) [][]graph.NodeID {
 // in that rank order, and each still-unclustered node absorbs every
 // unclustered node reachable through directed surviving edges. Power
 // clustering avoids the error amplification of even clustering: a single
-// mis-voted edge cannot merge two whole clusters. O(n + m) plus votes.
+// mis-voted edge cannot merge two whole clusters. The search walks the
+// rank-directed lists (graph.Down), so it scans each of the m edges once,
+// from its higher-ranked end. O(n + m) plus votes.
 func Power(ix *pyramid.Index, level int) *Clustering {
 	g := ix.Graph()
-	memo := newKeepMemo(g.M(), voteKeep(ix, level))
-	keep := memo.Keep
-	rank, pos := g.DegreeRank(), g.DegreePos()
+	vote := ix.Voter(level)
 	labels := make([]int32, g.N())
 	for i := range labels {
 		labels[i] = -1
@@ -149,7 +114,7 @@ func Power(ix *pyramid.Index, level int) *Clustering {
 	slab := make([]graph.NodeID, 0, g.N())
 	stack := make([]graph.NodeID, 0, g.N())
 	count := 0
-	for _, v := range rank {
+	for _, v := range g.DegreeRank() {
 		if labels[v] >= 0 {
 			continue
 		}
@@ -161,9 +126,8 @@ func Power(ix *pyramid.Index, level int) *Clustering {
 			x := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			slab = append(slab, x)
-			for _, h := range g.Neighbors(x) {
-				// Follow the edge only in its high-rank -> low-rank direction.
-				if pos[x] < pos[h.To] && labels[h.To] < 0 && keep(h.Edge) {
+			for _, h := range g.Down(x) {
+				if labels[h.To] < 0 && vote.Keep(x, h.To, h.Edge) {
 					labels[h.To] = id
 					stack = append(stack, h.To)
 				}
@@ -181,7 +145,7 @@ func Power(ix *pyramid.Index, level int) *Clustering {
 // equals the Even cluster of v.
 func Local(ix *pyramid.Index, level int, v graph.NodeID) []graph.NodeID {
 	g := ix.Graph()
-	min := ix.MinSupport()
+	vote := ix.Voter(level)
 	s := localPool.Get().(*localScratch)
 	s.seen.reset(g.N())
 	s.members = s.members[:0]
@@ -192,7 +156,7 @@ func Local(ix *pyramid.Index, level int, v graph.NodeID) []graph.NodeID {
 		s.queue = s.queue[:len(s.queue)-1]
 		s.members = append(s.members, x)
 		for _, h := range g.Neighbors(x) {
-			if !s.seen.has(h.To) && ix.Votes(h.Edge, level) >= min {
+			if !s.seen.has(h.To) && vote.Keep(x, h.To, h.Edge) {
 				s.seen.add(h.To)
 				s.queue = append(s.queue, h.To)
 			}

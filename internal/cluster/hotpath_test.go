@@ -7,8 +7,8 @@ import (
 )
 
 // TestHotPathAllocs gates the extraction kernels (make bench-smoke): Power
-// and Even allocate a small constant number of objects — the memo, the label
-// array, one member slab, one stack, the cluster headers — whatever the
+// and Even allocate a small constant number of objects — the label array,
+// one member slab, one stack, the cluster headers — whatever the
 // cluster count. A per-cluster member slice, a grown stack or a per-call
 // degree sort all break the equality or the bound. The repair of the tracked
 // level, which the single writer runs inside every ingest call that flips

@@ -72,7 +72,7 @@ type Repairer struct {
 func (r *Repairer) Repair(ix *pyramid.Index, level int, prev *Clustering, flips []graph.EdgeID) (cur *Clustering, dirtyOld, dirtyNew []int32) {
 	g := ix.Graph()
 	rank, pos := g.DegreeRank(), g.DegreePos()
-	min := ix.MinSupport()
+	vote := ix.Voter(level)
 	r.begin(g.N())
 	oldRoot := func(x graph.NodeID) graph.NodeID { return prev.Clusters[prev.Labels[x]][0] }
 	root := func(x graph.NodeID) graph.NodeID {
@@ -112,8 +112,8 @@ func (r *Repairer) Repair(ix *pyramid.Index, level int, prev *Clustering, flips 
 			queued--
 			x := rank[w<<6|b]
 			nr := x
-			for _, h := range g.Neighbors(x) {
-				if pos[h.To] < pos[x] && ix.Votes(h.Edge, level) >= min {
+			for _, h := range g.Up(x) {
+				if vote.Keep(x, h.To, h.Edge) {
 					if c := root(h.To); nr == x || pos[c] < pos[nr] {
 						nr = c
 					}
@@ -124,8 +124,8 @@ func (r *Repairer) Repair(ix *pyramid.Index, level int, prev *Clustering, flips 
 			}
 			r.rootOf[x] = nr
 			r.movedSet = append(r.movedSet, x)
-			for _, h := range g.Neighbors(x) {
-				if pos[x] < pos[h.To] && ix.Votes(h.Edge, level) >= min {
+			for _, h := range g.Down(x) {
+				if vote.Keep(x, h.To, h.Edge) {
 					push(h.To)
 				}
 			}
@@ -173,8 +173,8 @@ func (r *Repairer) Repair(ix *pyramid.Index, level int, prev *Clustering, flips 
 			y := r.stack[len(r.stack)-1]
 			r.stack = r.stack[:len(r.stack)-1]
 			slab = append(slab, y)
-			for _, h := range g.Neighbors(y) {
-				if pos[y] < pos[h.To] && !r.seen.has(h.To) && root(h.To) == x && ix.Votes(h.Edge, level) >= min {
+			for _, h := range g.Down(y) {
+				if !r.seen.has(h.To) && root(h.To) == x && vote.Keep(y, h.To, h.Edge) {
 					r.seen.add(h.To)
 					r.stack = append(r.stack, h.To)
 				}
@@ -241,7 +241,7 @@ func (r *Repairer) Repair(ix *pyramid.Index, level int, prev *Clustering, flips 
 // ascending node ID, laid out in one slab as Even lays it out.
 func (r *Repairer) RepairEven(ix *pyramid.Index, level int, prev *Clustering, flips []graph.EdgeID) *Clustering {
 	g := ix.Graph()
-	min := ix.MinSupport()
+	vote := ix.Voter(level)
 	r.begin(g.N())
 	for _, e := range flips {
 		u, v := g.Endpoints(e)
@@ -273,7 +273,7 @@ func (r *Repairer) RepairEven(ix *pyramid.Index, level int, prev *Clustering, fl
 				r.stack = r.stack[:len(r.stack)-1]
 				r.found = append(r.found, x)
 				for _, h := range g.Neighbors(x) {
-					if !r.seen.has(h.To) && ix.Votes(h.Edge, level) >= min {
+					if !r.seen.has(h.To) && vote.Keep(x, h.To, h.Edge) {
 						r.seen.add(h.To)
 						r.stack = append(r.stack, h.To)
 					}

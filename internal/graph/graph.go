@@ -38,6 +38,11 @@ type Graph struct {
 	dsts    []NodeID // endpoints by edge ID, srcs[e] < dsts[e]
 	rank    []NodeID // nodes by decreasing degree, ties by increasing ID
 	rankPos []int32  // inverse of rank: rankPos[rank[i]] == i
+	// byRank holds each adjacency list again, over the same offsets, split
+	// by rank: Up(v) = byRank[offsets[v]:split[v]], Down(v) =
+	// byRank[split[v]:offsets[v+1]], each half in adjacency order.
+	byRank []Half
+	split  []int32
 }
 
 // Edge is an undirected edge given by its two endpoints.
@@ -147,6 +152,28 @@ func (b *Builder) Build() *Graph {
 		g.rankPos[v] = next[b]
 		next[b]++
 	}
+	// Rank-directed adjacency, in the same pass over the nodes: each list's
+	// higher-ranked neighbours, then its lower-ranked ones, both filtered in
+	// adjacency order so a search over them pushes what one over Neighbors
+	// with a rank test would push, in the same order.
+	g.byRank = make([]Half, 2*m)
+	g.split = make([]int32, n)
+	for v := 0; v < n; v++ {
+		list, at, k := g.Neighbors(NodeID(v)), g.rankPos[v], g.offsets[v]
+		for _, h := range list {
+			if g.rankPos[h.To] < at {
+				g.byRank[k] = h
+				k++
+			}
+		}
+		g.split[v] = k
+		for _, h := range list {
+			if g.rankPos[h.To] > at {
+				g.byRank[k] = h
+				k++
+			}
+		}
+	}
 	return g
 }
 
@@ -250,3 +277,15 @@ func (g *Graph) DegreeRank() []NodeID { return g.rank }
 // DegreePos returns the inverse of DegreeRank: DegreePos()[v] is the rank
 // position of node v. Shared like DegreeRank; must not be modified.
 func (g *Graph) DegreePos() []int32 { return g.rankPos }
+
+// Up returns the half-edges of v to higher-ranked neighbours (smaller
+// DegreePos) — the in-edges of v when every edge is directed down the
+// degree rank, as power clustering directs them. In adjacency order;
+// aliases internal storage and must not be modified.
+func (g *Graph) Up(v NodeID) []Half { return g.byRank[g.offsets[v]:g.split[v]] }
+
+// Down returns the half-edges of v to lower-ranked neighbours (larger
+// DegreePos) — the out-edges power clustering follows. In adjacency order;
+// Up(v) and Down(v) together hold Neighbors(v) exactly once. Aliases
+// internal storage and must not be modified.
+func (g *Graph) Down(v NodeID) []Half { return g.byRank[g.split[v]:g.offsets[v+1]] }

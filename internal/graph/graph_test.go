@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -269,6 +270,45 @@ func TestDegreeRank(t *testing.T) {
 	}
 	if r := NewBuilder(0).Build().DegreeRank(); len(r) != 0 {
 		t.Fatalf("empty graph has rank %v", r)
+	}
+}
+
+// TestRankDirectedAdjacency: on random graphs with few distinct degrees
+// (so most nodes tie) and isolated nodes, Up(v) and Down(v) split
+// Neighbors(v) by DegreePos — Up the higher-ranked neighbours, Down the
+// lower-ranked — and each is Neighbors(v) filtered in adjacency order, so
+// together they hold every half-edge exactly once.
+func TestRankDirectedAdjacency(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(200)
+		b := NewBuilder(n)
+		for i := rng.Intn(2 * n); i > 0; i-- {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				b.AddEdge(NodeID(u), NodeID(v))
+			}
+		}
+		g := b.Build()
+		pos := g.DegreePos()
+		half := 0
+		for v := NodeID(0); int(v) < n; v++ {
+			var up, down []Half
+			for _, h := range g.Neighbors(v) {
+				if pos[h.To] < pos[v] {
+					up = append(up, h)
+				} else {
+					down = append(down, h)
+				}
+			}
+			if !slices.Equal(g.Up(v), up) || !slices.Equal(g.Down(v), down) {
+				t.Fatalf("trial %d node %d: Up %v Down %v, want %v and %v (neighbors %v)",
+					trial, v, g.Up(v), g.Down(v), up, down, g.Neighbors(v))
+			}
+			half += len(g.Up(v)) + len(g.Down(v))
+		}
+		if half != 2*g.M() {
+			t.Fatalf("trial %d: %d half-edges in Up/Down, want 2m = %d", trial, half, 2*g.M())
+		}
 	}
 }
 

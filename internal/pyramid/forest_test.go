@@ -303,6 +303,17 @@ func TestHotPathAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("markChanged/probe/relink allocate %v times per run, want 0", n)
 	}
+	// Binding a level and voting allocate nothing, on the tracked count and
+	// on the untracked poll.
+	e := g.FindEdge(0, 1)
+	for _, vix := range []*Index{ix, buildIndex(t, g, w, DefaultConfig(), 3)} {
+		if n := testing.AllocsPerRun(100, func() {
+			vote := vix.Voter(vix.Levels())
+			vote.Keep(0, 1, e)
+		}); n != 0 {
+			t.Fatalf("tracked=%v: Voter/Keep allocate %v times per run, want 0", vix.votes != nil, n)
+		}
+	}
 }
 
 // TestFlipOrderSerialEqualsParallel pins the OnFlip emission order of the

@@ -73,6 +73,10 @@ type Index struct {
 	// parts[p][l-1] is the partition of pyramid p at granularity level l.
 	parts   [][]*Partition
 	weights []float64 // anchored edge weights 1/S*, shared by all partitions
+	// seedsAt[l-1][p] is parts[p][l-1].seedOf: the slices a Voter binds.
+	// A partition rewrites its seedOf in place for its whole life, so these
+	// never go stale.
+	seedsAt [][][]graph.NodeID
 	votes   *VoteTracker
 
 	scratch *scratch // serial-path Dijkstra state, shared by all partitions
@@ -160,6 +164,13 @@ func BuildWithSeeds(g *graph.Graph, weight func(e graph.EdgeID) float64, cfg Con
 	ix.each(cfg.K*ix.levels, func(slot int, s *scratch) {
 		ix.parts[slot/ix.levels][slot%ix.levels] = newPartition(g, ix.weights, seedSets[slot], s)
 	})
+	ix.seedsAt = make([][][]graph.NodeID, ix.levels)
+	for l := range ix.seedsAt {
+		ix.seedsAt[l] = make([][]graph.NodeID, cfg.K)
+		for p := range ix.seedsAt[l] {
+			ix.seedsAt[l][p] = ix.parts[p][l].seedOf
+		}
+	}
 	ix.buildSeconds = sw.Seconds()
 	return ix, nil
 }
@@ -242,8 +253,65 @@ func (ix *Index) MinSupport() int {
 	return s
 }
 
+// Voter is the voting function H_l of one level, bound once per query:
+// Keep(u, v, e) decides whether edge e = (u, v) survives at that level.
+// With a VoteTracker attached it reads the tracked count; without, it polls
+// the K partitions' seeds and stops as soon as the outcome is decided. Both
+// equal Votes(e, l) ≥ MinSupport(). A Voter reads the index's live state:
+// it is valid while the index is not written, like any read.
+type Voter struct {
+	counts []uint16         // tracked counts at the level; nil when untracked
+	seeds  [][]graph.NodeID // each pyramid's seedOf at the level; untracked
+	min    int              // ⌈θ·K⌉
+	miss   int              // K − ⌈θ·K⌉: the misses that still allow a pass
+}
+
+// Voter binds the voting function of level l ∈ [1, Levels()]. Binding
+// allocates nothing.
+func (ix *Index) Voter(l int) Voter {
+	min := ix.MinSupport()
+	if ix.votes != nil {
+		return Voter{counts: ix.votes.counts[l-1], min: min}
+	}
+	return Voter{seeds: ix.seedsAt[l-1], min: min, miss: ix.cfg.K - min}
+}
+
+// Keep reports whether edge e, with endpoints u and v in either order,
+// survives the vote: Votes(e, l) ≥ MinSupport() at the bound level.
+//
+//anclint:hotpath
+func (b *Voter) Keep(u, v graph.NodeID, e graph.EdgeID) bool {
+	if b.counts != nil {
+		return int(b.counts[e]) >= b.min
+	}
+	return b.poll(u, v)
+}
+
+// poll is Keep without a tracker: ⌈θ·K⌉ shared seeds pass the edge and
+// K − ⌈θ·K⌉ + 1 unshared ones fail it, whichever comes first.
+//
+//anclint:hotpath
+func (b *Voter) poll(u, v graph.NodeID) bool {
+	hits, misses := 0, 0
+	for _, seedOf := range b.seeds {
+		if s := seedOf[u]; s != graph.None && s == seedOf[v] {
+			hits++
+			if hits >= b.min {
+				return true
+			}
+		} else {
+			misses++
+			if misses > b.miss {
+				return false
+			}
+		}
+	}
+	return false
+}
+
 // Votes returns, for edge e at level l, the number of pyramids whose
-// partition assigns both endpoints of e to the same (non-None) seed.
+// partition assigns both endpoints of e to the same (non-None) seed. It is
+// the reference a Voter is checked against; queries bind a Voter instead.
 func (ix *Index) Votes(e graph.EdgeID, l int) int {
 	if ix.votes != nil {
 		return ix.votes.Votes(e, l)

@@ -331,6 +331,70 @@ func TestVotesAndSameCluster(t *testing.T) {
 	}
 }
 
+// TestVoterKeepEqualsVotes: a bound Voter's Keep(u, v, e), in either
+// endpoint order, is Votes(e, l) ≥ MinSupport() for every (level, edge) —
+// untracked (the early-exit poll) and tracked (the count, held to a fresh
+// poll) — in ensembles where a pass needs one, some or every pyramid,
+// before and after updates. The graph has two components, so at coarse
+// levels one of them often holds no seed and its nodes sit under None.
+func TestVoterKeepEqualsVotes(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, cfg := range []Config{{K: 1, Theta: 0.5}, {K: 3, Theta: 0.3}, {K: 4, Theta: 0.7}, {K: 5, Theta: 1}} {
+		const n, split = 60, 40
+		b := graph.NewBuilder(n)
+		for i := 0; i < 2*n; i++ {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v && (u < split) == (v < split) {
+				b.AddEdge(graph.NodeID(u), graph.NodeID(v))
+			}
+		}
+		g := b.Build()
+		ix := buildIndex(t, g, randomWeights(rng, g.M()), cfg, rng.Int63())
+		kept, dropped := 0, 0
+		check := func(when string) {
+			min := ix.MinSupport()
+			for l := 1; l <= ix.Levels(); l++ {
+				vote := ix.Voter(l)
+				for e := graph.EdgeID(0); int(e) < g.M(); e++ {
+					u, v := g.Endpoints(e)
+					want := ix.SameCluster(u, v, l)
+					if (ix.Votes(e, l) >= min) != want {
+						t.Fatalf("K=%d %s: level %d edge %d: Votes disagrees with a fresh poll", cfg.K, when, l, e)
+					}
+					if vote.Keep(u, v, e) != want || vote.Keep(v, u, e) != want {
+						t.Fatalf("K=%d %s: level %d edge %d: Keep = %v/%v, want %v", cfg.K, when, l, e, vote.Keep(u, v, e), vote.Keep(v, u, e), want)
+					}
+					if want {
+						kept++
+					} else {
+						dropped++
+					}
+				}
+			}
+		}
+		update := func() {
+			edges := make([]graph.EdgeID, 0, 20)
+			for _, e := range rng.Perm(g.M())[:20] {
+				edges = append(edges, graph.EdgeID(e))
+			}
+			ix.UpdateEdges(edges, randomWeights(rng, len(edges)))
+		}
+		check("untracked")
+		for i := 0; i < 3; i++ {
+			update()
+			check("untracked, updated")
+		}
+		ix.EnableVoteTracking()
+		check("tracked")
+		for i := 0; i < 3; i++ {
+			update()
+			check("tracked, updated")
+		}
+		if kept == 0 || dropped == 0 {
+			t.Fatalf("K=%d: %d edges kept and %d dropped across the checks, want both", cfg.K, kept, dropped)
+		}
+	}
+}
+
 // TestVoteTrackerStaysExact: with tracking enabled, tracked counts match a
 // fresh recomputation after arbitrary updates.
 func TestVoteTrackerStaysExact(t *testing.T) {

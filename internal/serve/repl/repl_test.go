@@ -8,8 +8,10 @@ import (
 	"net"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -105,20 +107,68 @@ func newFollower(t *testing.T, addr, name string, dcfg anc.DurableConfig, tweak 
 	if err != nil {
 		t.Fatal(err)
 	}
+	causes := &causeLog{}
 	cfg := Config{
 		Upstream:     addr,
 		Heartbeat:    20 * time.Millisecond,
 		ReconnectMin: 5 * time.Millisecond,
 		ReconnectMax: 100 * time.Millisecond,
 		Seed:         42,
-		Logf:         t.Logf,
+		Logf:         causes.logf(t),
 	}
 	if tweak != nil {
 		tweak(&cfg)
 	}
 	node := New(d, cfg)
+	causeLogs.Store(node, causes)
 	node.Start()
 	return node
+}
+
+// causeLog records, in order, the cause of every "session ended" line a
+// follower logs. Status().LastReconnect keeps only the last cause: under
+// CPU load the follower's first "dial" retry can overwrite a "crash" or a
+// "drain" before a poll of it runs, so the tests wait on the history.
+type causeLog struct {
+	mu     sync.Mutex
+	causes []string
+}
+
+// causeLogs maps every follower newFollower built to its causeLog.
+var causeLogs sync.Map // *Node -> *causeLog
+
+// logf is a Config.Logf that passes every line to t.Logf and records the
+// cause of each session end.
+func (c *causeLog) logf(t *testing.T) func(string, ...interface{}) {
+	return func(format string, args ...interface{}) {
+		t.Logf(format, args...)
+		line := fmt.Sprintf(format, args...)
+		if !strings.Contains(line, "session ended") {
+			return
+		}
+		_, field, ok := strings.Cut(line, " cause=")
+		if !ok {
+			return
+		}
+		cause, _, _ := strings.Cut(field, " ")
+		c.mu.Lock()
+		c.causes = append(c.causes, cause)
+		c.mu.Unlock()
+	}
+}
+
+// since returns the causes recorded after the first mark of them.
+func (c *causeLog) since(mark int) []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return slices.Clone(c.causes[mark:])
+}
+
+// causeMark returns how many session ends follower n has logged so far:
+// take it before a fault and pass it to waitCause.
+func causeMark(n *Node) int {
+	c, _ := causeLogs.Load(n)
+	return len(c.(*causeLog).since(0))
 }
 
 // waitCursor polls until the node's local log cursor reaches target.
@@ -134,18 +184,19 @@ func waitCursor(t *testing.T, n *Node, target uint64) {
 	t.Fatalf("cursor stuck at %d, want %d (cause %q)", n.Status().Next, target, n.Status().LastReconnect)
 }
 
-// waitCause polls until the node's last recorded reconnect cause is
-// want.
-func waitCause(t *testing.T, n *Node, want string) {
+// waitCause polls until follower n has logged a session end with cause
+// want after mark, the causeMark taken before the fault.
+func waitCause(t *testing.T, n *Node, mark int, want string) {
 	t.Helper()
+	c, _ := causeLogs.Load(n)
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if n.Status().LastReconnect == want {
+		if slices.Contains(c.(*causeLog).since(mark), want) {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("last reconnect cause %q, want %q", n.Status().LastReconnect, want)
+	t.Fatalf("session-end causes after the fault %q, want %q among them", c.(*causeLog).since(mark), want)
 }
 
 // saveBytes serializes a node's wrapped network — the convergence
@@ -234,10 +285,11 @@ func TestFollowerCatchUpMidStream(t *testing.T) {
 	// and record "drain", not "crash".
 	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
+	mark := causeMark(follower)
 	if err := server.Shutdown(sctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	waitCause(t, follower, "drain")
+	waitCause(t, follower, mark, "drain")
 
 	if got := saveBytes(t, follower); !bytes.Equal(got, want) {
 		t.Fatalf("follower state diverged: %d vs %d bytes (or content)", len(got), len(want))
@@ -433,8 +485,9 @@ func TestReplFailover(t *testing.T) {
 	waitCursor(t, b, preKill)
 
 	// Crash the primary: no drain frame, no checkpoint.
+	mark := causeMark(a)
 	server.Kill()
-	waitCause(t, a, "crash")
+	waitCause(t, a, mark, "crash")
 
 	// Failover: promote A, front it with a server, point B at it.
 	if err := a.Promote(); err != nil {
