@@ -261,7 +261,7 @@ func (nw *Network) EvenClusters(level int) [][]int {
 // an atomically swapped snapshot, invalidated only for levels whose edge
 // set actually changed (a net vote-threshold crossing; see DESIGN.md §15).
 // The first call pays the vote tracker's one-time O(K·L·m) initialization
-// if Watch has not already. Cached answers are byte-identical to a
+// if Events has not already. Cached answers are byte-identical to a
 // recompute. NewConcurrent, NewDurable and Recover enable it
 // automatically.
 func (nw *Network) EnableClusterCache() { nw.inner.EnableClusterCache() }
@@ -287,8 +287,9 @@ func (nw *Network) EvenClustersUncached(level int) [][]int {
 
 // validNode reports whether v names a node of the relation graph. Every
 // query method validates IDs through it and degrades gracefully (empty
-// cluster, +Inf distance, no-op watch) instead of panicking on
-// out-of-range input — the same contract FindEdge gives the edge queries.
+// cluster, +Inf distance, an event filter matching nothing) instead of
+// panicking on out-of-range input — the same contract FindEdge gives the
+// edge queries.
 func (nw *Network) validNode(v int) bool { return v >= 0 && v < nw.N() }
 
 // ClusterOf reports the cluster containing v at the given level, in time
@@ -361,7 +362,7 @@ func (nw *Network) EstimateAttraction(u, v int) float64 {
 
 // ClusterEvent reports a real-time change in a watched node's direct
 // cluster connectivity: the edge to Other started (Joined) or stopped
-// passing the voting threshold at Level.
+// passing the voting threshold at Level, at network time Time.
 type ClusterEvent struct {
 	Node, Other int
 	Level       int
@@ -369,45 +370,40 @@ type ClusterEvent struct {
 	Time        float64
 }
 
-// Watch enables real-time change reporting for node v (the paper's
-// Remarks feature): subsequent Activate calls record a ClusterEvent
-// whenever v's connectivity at any level flips. DrainEvents retrieves them.
-// The first Watch call pays a one-time O(K·log n·m) vote-index build.
-// Watching an out-of-range node is a no-op (and does not build the vote
-// index).
-func (nw *Network) Watch(v int) {
-	if !nw.validNode(v) {
-		return
-	}
-	nw.inner.Watch().Add(graph.NodeID(v))
-}
-
-// Unwatch stops watching v. A no-op for out-of-range or never-watched
-// nodes; it never builds the vote index.
-func (nw *Network) Unwatch(v int) {
-	if w := nw.inner.Watcher(); w != nil && nw.validNode(v) {
-		w.Remove(graph.NodeID(v))
-	}
-}
-
-// DrainEvents returns and clears the accumulated cluster events for all
-// watched nodes, in occurrence order, plus the number of events dropped on
-// buffer overflow since the previous drain (the watcher's buffer is capped;
-// see core.DefaultEventCap).
-func (nw *Network) DrainEvents() ([]ClusterEvent, uint64) {
-	w := nw.inner.Watcher()
-	if w == nil {
-		return nil, 0
-	}
-	evs, dropped := w.Drain()
-	out := make([]ClusterEvent, len(evs))
-	for i, e := range evs {
-		out[i] = ClusterEvent{
-			Node: int(e.Node), Other: int(e.Other),
-			Level: e.Level, Joined: e.Joined, Time: e.Time,
+// Events reports the changes on a caller-chosen node set (the paper's
+// Remarks feature): every vote flip recorded after the cursor since, as
+// one ClusterEvent per endpoint in nodes, in flip order. It also returns
+// the newest sequence number — the cursor for the next call — and missed,
+// the number of flips after since that the bounded flip ring overwrote
+// before this read (a caller that falls that far behind resyncs with
+// ClusterOf). Out-of-range nodes match nothing. The read drains nothing,
+// so re-reading a cursor gives the same answer. The first call turns vote
+// tracking on (a one-time O(K·log n·m) build) and the ring records from
+// then; the concurrent facades track from construction.
+func (nw *Network) Events(since uint64, nodes []int) ([]ClusterEvent, uint64, uint64) {
+	a, b, seq, missed := nw.inner.Flips(since)
+	watched := make(map[graph.NodeID]bool, len(nodes))
+	for _, v := range nodes {
+		if nw.validNode(v) {
+			watched[graph.NodeID(v)] = true
 		}
 	}
-	return out, dropped
+	if len(watched) == 0 {
+		return nil, seq, missed
+	}
+	var out []ClusterEvent
+	g := nw.inner.Graph()
+	for _, flips := range [2][]core.Flip{a, b} {
+		for _, f := range flips {
+			u, v := g.Endpoints(f.Edge)
+			for _, p := range [2][2]graph.NodeID{{u, v}, {v, u}} {
+				if watched[p[0]] {
+					out = append(out, ClusterEvent{Node: int(p[0]), Other: int(p[1]), Level: int(f.Level), Joined: f.Pass, Time: f.Time})
+				}
+			}
+		}
+	}
+	return out, seq, missed
 }
 
 // Instrument attaches the network's observability counters and timing
@@ -420,12 +416,6 @@ func (nw *Network) DrainEvents() ([]ClusterEvent, uint64) {
 // re-instrumenting against the same registry reuses the registered
 // families.
 func (nw *Network) Instrument(reg *obs.Registry) { nw.inner.Instrument(reg) }
-
-// WatcherDrops returns the cumulative number of cluster events dropped on
-// watcher buffer overflow over the network's lifetime. Unlike the per-drain
-// count of DrainEvents it is never reset, so operators can observe loss
-// without consuming events. Zero when Watch was never called.
-func (nw *Network) WatcherDrops() uint64 { return nw.inner.WatcherDrops() }
 
 // RankEntry is one node of a TieRank top-k listing.
 type RankEntry struct {
@@ -498,7 +488,7 @@ type EvolutionEvent struct {
 // snapshot cache (probed lock-free by the concurrent facades) and the
 // cluster-evolution tracker diffing the Θ(√n)-level clustering between
 // pyramid repairs. Idempotent; the first call pays the vote tracker's
-// one-time initialization if Watch or EnableClusterCache has not
+// one-time initialization if Events or EnableClusterCache has not
 // already. NewConcurrent, NewDurable and Recover enable it
 // automatically.
 func (nw *Network) EnableAnalytics() { nw.inner.EnableAnalytics() }
@@ -573,9 +563,8 @@ func (nw *Network) Evolution(since uint64) ([]EvolutionEvent, uint64, uint64) {
 }
 
 // EvolutionDrops returns the cumulative number of evolution events
-// overwritten in the tracker's ring before being read — the analytics
-// twin of WatcherDrops, never reset by reads. Zero until
-// EnableAnalytics.
+// overwritten in the tracker's ring before being read, never reset by
+// reads. Zero until EnableAnalytics.
 func (nw *Network) EvolutionDrops() uint64 { return nw.inner.EvolutionDrops() }
 
 // Save serializes the network to w: the relation graph, configuration,

@@ -38,21 +38,27 @@ func TestQueriesSafeOnBadNodeIDs(t *testing.T) {
 		if _, err := net.Activeness(v, 0); err == nil {
 			t.Errorf("Activeness(%d, 0) accepted", v)
 		}
-		net.Watch(v)   // must not panic or build the vote index
-		net.Unwatch(v) // must not panic
+		if evs, _, _ := net.Events(0, []int{v}); len(evs) != 0 { // must not panic
+			t.Errorf("Events(0, [%d]) = %v, want none", v, evs)
+		}
 		view := net.View()
 		if got := view.ClusterOf(v); len(got) != 0 {
 			t.Errorf("View.ClusterOf(%d) = %v, want empty", v, got)
 		}
 	}
-	// Watch on a bad ID must not have built the vote index: watching a
-	// real node afterwards still works and drains cleanly.
-	if evs, _ := net.DrainEvents(); len(evs) != 0 {
-		t.Fatalf("events without any valid watch: %v", evs)
+	// A bad ID in the node set matches nothing and leaves the valid ones
+	// working: a real node beside it still gets its events.
+	_, seq, _ := net.Events(0, nil)
+	for i := 1; i <= 200; i++ {
+		if err := net.Activate(0, 1, float64(i)*0.05); err != nil {
+			t.Fatal(err)
+		}
 	}
-	net.Watch(0)
-	if err := net.Activate(0, 1, 1); err != nil {
-		t.Fatal(err)
+	evs, _, _ := net.Events(seq, []int{-1, 0, 1, net.N(), math.MaxInt32})
+	for _, e := range evs {
+		if e.Node != 0 && e.Node != 1 {
+			t.Fatalf("event for a node outside the valid set: %+v", e)
+		}
 	}
 	// Valid IDs are unaffected by the guards.
 	if got := net.ClusterOf(0, net.SqrtLevel()); len(got) == 0 {
@@ -88,7 +94,6 @@ func FuzzFacadeQueries(f *testing.F) {
 		if _, err := net.Similarity(u, v); err != nil && u >= 0 && u < net.N() && v >= 0 && v < net.N() && u != v {
 			_ = err // missing edge between valid nodes is a legal error
 		}
-		net.Watch(u)
-		net.Unwatch(u)
+		net.Events(uint64(level), []int{u, v})
 	})
 }

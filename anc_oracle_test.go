@@ -2,6 +2,7 @@ package anc
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -40,6 +41,9 @@ func TestFacadeEstimateDistance(t *testing.T) {
 	}
 }
 
+// TestFacadeWatch: a caller watching the bridge's endpoints through
+// Events sees only their changes, the same on every re-read; a caller
+// whose node set leaves them out sees none of theirs.
 func TestFacadeWatch(t *testing.T) {
 	// Two triangles joined by a bridge — the topology where driving the
 	// bridge weight down reliably flips votes at some level.
@@ -50,28 +54,31 @@ func TestFacadeWatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.Watch(2)
-	net.Watch(3)
+	_, start, _ := net.Events(0, nil)
 	for i := 1; i <= 400; i++ {
 		if err := net.Activate(2, 3, float64(i)*0.02); err != nil {
 			t.Fatal(err)
 		}
 	}
-	evs, _ := net.DrainEvents()
-	if len(evs) == 0 {
-		t.Fatal("no events after heavy bridge activity")
+	evs, seq, missed := net.Events(start, []int{2, 3})
+	if len(evs) == 0 || seq == start || missed != 0 {
+		t.Fatalf("%d events, seq %d → %d, %d missed after heavy bridge activity", len(evs), start, seq, missed)
 	}
 	for _, e := range evs {
 		if e.Node != 2 && e.Node != 3 {
 			t.Fatalf("event for unwatched node: %+v", e)
 		}
 	}
-	net.Unwatch(2)
-	net.Unwatch(3)
+	if again, _, _ := net.Events(start, []int{2, 3}); !reflect.DeepEqual(again, evs) {
+		t.Fatal("re-reading a cursor changed the answer")
+	}
 	for i := 0; i < 100; i++ {
 		net.Activate(0, 1, 8+float64(i)*0.01)
 	}
-	if evs, _ := net.DrainEvents(); len(evs) != 0 {
-		t.Fatalf("events after Unwatch: %v", evs)
+	evs, _, _ = net.Events(start, []int{0, 1, 4, 5})
+	for _, e := range evs {
+		if e.Node == 2 || e.Node == 3 {
+			t.Fatalf("event for a node left out of the set: %+v", e)
+		}
 	}
 }

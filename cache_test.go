@@ -2,9 +2,11 @@ package anc
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // seededCacheNetwork builds a deterministic random-graph network (ring
@@ -302,9 +304,11 @@ func TestTrackedLevelSwappedNotDropped(t *testing.T) {
 // TestStaleLevelRepairStress: four readers hammer the level next to the
 // tracked one in both variants while a writer keeps flipping it, so most
 // reads miss and repair the baseline the last write dropped along its flip
-// log, concurrently, under the shared lock. Every reply must partition
-// [0, n), and once the writer stops both variants equal a recompute. Run
-// under -race by make race.
+// log, concurrently, under the shared lock. Before each batch the writer
+// waits for a read that began after the previous one, so the level is
+// cached again for the batch to drop however the readers are scheduled.
+// Every reply must partition [0, n), and once the writer stops both
+// variants equal a recompute. Run under -race by make race.
 func TestStaleLevelRepairStress(t *testing.T) {
 	net, edges := seededCacheNetwork(t, 13, 64)
 	c := NewConcurrent(net)
@@ -312,6 +316,9 @@ func TestStaleLevelRepairStress(t *testing.T) {
 	n, level := c.N(), max(c.SqrtLevel()-1, 1)
 
 	var replies, broken atomic.Int64
+	// batches counts the writer's finished batches; fresh is the largest
+	// batch count a finished read loaded before it began.
+	var batches, fresh atomic.Int64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
@@ -325,6 +332,7 @@ func TestStaleLevelRepairStress(t *testing.T) {
 					return
 				default:
 				}
+				began := batches.Load()
 				read := c.Clusters
 				if (r+round)%2 == 0 {
 					read = c.EvenClusters
@@ -344,12 +352,18 @@ func TestStaleLevelRepairStress(t *testing.T) {
 					broken.Add(1)
 				}
 				replies.Add(1)
+				for f := fresh.Load(); f < began && !fresh.CompareAndSwap(f, began); f = fresh.Load() {
+				}
 			}
 		}(r)
 	}
 
 	now := 0.0
+	deadline := time.Now().Add(time.Minute)
 	for i := 0; i < 150; i++ {
+		for fresh.Load() < int64(i) && time.Now().Before(deadline) {
+			runtime.Gosched()
+		}
 		hot := edges[(i%2)*12 : (i%2)*12+12]
 		now += 3
 		batch := make([]Activation, 0, 2*len(hot))
@@ -360,9 +374,13 @@ func TestStaleLevelRepairStress(t *testing.T) {
 		if err := c.ActivateBatch(batch); err != nil {
 			t.Fatal(err)
 		}
+		batches.Store(int64(i + 1))
 	}
 	close(stop)
 	wg.Wait()
+	if time.Now().After(deadline) {
+		t.Fatal("no read began after some batch within a minute")
+	}
 
 	if b := broken.Load(); b != 0 {
 		t.Fatalf("%d of %d replies at level %d do not partition [0, %d)", b, replies.Load(), level, n)

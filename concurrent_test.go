@@ -138,8 +138,8 @@ func TestConcurrentBatchIngestRace(t *testing.T) {
 // TestConcurrentServeShapeRace is the serving-layer stress shape under
 // -race: one goroutine ingesting via ActivateBatch while several others
 // issue exactly the reads the server dispatches concurrently —
-// EvenClusters, SmallestClusterOf, Stats, and the exclusive-locking
-// DrainEvents event stream.
+// EvenClusters, SmallestClusterOf, Stats, and a cursor on the change feed,
+// each reader holding its own and all of them under the shared lock.
 func TestConcurrentServeShapeRace(t *testing.T) {
 	n, edges := barbell()
 	net, err := NewNetwork(n, edges, testConfig())
@@ -148,7 +148,6 @@ func TestConcurrentServeShapeRace(t *testing.T) {
 	}
 	c := NewConcurrent(net)
 	defer c.Close()
-	c.Watch(4) // events accumulate so DrainEvents has real work
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -168,7 +167,7 @@ func TestConcurrentServeShapeRace(t *testing.T) {
 		wg.Add(1)
 		go func(q int) {
 			defer wg.Done()
-			var drained uint64
+			var cursor uint64
 			for i := 0; i < 100; i++ {
 				if got := c.EvenClusters(c.SqrtLevel()); len(got) == 0 {
 					t.Error("EvenClusters empty under ingest")
@@ -178,8 +177,18 @@ func TestConcurrentServeShapeRace(t *testing.T) {
 					t.Errorf("empty smallest cluster of %d", q)
 					return
 				}
-				events, dropped := c.DrainEvents()
-				drained += uint64(len(events)) + dropped
+				events, seq, missed := c.Events(cursor, []int{4})
+				if seq < cursor || missed != 0 {
+					t.Errorf("cursor %d read seq %d, %d missed", cursor, seq, missed)
+					return
+				}
+				for _, e := range events {
+					if e.Node != 4 {
+						t.Errorf("event for unwatched node: %+v", e)
+						return
+					}
+				}
+				cursor = seq
 				st := c.Stats()
 				if st.Nodes != 10 || st.Edges != 21 {
 					t.Errorf("stats shape %d/%d under ingest", st.Nodes, st.Edges)

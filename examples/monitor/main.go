@@ -1,7 +1,7 @@
 // Monitor: production-shaped usage — watch specific users for real-time
-// cluster-membership changes (the paper's change-reporting Remarks),
-// snapshot the network to disk mid-stream, restore it, and continue
-// seamlessly.
+// cluster-membership changes (the paper's change-reporting Remarks) by
+// polling the network's change feed with a cursor, snapshot the network
+// to disk mid-stream, restore it, and continue seamlessly.
 //
 //	go run ./examples/monitor
 package main
@@ -38,20 +38,22 @@ func main() {
 			userB = v
 		}
 	}
-	net.Watch(userA)
-	net.Watch(userB)
+	w := watch(net, userA, userB)
 	fmt.Printf("watching users %d and %d on a %d-user network\n", userA, userB, net.N())
 
 	// Phase 1: normal in-community traffic.
 	stream := gen.CommunityBiasedStream(pl.Graph, pl.Truth, 20, 0.05, 0.9, rng)
-	for _, a := range stream {
+	for i, a := range stream {
 		u, v := pl.Graph.Endpoints(a.Edge)
 		if err := net.Activate(int(u), int(v), a.T); err != nil {
 			log.Fatal(err)
 		}
+		if i%pollEvery == 0 {
+			w.poll()
+		}
 	}
-	evs, _ := net.DrainEvents()
-	report("phase 1 (steady in-community traffic)", evs)
+	w.poll()
+	report("phase 1 (steady in-community traffic)", w)
 
 	// Snapshot to a buffer (stands in for a file) and restore.
 	var buf bytes.Buffer
@@ -63,20 +65,25 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	restored.Watch(userA)
-	restored.Watch(userB)
+	// The restored network keeps its own change feed: a new cursor.
+	w = watch(restored, userA, userB)
 
 	// Phase 2 on the restored network: the two communities start talking.
+	// Its vote flips outnumber the feed's bounded ring, so the monitor
+	// polls as it goes; a poll that came too late would report missed.
 	churn := gen.ChurnStream(pl.Graph, pl.Truth, 40, 0.08, [2]int32{0, 1}, rng)
 	t0 := restored.Now()
-	for _, a := range churn {
+	for i, a := range churn {
 		u, v := pl.Graph.Endpoints(a.Edge)
 		if err := restored.Activate(int(u), int(v), t0+a.T); err != nil {
 			log.Fatal(err)
 		}
+		if i%pollEvery == 0 {
+			w.poll()
+		}
 	}
-	evs, _ = restored.DrainEvents()
-	report("phase 2 (restored network, communities 0 and 1 merging)", evs)
+	w.poll()
+	report("phase 2 (restored network, communities 0 and 1 merging)", w)
 
 	// Final state: are the watched users in one cluster now?
 	level := restored.SqrtLevel()
@@ -89,7 +96,36 @@ func main() {
 	fmt.Printf("\nusers %d and %d share a cluster at level %d: %v\n", userA, userB, level, together)
 }
 
-func report(phase string, events []anc.ClusterEvent) {
+// pollEvery is how many activations pass between two polls of the feed.
+const pollEvery = 256
+
+// watcher is what a caller of Events keeps: the node set and the cursor,
+// plus the events and the missed count its polls collected.
+type watcher struct {
+	net    *anc.Network
+	nodes  []int
+	seq    uint64
+	events []anc.ClusterEvent
+	missed uint64
+}
+
+// watch opens a watcher on nodes at the start of net's change feed; the
+// first read turns net's vote tracking on.
+func watch(net *anc.Network, nodes ...int) *watcher {
+	w := &watcher{net: net, nodes: nodes}
+	w.poll()
+	return w
+}
+
+// poll reads the changes since the cursor and advances it.
+func (w *watcher) poll() {
+	evs, seq, missed := w.net.Events(w.seq, w.nodes)
+	w.events = append(w.events, evs...)
+	w.seq, w.missed = seq, w.missed+missed
+}
+
+func report(phase string, w *watcher) {
+	events := w.events
 	joins, leaves := 0, 0
 	for _, e := range events {
 		if e.Joined {
@@ -98,7 +134,7 @@ func report(phase string, events []anc.ClusterEvent) {
 			leaves++
 		}
 	}
-	fmt.Printf("%s: %d membership changes (%d joins, %d leaves)\n", phase, len(events), joins, leaves)
+	fmt.Printf("%s: %d membership changes (%d joins, %d leaves), %d missed\n", phase, len(events), joins, leaves, w.missed)
 	for i, e := range events {
 		if i == 3 {
 			fmt.Printf("  … %d more\n", len(events)-3)

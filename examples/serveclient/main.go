@@ -51,9 +51,11 @@ func main() {
 	defer c.Close()
 	ctx := context.Background()
 
-	// Watch a node, then ingest in-community traffic as batches — one
-	// round trip, one backend lock acquisition, per batch.
-	if err := c.Watch(ctx, 0); err != nil {
+	// Watch a node — the client holds the cursor and the node set — then
+	// ingest in-community traffic as batches: one round trip, one backend
+	// lock acquisition, per batch.
+	w, err := c.OpenWatch(ctx, 0)
+	if err != nil {
 		log.Fatal(err)
 	}
 	stream := gen.CommunityBiasedStream(pl.Graph, pl.Truth, 12, 0.05, 0.9, rng)
@@ -99,12 +101,13 @@ func main() {
 	}
 	fmt.Printf("estimated distance(0, 299) = %.3f\n", d)
 
-	// The change events the watch accumulated during ingest.
-	events, dropped, err := c.DrainEvents(ctx)
+	// The changes on the watched node since the watch opened: one cursor
+	// read, which leaves them in place for any other watcher.
+	events, missed, err := w.Poll(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("node 0 saw %d membership changes (%d dropped)\n", len(events), dropped)
+	fmt.Printf("node 0 saw %d membership changes (%d missed)\n", len(events), missed)
 
 	// A zoom view: the level lives in the client, each read is an
 	// ordinary Clusters/ClusterOf call at that level.

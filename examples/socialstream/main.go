@@ -30,7 +30,8 @@ func main() {
 	}
 	fmt.Printf("social network: %d users, %d friendships\n", net.N(), net.M())
 
-	// Watch user 0's active community as interactions stream in.
+	// Follow user 0's active community as interactions stream in, reading
+	// it with ClusterOf every ten time steps.
 	focus := 0
 	level := net.SqrtLevel()
 	fmt.Printf("watching user %d at granularity level %d (Θ(√n) clusters)\n\n", focus, level)

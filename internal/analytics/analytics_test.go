@@ -8,6 +8,7 @@ import (
 	"anc/internal/cluster"
 	"anc/internal/floats"
 	"anc/internal/graph"
+	"anc/internal/ring"
 )
 
 // buildGraph assembles a graph from an edge list.
@@ -289,33 +290,40 @@ func TestEvolutionContinuationQuiet(t *testing.T) {
 	}
 }
 
-// TestEvolutionRingOverflow: the bounded ring overwrites its oldest
-// events and counts every loss; the cursor read is non-draining.
-func TestEvolutionRingOverflow(t *testing.T) {
-	cfg := DefaultTrackerConfig()
-	cfg.Cap = 4
-	tr := NewTracker(1, cfg)
+// flipPast seeds a fresh tracker and observes a 4-member cluster flipping
+// between two node sets until the ring has overwritten its oldest extra
+// events: each flip emits a death and a birth.
+func flipPast(extra int) *Tracker {
+	tr := NewTracker(1, DefaultTrackerConfig())
 	a := mkClustering(12, [][]graph.NodeID{{0, 1, 2, 3}})
 	b := mkClustering(12, [][]graph.NodeID{{8, 9, 10, 11}})
 	tr.Seed(a)
-	for i, s := range []*cluster.Clustering{b, a, b} {
-		tr.Observe(s, float64(i)) // each flip emits death + birth
+	for i := 0; i < (ring.Cap+extra)/2; i++ {
+		tr.Observe([]*cluster.Clustering{b, a}[i%2], float64(i))
 	}
-	evs, seq, dropped := tr.Events(0)
-	if seq != 6 || dropped != 2 {
-		t.Fatalf("seq %d dropped %d, want 6 and 2", seq, dropped)
+	return tr
+}
+
+// TestEvolutionRingOverflow: the bounded ring overwrites its oldest
+// events and counts every loss; the cursor read is non-draining.
+func TestEvolutionRingOverflow(t *testing.T) {
+	tr := flipPast(2)
+	const seq = ring.Cap + 2
+	evs, s, dropped := tr.Events(0)
+	if s != seq || dropped != 2 {
+		t.Fatalf("seq %d dropped %d, want %d and 2", s, dropped, seq)
 	}
-	if len(evs) != 4 || evs[0].Seq != 3 || evs[3].Seq != 6 {
-		t.Fatalf("ring: %+v", evs)
+	if len(evs) != ring.Cap || evs[0].Seq != 3 || evs[len(evs)-1].Seq != seq {
+		t.Fatalf("ring: %d events %d..%d", len(evs), evs[0].Seq, evs[len(evs)-1].Seq)
 	}
 	// Cursor semantics: the same read again, then a strict subset.
 	again, _, _ := tr.Events(0)
-	if len(again) != 4 {
-		t.Fatalf("drained on read: %+v", again)
+	if len(again) != ring.Cap {
+		t.Fatalf("drained on read: %d events", len(again))
 	}
-	tail, _, _ := tr.Events(5)
-	if len(tail) != 1 || tail[0].Seq != 6 {
-		t.Fatalf("since=5: %+v", tail)
+	tail, _, _ := tr.Events(seq - 1)
+	if len(tail) != 1 || tail[0].Seq != seq {
+		t.Fatalf("since=seq-1: %+v", tail)
 	}
 	if tr.DroppedTotal() != 2 {
 		t.Fatalf("dropped total %d", tr.DroppedTotal())
@@ -327,17 +335,9 @@ func TestEvolutionRingOverflow(t *testing.T) {
 // ring, and allocates exactly what it returns — also across the wrap point,
 // and for a cursor older than anything still buffered.
 func TestEventsCursorReadsOnlyItsSuffix(t *testing.T) {
-	cfg := DefaultTrackerConfig()
-	cfg.Cap = 64
-	tr := NewTracker(1, cfg)
-	a := mkClustering(12, [][]graph.NodeID{{0, 1, 2, 3}})
-	b := mkClustering(12, [][]graph.NodeID{{8, 9, 10, 11}})
-	tr.Seed(a)
-	for i := 0; i < 45; i++ { // 90 events through a 64-slot ring: wrapped, start mid-ring
-		tr.Observe([]*cluster.Clustering{b, a}[i%2], float64(i))
-	}
+	tr := flipPast(26) // wrapped: the oldest event sits mid-ring
 	all, seq, dropped := tr.Events(0)
-	if seq != 90 || dropped != 26 || len(all) != 64 || all[0].Seq != 27 || all[63].Seq != 90 {
+	if seq != ring.Cap+26 || dropped != 26 || len(all) != ring.Cap || all[0].Seq != 27 || all[len(all)-1].Seq != seq {
 		t.Fatalf("full read: %d events %d..%d, seq %d dropped %d", len(all), all[0].Seq, all[len(all)-1].Seq, seq, dropped)
 	}
 	for i, e := range all {
@@ -351,9 +351,9 @@ func TestEventsCursorReadsOnlyItsSuffix(t *testing.T) {
 			t.Fatalf("since=%d: %d events, seq %d dropped %d; want everything buffered", since, len(old), s, d)
 		}
 	}
-	for since := uint64(26); since <= 92; since++ {
+	for _, since := range []uint64{26, 27, 1000, ring.Cap, ring.Cap + 25, seq, seq + 2} {
 		got, _, _ := tr.Events(since)
-		want := all[min(since, 90)-26:]
+		want := all[min(since, seq)-26:]
 		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 			t.Fatalf("since=%d: got %d events, want %d", since, len(got), len(want))
 		}
@@ -362,7 +362,7 @@ func TestEventsCursorReadsOnlyItsSuffix(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { tail, _, _ = tr.Events(seq - 3) }); n > 1 {
 		t.Fatalf("a 3-event poll of a full ring allocates %v times, want at most 1", n)
 	}
-	if len(tail) != 3 || cap(tail) != 3 || tail[0].Seq != 88 {
+	if len(tail) != 3 || cap(tail) != 3 || tail[0].Seq != seq-2 {
 		t.Fatalf("since=seq-3: len %d cap %d first seq %d, want exactly the last 3", len(tail), cap(tail), tail[0].Seq)
 	}
 }

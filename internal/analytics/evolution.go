@@ -36,22 +36,21 @@
 // A cluster consumed by a merge or produced by a split emits only the
 // merge/split event, not a redundant grow/shrink.
 //
-// The event ring reuses the Watcher's bounded-buffer pattern
-// (internal/core/watch.go, cap 1<<16) with one difference: reads do
-// not drain. Events(since) is an idempotent cursor read — safe to
-// retry, identical on a caught-up follower — so the ring overwrites
-// its oldest entry when full and counts the overwrite in DroppedTotal,
-// surfaced through anc.Stats and /healthz like WatcherDrops.
+// The events live in an internal/ring Ring, the bounded buffer the
+// network's vote-flip ring also uses: reads do not drain. Events(since)
+// is an idempotent cursor read — safe to retry, identical on a caught-up
+// follower — so the ring overwrites its oldest entry when full and counts
+// the overwrite in DroppedTotal, surfaced through anc.Stats and /healthz.
 
 package analytics
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"anc/internal/cluster"
 	"anc/internal/graph"
 	"anc/internal/obs"
+	"anc/internal/ring"
 )
 
 // EventType classifies one cluster transition.
@@ -106,23 +105,17 @@ type Event struct {
 	Time float64
 }
 
-// DefaultEventCap bounds the ring — the same cap as the Watcher's
-// event buffer.
-const DefaultEventCap = 1 << 16
-
 // TrackerConfig tunes the diff.
 type TrackerConfig struct {
 	// Threshold is the matching fraction θ in (0, 1]; default 0.5.
 	Threshold float64
 	// MinSize filters noise clusters from both sides; default 3.
 	MinSize int
-	// Cap is the ring capacity; default DefaultEventCap.
-	Cap int
 }
 
 // DefaultTrackerConfig returns the defaults shared by every layer.
 func DefaultTrackerConfig() TrackerConfig {
-	return TrackerConfig{Threshold: 0.5, MinSize: 3, Cap: DefaultEventCap}
+	return TrackerConfig{Threshold: 0.5, MinSize: 3}
 }
 
 // Tracker accumulates evolution events at one granularity level.
@@ -136,12 +129,7 @@ type Tracker struct {
 
 	prev *cluster.Clustering
 
-	ring  []Event
-	start int // index of the oldest buffered event
-	count int
-
-	seq          uint64
-	droppedTotal atomic.Uint64
+	ring ring.Ring[Event] // the newest ring.Cap events
 
 	events      *obs.Counter   // nil until Instrument; nil-safe
 	diffSeconds *obs.Histogram // nil until Instrument; nil-safe
@@ -175,9 +163,6 @@ func NewTracker(level int, cfg TrackerConfig) *Tracker {
 	}
 	if cfg.MinSize < 1 {
 		cfg.MinSize = def.MinSize
-	}
-	if cfg.Cap < 1 {
-		cfg.Cap = def.Cap
 	}
 	return &Tracker{level: level, cfg: cfg}
 }
@@ -276,20 +261,12 @@ func (t *Tracker) advance(cur *cluster.Clustering) *cluster.Clustering {
 	return prev
 }
 
-// push appends one event, overwriting the oldest when the ring is full.
+// push numbers e and appends it, overwriting the oldest when the ring is
+// full.
 func (t *Tracker) push(e Event) {
-	t.seq++
-	e.Seq = t.seq
+	e.Seq = t.ring.Seq() + 1
 	t.events.Inc()
-	if len(t.ring) < t.cfg.Cap {
-		t.ring = append(t.ring, e)
-		t.count++
-		return
-	}
-	// Full: overwrite the oldest and count the loss.
-	t.ring[t.start] = e
-	t.start = (t.start + 1) % len(t.ring)
-	t.droppedTotal.Add(1)
+	t.ring.Push(e)
 }
 
 // Events returns the buffered events with Seq > since, in order,
@@ -300,21 +277,8 @@ func (t *Tracker) Events(since uint64) (events []Event, seq, dropped uint64) {
 	if t == nil {
 		return nil, 0, 0
 	}
-	// Buffered sequence numbers are contiguous, t.seq-t.count+1 .. t.seq,
-	// so the answer is a suffix of the ring: locate it, copy only it.
-	k := t.count
-	if since >= t.seq {
-		k = 0
-	} else if newer := t.seq - since; newer < uint64(k) {
-		k = int(newer)
-	}
-	out := make([]Event, k)
-	if k > 0 {
-		first := (t.start + t.count - k) % len(t.ring)
-		n := copy(out, t.ring[first:])
-		copy(out[n:], t.ring) // the rest wrapped past the ring's end
-	}
-	return out, t.seq, t.droppedTotal.Load()
+	events, seq, _ = t.ring.Since(since)
+	return events, seq, t.ring.Overwritten()
 }
 
 // Seq returns the sequence number of the newest event (0 when none).
@@ -322,7 +286,7 @@ func (t *Tracker) Seq() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.seq
+	return t.ring.Seq()
 }
 
 // DroppedTotal returns the cumulative number of events overwritten
@@ -331,7 +295,7 @@ func (t *Tracker) DroppedTotal() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.droppedTotal.Load()
+	return t.ring.Overwritten()
 }
 
 // Instrument exposes the tracker under anc_analytics_evolution_*:
@@ -345,7 +309,7 @@ func (t *Tracker) Instrument(reg *obs.Registry) {
 		"cluster-evolution events emitted by the tracker")
 	reg.CounterFunc("anc_analytics_evolution_drops_total",
 		"evolution events overwritten in the ring before being read",
-		func() float64 { return float64(t.droppedTotal.Load()) })
+		func() float64 { return float64(t.ring.Overwritten()) })
 	t.diffSeconds = reg.Histogram("anc_analytics_evolution_diff_seconds",
 		"latency of one clustering diff between pyramid repairs", nil)
 }

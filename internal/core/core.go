@@ -30,6 +30,7 @@ import (
 	"anc/internal/obs"
 	"anc/internal/obs/trace"
 	"anc/internal/pyramid"
+	"anc/internal/ring"
 	"anc/internal/similarity"
 )
 
@@ -109,7 +110,6 @@ type Network struct {
 	pending     []graph.EdgeID // edges awaiting reinforcement (ANCOR/ANCF)
 	pendingMark []bool
 	lastFlush   float64
-	watcher     *Watcher
 	met         *metrics      // nil until Instrument; all methods nil-safe
 	reg         *obs.Registry // the registry Instrument attached, for late cache enablement
 
@@ -130,10 +130,12 @@ type Network struct {
 	repairer cluster.Repairer
 
 	// logs holds, per level, each variant's baseline and flip log
-	// (repair.go): what a cache miss repairs instead of recomputing. Nil
-	// until the flip listener is registered (listen). readers pools the
-	// miss path's Repairers.
+	// (repair.go): what a cache miss repairs instead of recomputing. flips
+	// is the ring of every vote flip, the cluster-change feed (Flips). Both
+	// are nil until the flip listener is registered (listen). readers pools
+	// the miss path's Repairers.
 	logs    []levelLogs
+	flips   *ring.Ring[Flip]
 	readers sync.Pool
 
 	// Batch-ingest scratch: dirty-edge/node sets of the current batch and
@@ -537,7 +539,7 @@ func (nw *Network) afterRepair() {
 // an atomically swapped snapshot until a net vote-threshold crossing
 // invalidates the level (see internal/cluster/cache); the next miss
 // repairs the dropped entry along the level's flips. The first call pays
-// the vote tracker's one-time O(K·L·m) initialization if Watch has not
+// the vote tracker's one-time O(K·L·m) initialization if Flips has not
 // already; it returns the cache so facades can probe it before taking
 // their locks. Idempotent.
 func (nw *Network) EnableClusterCache() *clustercache.Cache {
@@ -595,16 +597,18 @@ func (nw *Network) attachAnalytics(r *analytics.RankCache, evo *analytics.Tracke
 	nw.evo.Instrument(nw.reg)
 }
 
-// AdoptCaches is EnableClusterCache and EnableAnalytics over the caches
-// and evolution tracker of from, a same-shaped network being replaced: a
-// facade restoring a snapshot keeps the instances its lock-free readers
-// probe, and their counters. The caches are invalidated first; the
-// tracker keeps its sequence, ring and drop total and is re-seeded
-// silently with nw's clustering. from must have both enabled, nw
+// AdoptCaches is EnableClusterCache and EnableAnalytics over the caches,
+// evolution tracker and flip ring of from, a same-shaped network being
+// replaced: a facade restoring a snapshot keeps the instances its
+// lock-free readers probe, and their counters. The caches are invalidated
+// first; the tracker keeps its sequence, ring and drop total and is
+// re-seeded silently with nw's clustering, and the flip ring keeps its
+// sequence, so every cursor stays valid. from must have both enabled, nw
 // neither. Exclusive-writer context.
 func (nw *Network) AdoptCaches(from *Network) {
 	from.cache.InvalidateAll()
 	from.rank.Invalidate()
+	nw.flips = from.flips
 	nw.attachClusterCache(from.cache)
 	nw.attachAnalytics(from.rank, from.evo)
 }
@@ -642,8 +646,7 @@ func (nw *Network) EvolutionEvents(since uint64) ([]analytics.Event, uint64, uin
 }
 
 // EvolutionDrops returns the cumulative number of evolution events
-// overwritten in the ring before being read — the analytics twin of
-// WatcherDrops. Zero until EnableAnalytics.
+// overwritten in the ring before being read. Zero until EnableAnalytics.
 func (nw *Network) EvolutionDrops() uint64 { return nw.evo.DroppedTotal() }
 
 // Clusters reports the power clustering (the paper's DirectedCluster) at

@@ -11,7 +11,6 @@ type metrics struct {
 	batches      *obs.Counter
 	flushes      *obs.Counter
 	reconstructs *obs.Counter
-	watcherDrops *obs.Counter
 }
 
 func newMetrics(reg *obs.Registry) *metrics {
@@ -24,8 +23,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"reinforcement flushes (ANCOR interval boundaries and explicit Flush)"),
 		reconstructs: reg.Counter("anc_core_reconstructs_total",
 			"full index reconstructions (ANCF snapshots)"),
-		watcherDrops: reg.Counter("anc_core_watcher_drops_total",
-			"cluster events dropped on watcher buffer overflow"),
 	}
 }
 
@@ -57,17 +54,10 @@ func (m *metrics) reconstructed() {
 	m.reconstructs.Inc()
 }
 
-func (m *metrics) watcherDropped() {
-	if m == nil {
-		return
-	}
-	m.watcherDrops.Inc()
-}
-
 // Instrument attaches the network's metrics to reg under the
 // anc_core_* / anc_pyramid_* families (see DESIGN.md §12): activation,
 // batch, flush and reconstruct counters here, rescale events on the decay
-// clock, watcher overflow drops, and the index's build/update/reconstruct
+// clock, and the index's build/update/reconstruct
 // timings. A nil registry detaches nothing and costs nothing — the
 // handles stay nil and every observation site no-ops. Instrument is
 // idempotent: re-instrumenting against the same registry reuses the
@@ -84,15 +74,4 @@ func (nw *Network) Instrument(reg *obs.Registry) {
 	nw.cache.Instrument(reg)
 	nw.rank.Instrument(reg)
 	nw.evo.Instrument(reg)
-}
-
-// WatcherDrops returns the cumulative number of cluster events dropped on
-// watcher buffer overflow over the network's lifetime — unlike the
-// per-Drain count, it is not reset by Drain, so operators can see loss
-// without consuming events. Zero when Watch was never called.
-func (nw *Network) WatcherDrops() uint64 {
-	if nw.watcher == nil {
-		return 0
-	}
-	return nw.watcher.droppedTotal
 }

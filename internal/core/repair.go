@@ -3,7 +3,18 @@ package core
 import (
 	"anc/internal/cluster"
 	"anc/internal/graph"
+	"anc/internal/ring"
 )
+
+// Flip is one vote flip as the flip ring keeps it: at granularity Level,
+// edge Edge started (Pass) or stopped passing the voting threshold, at
+// network time Time. 16 bytes, so the ring's ring.Cap entries take 1 MiB.
+type Flip struct {
+	Time  float64
+	Edge  graph.EdgeID
+	Level uint16
+	Pass  bool
+}
 
 // levelLog is what a write leaves the next reader of one (level, variant)
 // it flipped (DESIGN.md §15, "Vote-driven invalidation, repair on read"):
@@ -57,9 +68,9 @@ func (s *levelLog) drop(cl *cluster.Clustering, e graph.EdgeID) {
 	}
 }
 
-// listen registers the network's one vote-flip listener, once, with the
-// logs it keeps: the watcher, the clustering cache and the evolution
-// tracker all read it.
+// listen registers the network's one vote-flip listener, once, with what
+// it fills: the flip ring and the per-level logs, read by the
+// cluster-change feed, the clustering cache and the evolution tracker.
 func (nw *Network) listen() {
 	if nw.logs != nil {
 		return
@@ -70,11 +81,15 @@ func (nw *Network) listen() {
 		nw.logs[i].power.marks = make([]uint64, words)
 		nw.logs[i].even.marks = make([]uint64, words)
 	}
+	if nw.flips == nil {
+		nw.flips = new(ring.Ring[Flip])
+		nw.flips.Reserve()
+	}
 	nw.ix.EnableVoteTracking().OnFlip(nw.onFlip)
 }
 
 // onFlip is the vote-flip listener; it fires inside UpdateEdges, in
-// exclusive-writer context. It reports the flip to the watcher. At every
+// exclusive-writer context. It records the flip in the flip ring. At every
 // level but the tracked one it drops the level's cache entries, each
 // becoming its variant's baseline, and logs the flip. The tracked level's
 // power entry stays: its log collects the call's flips, along which
@@ -83,9 +98,7 @@ func (nw *Network) listen() {
 // level's, at the write's first flip: the power entry stays cached all
 // through the write, so a cached entry there does not mean a first flip.
 func (nw *Network) onFlip(l int, e graph.EdgeID, pass bool) {
-	if nw.watcher != nil {
-		nw.watcher.flip(l, e, pass)
-	}
+	nw.flips.Push(Flip{Time: nw.clock.Now(), Edge: e, Level: uint16(l), Pass: pass})
 	lv := &nw.logs[l-1]
 	if l == nw.evo.Level() {
 		lv.power.add(e)
@@ -95,6 +108,18 @@ func (nw *Network) onFlip(l int, e graph.EdgeID, pass bool) {
 	power, even := nw.cache.Invalidate(l)
 	lv.power.drop(power, e)
 	lv.even.drop(even, e)
+}
+
+// Flips reads the flip ring after the cursor since: the flips recorded
+// since then, oldest first, as two slices of the ring's storage valid
+// until the next write, with the newest sequence number and how many flips
+// after since the ring overwrote (see ring.Ring.Span). On a network that
+// does not track votes yet, the call turns tracking on — the ring records
+// from then — so it is not a pure read; with the clustering cache or
+// analytics enabled the network already tracks, and Flips only reads.
+func (nw *Network) Flips(since uint64) (a, b []Flip, seq, missed uint64) {
+	nw.listen()
+	return nw.flips.Span(since)
 }
 
 // resetLogs empties every baseline and log: a wholesale change of the

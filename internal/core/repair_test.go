@@ -339,10 +339,7 @@ func TestTrackedEvenKeepsEveryFlipOfTheBatch(t *testing.T) {
 	nw.EnableClusterCache()
 	nw.EnableAnalytics()
 	level := nw.EvolutionTracker().Level()
-	w := nw.Watch()
-	for v := 0; v < g.N(); v++ {
-		w.Add(graph.NodeID(v), level)
-	}
+	_, _, cursor, _ := nw.Flips(0)
 
 	rng := rand.New(rand.NewSource(5))
 	now, multi := 0.0, 0
@@ -356,12 +353,21 @@ func TestTrackedEvenKeepsEveryFlipOfTheBatch(t *testing.T) {
 		if err := nw.ActivateBatch(batch); err != nil {
 			t.Fatal(err)
 		}
-		events, _ := w.Drain()
-		if len(events) >= 4 { // two events per flipped edge
+		a, b, seq, _ := nw.Flips(cursor)
+		flipped := 0
+		for _, flips := range [2][]Flip{a, b} {
+			for _, f := range flips {
+				if int(f.Level) == level {
+					flipped++
+				}
+			}
+		}
+		cursor = seq
+		if flipped >= 2 {
 			multi++
 		}
 		if !sameClustering(nw.EvenClusters(level), nw.EvenClustersUncached(level)) {
-			t.Fatalf("step %d: after a batch flipping the tracked level %d times, EvenClusters(%d) differs from a recompute", step, len(events)/2, level)
+			t.Fatalf("step %d: after a batch flipping the tracked level %d times, EvenClusters(%d) differs from a recompute", step, flipped, level)
 		}
 	}
 	if multi < 40 {

@@ -39,7 +39,7 @@ type VoteTracker struct {
 }
 
 // OnFlip registers a support-threshold crossing listener; multiple
-// listeners (e.g. the watcher and the clustering cache) fire in
+// listeners (e.g. the network's flip listener and a test oracle) fire in
 // registration order. Pass nil to unregister all. Listeners fire once per
 // net crossing at the end of each update cycle; they must not mutate the
 // index.

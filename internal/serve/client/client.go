@@ -10,7 +10,9 @@ package client
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -46,15 +48,15 @@ func WithTracer(t *trace.Tracer) Option {
 
 // WithRetry enables automatic retries for the calls whose op the wire's op
 // table marks safe to resend (serve.ResendSafe: the read-only queries —
-// clusters, distance/attraction estimates, tierank, evolution, traces,
+// clusters, distance/attraction estimates, tierank, evolution, events, traces,
 // stats, replication status): up to attempts total tries per call,
 // redialing between tries, with capped exponential backoff plus jitter
 // starting at min and capped at max. Retried errors are transport failures
 // (broken or refused connections) and the server's typed overloaded reply
 // — the two cases where the same bytes can safely be asked again. Ingest
 // (ActivateBatch) is NEVER retried: a write whose reply was lost may have
-// been applied, and replaying it would double activations. Mutating ops
-// (watch, drain-events, promote) are likewise excluded.
+// been applied, and replaying it would double activations. Promote, which
+// mutates the node's role, is likewise excluded.
 func WithRetry(attempts int, min, max time.Duration) Option {
 	return func(c *Client) {
 		if attempts < 1 {
@@ -384,28 +386,6 @@ func (c *Client) Promote(ctx context.Context) error {
 	return err
 }
 
-// Watch enables server-side cluster-event recording for node v.
-func (c *Client) Watch(ctx context.Context, v int) error {
-	_, err := c.call(ctx, &serve.Request{Op: serve.OpWatch, Node: uint32(v)})
-	return err
-}
-
-// Unwatch stops watching v.
-func (c *Client) Unwatch(ctx context.Context, v int) error {
-	_, err := c.call(ctx, &serve.Request{Op: serve.OpUnwatch, Node: uint32(v)})
-	return err
-}
-
-// DrainEvents returns and clears the accumulated cluster events plus the
-// overflow-drop count.
-func (c *Client) DrainEvents(ctx context.Context) ([]anc.ClusterEvent, uint64, error) {
-	resp, err := c.call(ctx, &serve.Request{Op: serve.OpDrainEvents})
-	if err != nil {
-		return nil, 0, err
-	}
-	return resp.Events, resp.Dropped, nil
-}
-
 // View is a zoom position over the server's granularity levels. The level
 // lives in the View, so a zoom costs no round trip, and its reads are the
 // plain Clusters/ClusterOf ops at that level: resend-safe under WithRetry
@@ -453,4 +433,54 @@ func (v *View) Clusters(ctx context.Context) ([][]int, error) {
 // ClusterOf reports the cluster containing x at the view's level.
 func (v *View) ClusterOf(ctx context.Context, x int) ([]int, error) {
 	return v.c.ClusterOf(ctx, x, v.level)
+}
+
+// ErrRestarted is Watch.Poll's report of a gap: the server's newest
+// sequence number fell below the watch's cursor, so the server restarted
+// and the changes since the last poll are lost. The watch has moved its
+// cursor to the server's; resync the watched nodes with ClusterOf.
+var ErrRestarted = errors.New("client: event sequence went backwards: the server restarted")
+
+// Watch follows the cluster-change events of a node set: the paper's
+// change reports on user-chosen nodes. The cursor and the node set live
+// in the Watch, and each Poll is one read-only events call: resend-safe
+// under WithRetry, good across reconnects, and answered alike by every
+// caught-up replica. Any number of watches, on any connections, may cover
+// the same nodes without taking events from each other. A Watch is not
+// safe for concurrent use.
+type Watch struct {
+	c     *Client
+	nodes []int
+	seq   uint64
+}
+
+// OpenWatch opens a watch on nodes positioned at the server's newest
+// change, so the first Poll reports what changes from now on.
+func (c *Client) OpenWatch(ctx context.Context, nodes ...int) (*Watch, error) {
+	resp, err := c.call(ctx, &serve.Request{Op: serve.OpEvents, From: math.MaxUint64})
+	if err != nil {
+		return nil, err
+	}
+	return &Watch{c: c, nodes: append([]int(nil), nodes...), seq: resp.Seq}, nil
+}
+
+// Seq reports the watch's cursor: the sequence number of the newest change
+// it has read.
+func (w *Watch) Seq() uint64 { return w.seq }
+
+// Poll returns the events on the watched nodes since the last poll, in
+// order, and missed: the changes the server's bounded ring overwrote before
+// this poll could read them. Resync the watched nodes with ClusterOf when
+// missed is nonzero, and when the error is ErrRestarted.
+func (w *Watch) Poll(ctx context.Context) ([]anc.ClusterEvent, uint64, error) {
+	resp, err := w.c.call(ctx, &serve.Request{Op: serve.OpEvents, From: w.seq, Nodes: w.nodes})
+	if err != nil {
+		return nil, 0, err
+	}
+	restarted := resp.Seq < w.seq
+	w.seq = resp.Seq
+	if restarted {
+		return nil, 0, ErrRestarted
+	}
+	return resp.Events, resp.Dropped, nil
 }

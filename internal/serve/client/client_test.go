@@ -4,14 +4,19 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"math"
+	"math/rand"
 	"net"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"anc"
+	"anc/internal/gen"
+	"anc/internal/graph"
 	"anc/internal/obs"
 	"anc/internal/serve"
 )
@@ -318,8 +323,8 @@ func TestViewIsClientSide(t *testing.T) {
 	}
 }
 
-// TestEveryOpHasAClientMethod calls every exported Client and View method
-// that takes a context, then requires every pre-registered
+// TestEveryOpHasAClientMethod calls every exported Client, View and Watch
+// method that takes a context, then requires every pre-registered
 // anc_serve_requests_total{op} series to have moved: an op added to the
 // wire's table without a client method stays at 0. A typed server reply
 // (replication and tracing are off) still proves the round trip.
@@ -330,7 +335,11 @@ func TestEveryOpHasAClientMethod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, recv := range []reflect.Value{reflect.ValueOf(c), reflect.ValueOf(v)} {
+	w, err := c.OpenWatch(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, recv := range []reflect.Value{reflect.ValueOf(c), reflect.ValueOf(v), reflect.ValueOf(w)} {
 		for i := 0; i < recv.NumMethod(); i++ {
 			m := recv.Method(i).Type()
 			if m.NumIn() == 0 || m.In(0) != reflect.TypeOf((*context.Context)(nil)).Elem() {
@@ -340,7 +349,11 @@ func TestEveryOpHasAClientMethod(t *testing.T) {
 			for j := 1; j < m.NumIn(); j++ {
 				args = append(args, reflect.Zero(m.In(j)))
 			}
-			out := recv.Method(i).Call(args)
+			call := recv.Method(i).Call
+			if m.IsVariadic() {
+				call = recv.Method(i).CallSlice
+			}
+			out := call(args)
 			var we *serve.WireError
 			if err, _ := out[len(out)-1].Interface().(error); err != nil && !errors.As(err, &we) {
 				t.Errorf("%s: %v", recv.Type().Method(i).Name, err)
@@ -359,5 +372,146 @@ func TestEveryOpHasAClientMethod(t *testing.T) {
 	}
 	if len(exempt) != 0 {
 		t.Fatalf("exempt ops %v are not among the registered per-op series", exempt)
+	}
+}
+
+// TestWatchesDoNotShareEvents: two clients watch overlapping node sets and
+// poll in interleaved order while ingest flips votes; each receives every
+// event on its own nodes — exactly what the served network's feed holds
+// for that set — and neither takes events from the other.
+func TestWatchesDoNotShareEvents(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := gen.PlantedPartition([]int{20, 20, 20, 20}, 0.3, 0.03, rng).Graph
+	nw, err := anc.FromGraph(g, anc.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend := anc.NewConcurrent(nw)
+	defer backend.Close()
+	s := serve.New(backend, serve.Config{})
+	if err := s.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Kill)
+	ctx := context.Background()
+	var setA, setB []int
+	for v := 0; v < 40; v++ {
+		setA, setB = append(setA, v), append(setB, v+20) // 20..39 in both
+	}
+	type watcher struct {
+		w      *Watch
+		nodes  []int
+		events []anc.ClusterEvent
+	}
+	var ws []*watcher
+	for _, nodes := range [][]int{setA, setB} {
+		c, err := Dial(s.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		w, err := c.OpenWatch(ctx, nodes...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, &watcher{w: w, nodes: nodes})
+	}
+	start := ws[0].w.Seq()
+	poll := func(x *watcher) {
+		evs, missed, err := x.w.Poll(ctx)
+		if err != nil || missed != 0 {
+			t.Fatalf("poll: %v, %d missed", err, missed)
+		}
+		x.events = append(x.events, evs...)
+	}
+	ingest, err := Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ingest.Close()
+	now := 0.0
+	for round := 0; round < 60; round++ {
+		batch := make([]anc.Activation, 32)
+		for i := range batch {
+			now += 0.05
+			u, v := g.Endpoints(graph.EdgeID(rng.Intn(g.M())))
+			batch[i] = anc.Activation{U: int(u), V: int(v), T: now}
+		}
+		if err := ingest.ActivateBatch(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+		poll(ws[round%2]) // A, B, A, B, …
+		if round%7 == 0 {
+			poll(ws[1])
+			poll(ws[0]) // and now and then B before A
+		}
+	}
+	shared := 0
+	for _, x := range ws {
+		poll(x)
+		want, _, _ := backend.Events(start, x.nodes)
+		if len(want) == 0 || !reflect.DeepEqual(x.events, want) {
+			t.Fatalf("watch on %d..%d collected %d events, the feed holds %d", x.nodes[0], x.nodes[len(x.nodes)-1], len(x.events), len(want))
+		}
+		for _, e := range x.events {
+			if e.Node >= 20 && e.Node < 40 {
+				shared++
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no event on the shared nodes: the overlap was never exercised")
+	}
+}
+
+// TestWatchDetectsRestart: a reply whose sequence number is below the
+// watch's cursor means the server restarted. Poll reports it as
+// ErrRestarted — never as an empty poll — and continues from the
+// restarted server's sequence.
+func TestWatchDetectsRestart(t *testing.T) {
+	var mu sync.Mutex
+	var froms []uint64
+	s := startScriptServer(t, func(connNum int, req *serve.Request) []byte {
+		if req.Op != serve.OpEvents {
+			return statsReply(req)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		froms = append(froms, req.From)
+		seq := uint64(100) // the first server's newest flip
+		switch {
+		case connNum == 1 && len(froms) == 3:
+			return nil // the first server goes away
+		case connNum == 1 && len(froms) == 2:
+			seq = 120
+		case connNum > 1:
+			seq = 3 + uint64(len(froms)) // the restarted server counts from 0 again
+		}
+		return serve.EncodeResponse(serve.OpEvents, &serve.Response{ID: req.ID, Seq: seq,
+			Events: []anc.ClusterEvent{{Node: 7, Other: 1, Level: 1, Joined: true, Time: float64(seq)}}})
+	})
+	c, err := Dial(s.lis.Addr().String(), WithRetry(3, time.Millisecond, 10*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	w, err := c.OpenWatch(ctx, 7)
+	if err != nil || w.Seq() != 100 {
+		t.Fatalf("open: seq %d, %v", w.Seq(), err)
+	}
+	if evs, _, err := w.Poll(ctx); err != nil || len(evs) != 1 || w.Seq() != 120 {
+		t.Fatalf("poll before the restart: %v, %v, seq %d", evs, err, w.Seq())
+	}
+	if evs, _, err := w.Poll(ctx); !errors.Is(err, ErrRestarted) || evs != nil || w.Seq() != 7 {
+		t.Fatalf("poll across the restart: %v, %v, seq %d; want ErrRestarted at seq 7", evs, err, w.Seq())
+	}
+	if evs, _, err := w.Poll(ctx); err != nil || len(evs) != 1 || evs[0].Node != 7 || w.Seq() != 8 {
+		t.Fatalf("poll after the restart: %v, %v, seq %d", evs, err, w.Seq())
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []uint64{math.MaxUint64, 100, 120, 120, 7}; !reflect.DeepEqual(froms, want) {
+		t.Fatalf("cursors sent %v, want %v", froms, want)
 	}
 }

@@ -24,7 +24,8 @@ type labelTable struct {
 
 // unknownNode stands in for a query label the table does not know. Dense
 // IDs are int32, so no node has it and the facades' bounds checks answer
-// with the usual empty cluster / +Inf distance / no-op watch.
+// with the usual empty cluster / +Inf distance / event filter matching
+// nothing.
 const unknownNode = math.MaxUint32
 
 // newLabelTable builds the table for ids (LoadEdgeList's label → dense
@@ -63,6 +64,9 @@ func (t *labelTable) toDense(req *Request) error {
 		a.U, a.V = int(u), int(v)
 	}
 	req.Node, req.U, req.V = t.denseOf(req.Node), t.denseOf(req.U), t.denseOf(req.V)
+	for i, v := range req.Nodes {
+		req.Nodes[i] = int(t.denseOf(uint32(v)))
+	}
 	return nil
 }
 

@@ -70,13 +70,9 @@ func TestServerLabelTranslation(t *testing.T) {
 	}
 	c := dialTest(t, s.Addr().String())
 
-	// Watch the bridge's endpoints so cluster events accumulate on both.
-	for _, v := range []int{4, 5} {
-		c.rpc(&Request{Op: OpWatch, Node: uint32(testLabels[v])})
-		twin.Watch(v)
-	}
 	// A burst on the bridge after the mixed stream pulls node 4 across: it
-	// yields both watch events and evolution events to translate.
+	// yields both cluster events on the bridge's endpoints and evolution
+	// events to translate.
 	stream := testStream(6, 25)
 	last := stream[5][24].T
 	burst := make([]anc.Activation, 200)
@@ -126,27 +122,33 @@ func TestServerLabelTranslation(t *testing.T) {
 		}
 	}
 
-	wantEvents, wantDropped := twin.DrainEvents()
+	bridge := []int{testLabels[4], testLabels[5]}
+	wantEvents, wantSeq, wantMissed := twin.Events(0, []int{4, 5})
 	if len(wantEvents) == 0 {
 		t.Fatal("stream produced no cluster events to translate")
 	}
 	for i := range wantEvents {
 		wantEvents[i].Node, wantEvents[i].Other = testLabels[wantEvents[i].Node], testLabels[wantEvents[i].Other]
 	}
-	if resp := c.rpc(&Request{Op: OpDrainEvents}); !reflect.DeepEqual(resp.Events, wantEvents) || resp.Dropped != wantDropped {
-		t.Fatalf("events: %v (%d dropped), want %v (%d dropped)", resp.Events, resp.Dropped, wantEvents, wantDropped)
+	if resp := c.rpc(&Request{Op: OpEvents, Nodes: bridge}); !sameEvents(resp.Events, wantEvents) ||
+		resp.Seq != wantSeq || resp.Dropped != wantMissed {
+		t.Fatalf("events: %v (seq %d, %d missed), want %v (seq %d, %d missed)",
+			resp.Events, resp.Seq, resp.Dropped, wantEvents, wantSeq, wantMissed)
 	}
-	// Unwatch must reach the same dense node Watch did: more bridge traffic
-	// then leaves nothing to drain.
-	for _, v := range []int{4, 5} {
-		c.rpc(&Request{Op: OpUnwatch, Node: uint32(testLabels[v])})
+	// The node list reaches the same dense nodes the events name: asking
+	// for node 5's label alone returns exactly the events on node 5.
+	var only5 []anc.ClusterEvent
+	for _, e := range wantEvents {
+		if e.Node == testLabels[5] {
+			only5 = append(only5, e)
+		}
+	}
+	if resp := c.rpc(&Request{Op: OpEvents, Nodes: bridge[1:]}); !sameEvents(resp.Events, only5) {
+		t.Fatalf("events on label %d: %v, want %v", bridge[1], resp.Events, only5)
 	}
 	now := twin.Now()
 	c.rpc(&Request{Op: OpActivateBatch, Batch: []anc.Activation{
 		{U: testLabels[4], V: testLabels[5], T: now + 1}, {U: testLabels[5], V: testLabels[4], T: now + 2}}})
-	if resp := c.rpc(&Request{Op: OpDrainEvents}); len(resp.Events) != 0 {
-		t.Fatalf("events after unwatch: %v", resp.Events)
-	}
 	if err := twin.ActivateBatch([]anc.Activation{{U: 4, V: 5, T: now + 1}, {U: 5, V: 4, T: now + 2}}); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +195,9 @@ func TestServerLabelTranslation(t *testing.T) {
 		if d := c.rpc(&Request{Op: OpEstimateDistance, U: unknown, V: 7}).Value; !math.IsInf(d, 1) {
 			t.Fatalf("distance(unknown %d, 7) = %v, want +Inf", unknown, d)
 		}
-		c.rpc(&Request{Op: OpWatch, Node: unknown})
+		if evs := c.rpc(&Request{Op: OpEvents, Nodes: []int{int(unknown)}}).Events; len(evs) != 0 {
+			t.Fatalf("events(unknown %d) = %v, want none", unknown, evs)
+		}
 	}
 }
 
@@ -204,11 +208,13 @@ func TestLabelTableFields(t *testing.T) {
 	if err != nil || tab == nil {
 		t.Fatalf("newLabelTable: %v, %v", tab, err)
 	}
-	req := &Request{Node: 42, U: 0, V: 4000000000, Batch: []anc.Activation{{U: 1000, V: 7, T: 1}, {U: 3, V: 64, T: 2}}}
+	req := &Request{Node: 42, U: 0, V: 4000000000, Nodes: []int{1000, 555, 42},
+		Batch: []anc.Activation{{U: 1000, V: 7, T: 1}, {U: 3, V: 64, T: 2}}}
 	if err := tab.toDense(req); err != nil {
 		t.Fatal(err)
 	}
-	if want := (&Request{Node: 2, U: 9, V: 8, Batch: []anc.Activation{{U: 0, V: 1, T: 1}, {U: 5, V: 6, T: 2}}}); !reflect.DeepEqual(req, want) {
+	if want := (&Request{Node: 2, U: 9, V: 8, Nodes: []int{0, unknownNode, 2},
+		Batch: []anc.Activation{{U: 0, V: 1, T: 1}, {U: 5, V: 6, T: 2}}}); !reflect.DeepEqual(req, want) {
 		t.Fatalf("toDense: %+v, want %+v", req, want)
 	}
 	resp := &Response{

@@ -85,8 +85,8 @@ func TestServerMetricsRoundTrip(t *testing.T) {
 	}
 	// Pre-resolved op children exist at zero from the first scrape, so
 	// dashboards see every series before traffic arrives.
-	if v, ok := snap[`anc_serve_requests_total{op="watch"}`]; !ok || v != 0 {
-		t.Errorf("watch series = %g (present %v), want 0 at rest", v, ok)
+	if v, ok := snap[`anc_serve_requests_total{op="events"}`]; !ok || v != 0 {
+		t.Errorf("events series = %g (present %v), want 0 at rest", v, ok)
 	}
 
 	body := scrape(t, s.MetricsAddr(), "/metrics")

@@ -86,10 +86,8 @@ const (
 	OpEstimateDistance
 	OpEstimateAttraction
 	OpStats
-	OpWatch
-	OpUnwatch
-	OpDrainEvents
-	// Ops 12–17 are reserved: they carried the retired server-side zoom
+	// Ops 9–17 are reserved: 9–11 carried the retired server-side watcher
+	// (watch, unwatch, drain-events), 12–17 the retired server-side zoom
 	// sessions, and no later op's wire value moves. Their opTable rows stay
 	// empty, so they decode as unknown ops.
 	//
@@ -97,7 +95,7 @@ const (
 	// request carries the follower's next frame index, the OK response is
 	// followed by an unbounded sequence of push frames (OpReplFrames /
 	// OpReplStatus / OpReplSnapshot payloads) until either side closes.
-	OpReplSubscribe uint8 = iota + 7
+	OpReplSubscribe uint8 = iota + 10
 	// OpReplFrames and OpReplSnapshot are push-only: they appear as the
 	// leading byte of server→follower stream payloads and are rejected as
 	// request ops.
@@ -121,6 +119,11 @@ const (
 	// single trace ID (0 for all recent traces), K selects the rendering
 	// (0 text tree, nonzero JSON). The reply body is the rendered bytes.
 	OpTraces
+	// OpEvents reads the cluster-change feed: the vote flips after the
+	// cursor in From, as events on the node list in Nodes, with the newest
+	// sequence number and the flips the cursor missed. Non-draining and
+	// read-only, so it is safe to resend and followers serve it.
+	OpEvents
 	opMax // one past the last valid op
 )
 
@@ -164,8 +167,8 @@ const (
 	errCodeMax // one past the last valid code
 )
 
-// field is one fixed-width request body field; a row of opTable lists its
-// op's fields in wire order.
+// field is one request body field; a row of opTable lists its op's
+// fields in wire order.
 type field uint8
 
 const (
@@ -175,6 +178,7 @@ const (
 	fV                  // Request.V, uint32
 	fK                  // Request.K, int32
 	fFrom               // Request.From, uint64 — the one 8-byte field
+	fNodes              // Request.Nodes: count(4) then that many uint32 node IDs
 )
 
 // opRow is everything the wire knows about one op. What the server does
@@ -210,9 +214,6 @@ var opTable = [opMax]opRow{
 	OpEstimateDistance:   {name: "estimate-distance", fields: []field{fU, fV}, enc: encValue, dec: decValue, resend: true},
 	OpEstimateAttraction: {name: "estimate-attraction", fields: []field{fU, fV}, enc: encValue, dec: decValue, resend: true},
 	OpStats:              {name: "stats", enc: encStats, dec: decStats, resend: true},
-	OpWatch:              {name: "watch", fields: []field{fNode}, enc: encEmpty, dec: decEmpty},
-	OpUnwatch:            {name: "unwatch", fields: []field{fNode}, enc: encEmpty, dec: decEmpty},
-	OpDrainEvents:        {name: "drain-events", enc: encEvents, dec: decEvents},
 	OpReplSubscribe:      {name: "repl-subscribe", fields: []field{fFrom}, enc: encEmpty, dec: decEmpty},
 	OpReplFrames:         {name: "repl-frames", push: true},
 	OpReplStatus:         {name: "repl-status", enc: encReplStatus, dec: decReplStatus, resend: true},
@@ -221,6 +222,7 @@ var opTable = [opMax]opRow{
 	OpTieRank:            {name: "tierank", fields: []field{fLevel, fK}, enc: encRank, dec: decRank, resend: true},
 	OpEvolution:          {name: "evolution", fields: []field{fFrom}, enc: encEvolution, dec: decEvolution, resend: true},
 	OpTraces:             {name: "traces", fields: []field{fFrom, fK}, enc: encRaw, dec: decRaw, resend: true},
+	OpEvents:             {name: "events", fields: []field{fFrom, fNodes}, enc: encEvents, dec: decEvents, resend: true},
 }
 
 // errCodeNames are the stable short names used in error text and as the
@@ -278,8 +280,9 @@ type Request struct {
 	Level int32  // granularity level; OpTieRank: -1 is global only
 	Node  uint32 // the node asked about
 	U, V  uint32 // the pair asked about
-	From  uint64 // OpReplSubscribe: next frame index; OpEvolution: event cursor; OpTraces: trace ID (0 = all)
+	From  uint64 // OpReplSubscribe: next frame index; OpEvolution, OpEvents: event cursor; OpTraces: trace ID (0 = all)
 	K     int32  // OpTieRank: the top-k size (must be positive); OpTraces: 0 text, nonzero JSON
+	Nodes []int  // OpEvents: the nodes whose events are asked for
 
 	// Trace is the request's propagated trace context, carried on the wire
 	// as an optional 16-byte trailer signalled by the op byte's traceFlag
@@ -319,13 +322,13 @@ type Response struct {
 	Members  []int                // single-cluster replies
 	Value    float64              // distance / attraction
 	Stats    StatsReply           // OpStats
-	Events   []anc.ClusterEvent   // OpDrainEvents
-	Dropped  uint64               // OpDrainEvents; OpEvolution: cumulative ring-overwrite count
+	Events   []anc.ClusterEvent   // OpEvents
+	Dropped  uint64               // OpEvolution: cumulative ring-overwrite count; OpEvents: flips this cursor missed
 	Accepted uint32               // OpActivateBatch
 	Repl     ReplStatus           // OpReplStatus
 	Rank     anc.TieRankResult    // OpTieRank
 	Evo      []anc.EvolutionEvent // OpEvolution
-	Seq      uint64               // OpEvolution: newest event sequence number
+	Seq      uint64               // OpEvolution, OpEvents: newest sequence number
 	Raw      []byte               // OpTraces: rendered trace bytes (text or JSON)
 }
 
@@ -447,13 +450,6 @@ func ReadResponse(r io.Reader, op uint8, maxFrame int) (*Response, error) {
 // activationWireSize is u(4) + v(4) + t(8), matching the WAL record.
 const activationWireSize = 16
 
-func (f field) size() int {
-	if f == fFrom {
-		return 8
-	}
-	return 4
-}
-
 // put appends the field's value from req.
 func (f field) put(b []byte, req *Request) []byte {
 	switch f {
@@ -467,31 +463,36 @@ func (f field) put(b []byte, req *Request) []byte {
 		return binary.LittleEndian.AppendUint32(b, req.V)
 	case fK:
 		return binary.LittleEndian.AppendUint32(b, uint32(req.K))
+	case fNodes:
+		return appendIDs(b, req.Nodes)
 	}
 	return binary.LittleEndian.AppendUint64(b, req.From)
 }
 
-// get stores the field's value, read from the front of body, into req.
-func (f field) get(body []byte, req *Request) {
+// get reads the field's value from c into req. A counted node list is
+// allocated only once its bytes are known to be there (cursor.ids).
+func (f field) get(c *cursor, req *Request) {
 	switch f {
 	case fLevel:
-		req.Level = int32(binary.LittleEndian.Uint32(body))
+		req.Level = int32(c.u32())
 	case fNode:
-		req.Node = binary.LittleEndian.Uint32(body)
+		req.Node = c.u32()
 	case fU:
-		req.U = binary.LittleEndian.Uint32(body)
+		req.U = c.u32()
 	case fV:
-		req.V = binary.LittleEndian.Uint32(body)
+		req.V = c.u32()
 	case fK:
-		req.K = int32(binary.LittleEndian.Uint32(body))
+		req.K = int32(c.u32())
 	case fFrom:
-		req.From = binary.LittleEndian.Uint64(body)
+		req.From = c.u64()
+	case fNodes:
+		req.Nodes = c.ids()
 	}
 }
 
 // EncodeRequest serializes a request payload (without the frame header).
 func EncodeRequest(req *Request) []byte {
-	b := make([]byte, 0, 9+16+len(req.Batch)*activationWireSize)
+	b := make([]byte, 0, 9+16+len(req.Batch)*activationWireSize+4*len(req.Nodes))
 	b = append(b, req.Op)
 	b = binary.LittleEndian.AppendUint64(b, req.ID)
 	if req.Op == OpActivateBatch {
@@ -560,16 +561,12 @@ func DecodeRequest(payload []byte) (*Request, error) {
 		}
 		return req, nil
 	}
-	want := 0
+	c := cursor{b: body}
 	for _, f := range row.fields {
-		want += f.size()
+		f.get(&c, req)
 	}
-	if len(body) != want {
-		return nil, fmt.Errorf("op %d: body of %d bytes, want %d", req.Op, len(body), want)
-	}
-	for _, f := range row.fields {
-		f.get(body, req)
-		body = body[f.size():]
+	if c.short || c.off != len(body) {
+		return nil, fmt.Errorf("op %d: body of %d bytes does not fit its fields", req.Op, len(body))
 	}
 	return req, nil
 }
@@ -643,14 +640,15 @@ func DecodeResponse(op uint8, payload []byte) (*Response, error) {
 	return &d.Response, nil
 }
 
-// cursor reads a response body front to back. The first read past the end
-// sets short and every later read yields zero, so the shape decoders run
-// straight-line and DecodeResponse checks once. An announced count never
-// sizes an allocation before its bytes have been seen: ids and take hand
-// out memory only for bytes that are present, and counted lists cap their
-// starting capacity and stop growing once short. Reading advances an
-// offset, not the slice: the cursor sits in a heap object, where a pointer
-// store per read would pay the GC write barrier.
+// cursor reads a response or request body front to back. The first read
+// past the end sets short and every later read yields zero, so the shape
+// decoders and request fields run straight-line and DecodeResponse and
+// DecodeRequest check once. An announced count never sizes an allocation
+// before its bytes have been seen: ids and take hand out memory only for
+// bytes that are present, and counted lists cap their starting capacity
+// and stop growing once short. Reading advances an offset, not the slice:
+// a response's cursor sits in a heap object, where a pointer store per
+// read would pay the GC write barrier.
 type cursor struct {
 	b     []byte
 	off   int
@@ -778,6 +776,7 @@ func decStats(c *cursor, resp *Response) {
 }
 
 func encEvents(b []byte, resp *Response) []byte {
+	b = binary.LittleEndian.AppendUint64(b, resp.Seq)
 	b = binary.LittleEndian.AppendUint64(b, resp.Dropped)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(resp.Events)))
 	for _, e := range resp.Events {
@@ -791,7 +790,7 @@ func encEvents(b []byte, resp *Response) []byte {
 }
 
 func decEvents(c *cursor, resp *Response) {
-	resp.Dropped = c.u64()
+	resp.Seq, resp.Dropped = c.u64(), c.u64()
 	n := int(c.u32())
 	resp.Events = make([]anc.ClusterEvent, 0, min(n, 1024))
 	for i := 0; i < n && !c.short; i++ {

@@ -28,9 +28,6 @@ func sampleRequests() []*Request {
 		{Op: OpEstimateDistance, ID: 6, U: 0, V: 9},
 		{Op: OpEstimateAttraction, ID: 7, U: 4, V: 5},
 		{Op: OpStats, ID: 8},
-		{Op: OpWatch, ID: 9, Node: 3},
-		{Op: OpUnwatch, ID: 10, Node: 3},
-		{Op: OpDrainEvents, ID: 11},
 		{Op: OpReplSubscribe, ID: 18, From: 123456},
 		{Op: OpReplStatus, ID: 19},
 		{Op: OpPromote, ID: 20},
@@ -39,6 +36,8 @@ func sampleRequests() []*Request {
 		{Op: OpEvolution, ID: 23, From: 42},
 		{Op: OpTraces, ID: 24, From: 0, K: 0},
 		{Op: OpTraces, ID: 25, From: 0xdeadbeefcafef00d, K: 1},
+		{Op: OpEvents, ID: 28, From: 42, Nodes: []int{3, 9}},
+		{Op: OpEvents, ID: 29, From: math.MaxUint64},
 		{Op: OpStats, ID: 26, Trace: trace.Context{TraceID: 0x1122334455667788, SpanID: 0x99aabbccddeeff00}},
 		{Op: OpActivateBatch, ID: 27, Batch: []anc.Activation{{U: 1, V: 2, T: 3.5}},
 			Trace: trace.Context{TraceID: 7, SpanID: 9}},
@@ -72,7 +71,9 @@ func TestDecodeRequestRejects(t *testing.T) {
 		{"short header", []byte{OpStats, 0, 0}},
 		{"zero op", append([]byte{0}, make([]byte, 8)...)},
 		{"unknown op", append([]byte{opMax}, make([]byte, 8)...)},
-		{"reserved op", append([]byte{OpDrainEvents + 1}, make([]byte, 8)...)},
+		{"reserved op 9", append([]byte{9}, make([]byte, 8)...)},
+		{"reserved op 11", append([]byte{11}, make([]byte, 8)...)},
+		{"reserved op 12", append([]byte{12}, make([]byte, 8)...)},
 		{"trailing bytes", append(EncodeRequest(&Request{Op: OpStats, ID: 1}), 0)},
 		{"short body", EncodeRequest(&Request{Op: OpClusters, ID: 1})[:10]},
 		{"batch count lies", func() []byte {
@@ -80,6 +81,13 @@ func TestDecodeRequestRejects(t *testing.T) {
 			binary.LittleEndian.PutUint32(b[9:13], 1<<30) // announce 2^30 records, carry none
 			return b
 		}()},
+		{"node count lies", func() []byte {
+			b := EncodeRequest(&Request{Op: OpEvents, ID: 1, Nodes: []int{1, 2}})
+			binary.LittleEndian.PutUint32(b[17:21], math.MaxUint32) // announce 2^32-1 nodes, carry 2
+			return b
+		}()},
+		{"node list truncated", EncodeRequest(&Request{Op: OpEvents, ID: 1, Nodes: []int{1, 2}})[:26]},
+		{"node list trailing bytes", append(EncodeRequest(&Request{Op: OpEvents, ID: 1, Nodes: []int{1}}), 0, 0, 0, 0)},
 	}
 	for _, tc := range cases {
 		if _, err := DecodeRequest(tc.payload); err == nil {
@@ -108,12 +116,6 @@ func sampleResponses() []sampleResponse {
 			Activations: 12345, Now: 98.5, Inflight: 3, Queued: 7, Draining: true,
 			Role: RoleFollower, ReplLagFrames: 17, ReplLagSeconds: 0.25,
 		}}},
-		{OpWatch, &Response{ID: 11}},
-		{OpUnwatch, &Response{ID: 12}},
-		{OpDrainEvents, &Response{ID: 13, Dropped: 2, Events: []anc.ClusterEvent{
-			{Node: 1, Other: 2, Level: 3, Joined: true, Time: 4.5},
-			{Node: 6, Other: 7, Level: 1, Joined: false, Time: 9.75},
-		}}},
 		{OpReplSubscribe, &Response{ID: 18}},
 		{OpReplStatus, &Response{ID: 19, Repl: ReplStatus{
 			Role: RolePrimary, Next: 1000, PrimaryNext: 1000, Activations: 9999,
@@ -139,6 +141,11 @@ func sampleResponses() []sampleResponse {
 		}}},
 		{OpTraces, &Response{ID: 24, Raw: []byte(`{"traces":[]}`)}},
 		{OpTraces, &Response{ID: 25, Raw: []byte{}}},
+		{OpEvents, &Response{ID: 28, Seq: 70000, Dropped: 2, Events: []anc.ClusterEvent{
+			{Node: 1, Other: 2, Level: 3, Joined: true, Time: 4.5},
+			{Node: 6, Other: 7, Level: 1, Joined: false, Time: 9.75},
+		}}},
+		{OpEvents, &Response{ID: 29, Seq: 5}},
 	}
 }
 
@@ -259,8 +266,9 @@ func TestPreamble(t *testing.T) {
 }
 
 // TestOpTableComplete holds what the wirecomplete analyzer held, as
-// behaviour: unique names; the reserved numbers 12–17 (the retired zoom
-// session ops) and only they without a row, decoding as unknown ops;
+// behaviour: unique names; the reserved numbers 9–17 (the retired
+// server-side watcher and zoom session ops) and only they without a row,
+// decoding as unknown ops;
 // push-only rows refused as requests; every other row with both codec
 // halves and a sample request and response (hence a golden line, both
 // round-trip tests, both fuzz corpora); the resend flag equal to the split
@@ -269,7 +277,7 @@ func TestPreamble(t *testing.T) {
 func TestOpTableComplete(t *testing.T) {
 	resend := map[string]bool{"clusters": true, "even-clusters": true, "cluster-of": true,
 		"smallest-cluster-of": true, "estimate-distance": true, "estimate-attraction": true,
-		"tierank": true, "evolution": true, "traces": true, "stats": true, "repl-status": true}
+		"tierank": true, "evolution": true, "events": true, "traces": true, "stats": true, "repl-status": true}
 	inReq, inResp := map[uint8]bool{}, map[uint8]bool{}
 	for _, req := range sampleRequests() {
 		inReq[req.Op] = true
@@ -280,10 +288,10 @@ func TestOpTableComplete(t *testing.T) {
 	names := map[string]uint8{}
 	for op := uint8(1); op < opMax; op++ {
 		row := opTable[op]
-		if reserved := op >= 12 && op <= 17; reserved || row.name == "" {
+		if reserved := op >= 9 && op <= 17; reserved || row.name == "" {
 			_, err := DecodeRequest(EncodeRequest(&Request{Op: op}))
 			if !reserved || !reflect.DeepEqual(row, opRow{}) || err == nil || !strings.Contains(err.Error(), "unknown op") {
-				t.Errorf("op %d: reserved %v, row %+v, decodes with %v; want only 12–17 empty and unknown", op, reserved, row, err)
+				t.Errorf("op %d: reserved %v, row %+v, decodes with %v; want only 9–17 empty and unknown", op, reserved, row, err)
 			}
 			continue
 		}
@@ -353,9 +361,10 @@ func FuzzDecodeRequest(f *testing.F) {
 	for _, req := range sampleRequests() {
 		f.Add(EncodeRequest(req))
 	}
-	for op := uint8(12); op <= 17; op++ { // reserved: must not decode
+	for op := uint8(9); op <= 17; op++ { // reserved: must not decode
 		f.Add(EncodeRequest(&Request{Op: op, ID: uint64(op)}))
 	}
+	f.Add(EncodeRequest(&Request{Op: OpEvents, ID: 1, Nodes: []int{4, 5, 6}})[:25]) // node list cut short
 	f.Add([]byte{})
 	f.Add([]byte{OpActivateBatch, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -378,7 +387,7 @@ func FuzzDecodeResponse(f *testing.F) {
 	for _, tc := range sampleResponses() {
 		f.Add(tc.Op, EncodeResponse(tc.Op, tc.Resp))
 	}
-	for op := uint8(12); op <= 17; op++ { // reserved: must not decode
+	for op := uint8(9); op <= 17; op++ { // reserved: must not decode
 		f.Add(op, EncodeResponse(op, &Response{ID: uint64(op)}))
 	}
 	f.Add(OpStats, EncodeError(1, ErrCodeDeadline, "late"))

@@ -396,6 +396,24 @@ func TestFollowerAnalyticsParity(t *testing.T) {
 		t.Errorf("read past newest event returned %d events, seq %d (want 0 at %d)", len(tail), tailSeq, gotSeq)
 	}
 
+	// The cluster-change feed: the follower ran every repair the primary
+	// ran, so it recorded the same flips and answers every cursor alike.
+	all := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	_, flips, _ := primary.Events(0, nil)
+	if flips == 0 {
+		t.Error("stream flipped no vote; events parity is vacuous")
+	}
+	for _, since := range []uint64{0, 1, flips / 3, flips / 2, flips - 1, flips, flips + 3} {
+		for _, nodes := range [][]int{all, {4}, {5, 0}} {
+			wantEv, wantSeq, wantMissed := primary.Events(since, nodes)
+			gotEv, gotSeq, gotMissed := follower.Events(since, nodes)
+			if gotSeq != wantSeq || gotMissed != wantMissed || !reflect.DeepEqual(gotEv, wantEv) {
+				t.Errorf("events since %d on %v: follower %d events (seq %d, %d missed), primary %d (seq %d, %d missed)",
+					since, nodes, len(gotEv), gotSeq, gotMissed, len(wantEv), wantSeq, wantMissed)
+			}
+		}
+	}
+
 	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := fsrv.Shutdown(sctx); err != nil {

@@ -187,12 +187,15 @@ func TestServerRoundTrip(t *testing.T) {
 	defer shutdownServer(t, s)
 	c := dialTest(t, s.Addr().String())
 
-	// Watch before ingest so cluster events accumulate server-side.
-	c.rpc(&Request{Op: OpWatch, Node: 4})
-
+	// A burst on the bridge after the mixed stream flips votes, so the
+	// change feed has events to compare.
 	batches := testStream(4, 25)
+	burst := make([]anc.Activation, 200)
+	for i := range burst {
+		burst[i] = anc.Activation{U: 4, V: 5, T: batches[3][24].T + float64(i+1)*0.02}
+	}
 	var sent uint32
-	for _, b := range batches {
+	for _, b := range append(batches, burst) {
 		resp := c.rpc(&Request{Op: OpActivateBatch, Batch: b})
 		sent += uint32(len(b))
 		if resp.Accepted != uint32(len(b)) {
@@ -242,13 +245,27 @@ func TestServerRoundTrip(t *testing.T) {
 		t.Fatal("draining before shutdown")
 	}
 
-	// DrainEvents empties the watch buffer; a second drain is empty.
-	c.rpc(&Request{Op: OpDrainEvents})
-	resp := c.rpc(&Request{Op: OpDrainEvents})
-	if len(resp.Events) != 0 || resp.Dropped != 0 {
-		t.Fatalf("second drain returned %d events, %d dropped", len(resp.Events), resp.Dropped)
+	// The change feed answers every cursor as the backend does, and
+	// answers it again: reading drains nothing.
+	_, newest, _ := backend.Events(0, nil)
+	if newest == 0 {
+		t.Fatal("the stream flipped no vote")
 	}
-	c.rpc(&Request{Op: OpUnwatch, Node: 4})
+	for _, since := range []uint64{0, newest / 2, newest, newest + 5} {
+		evs, seq, missed := backend.Events(since, []int{4, 7})
+		for i := 0; i < 2; i++ {
+			resp := c.rpc(&Request{Op: OpEvents, From: since, Nodes: []int{4, 7}})
+			if !sameEvents(resp.Events, evs) || resp.Seq != seq || resp.Dropped != missed {
+				t.Fatalf("events since %d, read %d: %v (seq %d, %d missed), want %v (seq %d, %d missed)",
+					since, i+1, resp.Events, resp.Seq, resp.Dropped, evs, seq, missed)
+			}
+		}
+	}
+}
+
+// sameEvents compares two event lists, an empty list equal to a nil one.
+func sameEvents(a, b []anc.ClusterEvent) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
 }
 
 // TestServerAnalytics drives the analytics ops over TCP and checks every
@@ -376,9 +393,10 @@ func TestServerBadRequest(t *testing.T) {
 	if st := c.rpc(&Request{Op: OpStats}).Stats; st.Nodes != 10 {
 		t.Fatalf("stats after bad request: %+v", st)
 	}
-	// The reserved op numbers of the retired zoom sessions are unknown
-	// ops, each answered typed on a connection that stays usable.
-	for op := uint8(12); op <= 17; op++ {
+	// The reserved op numbers of the retired server-side watcher and zoom
+	// sessions are unknown ops, each answered typed on a connection that
+	// stays usable.
+	for op := uint8(9); op <= 17; op++ {
 		c.send(EncodeRequest(&Request{Op: op, ID: uint64(op)}))
 		if resp := c.recv(OpStats); resp.Err == nil || resp.Err.Code != ErrCodeBadRequest ||
 			!strings.Contains(resp.Err.Msg, "unknown op") {

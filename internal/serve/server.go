@@ -33,9 +33,7 @@ type Backend interface {
 	SmallestClusterOf(v int) []int
 	EstimateDistance(u, v int) float64
 	EstimateAttraction(u, v int) float64
-	Watch(v int)
-	Unwatch(v int)
-	DrainEvents() ([]anc.ClusterEvent, uint64)
+	Events(since uint64, nodes []int) ([]anc.ClusterEvent, uint64, uint64)
 	TieRank(level, k int) anc.TieRankResult
 	Evolution(since uint64) ([]anc.EvolutionEvent, uint64, uint64)
 	Stats() anc.Stats
@@ -291,7 +289,6 @@ func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 		Edges              int     `json:"edges"`
 		Activations        uint64  `json:"activations"`
 		Now                float64 `json:"now"`
-		WatcherDrops       uint64  `json:"watcher_drops"`
 		EvolutionDrops     uint64  `json:"evolution_drops"`
 		Inflight           int32   `json:"inflight"`
 		Queued             int32   `json:"queued"`
@@ -299,9 +296,8 @@ func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 		CacheMisses        uint64  `json:"cache_misses"`
 		CacheInvalidations uint64  `json:"cache_invalidations"`
 	}{status, obs.BuildVersion, time.Since(s.startedAt).Seconds(), runtime.NumGoroutine(),
-		bs.Nodes, bs.Edges, bs.Activations, bs.Now, bs.WatcherDrops,
-		bs.EvolutionDrops, s.inflight.Load(), s.queued.Load(),
-		bs.CacheHits, bs.CacheMisses, bs.CacheInvalidations})
+		bs.Nodes, bs.Edges, bs.Activations, bs.Now, bs.EvolutionDrops,
+		s.inflight.Load(), s.queued.Load(), bs.CacheHits, bs.CacheMisses, bs.CacheInvalidations})
 }
 
 // stopMetrics closes the metrics HTTP listener and waits for its serve
@@ -754,12 +750,6 @@ func (s *Server) execQuery(req *Request) []byte {
 			resp.Stats.ReplLagFrames = rs.LagFrames()
 			resp.Stats.ReplLagSeconds = rs.LagSeconds
 		}
-	case OpWatch:
-		s.backend.Watch(int(req.Node))
-	case OpUnwatch:
-		s.backend.Unwatch(int(req.Node))
-	case OpDrainEvents:
-		resp.Events, resp.Dropped = s.backend.DrainEvents()
 	case OpTieRank:
 		if req.K <= 0 {
 			return s.errReply(req.ID, ErrCodeBadRequest, fmt.Sprintf("tierank k %d, want positive", req.K))
@@ -767,6 +757,8 @@ func (s *Server) execQuery(req *Request) []byte {
 		resp.Rank = s.backend.TieRank(int(req.Level), int(req.K))
 	case OpEvolution:
 		resp.Evo, resp.Seq, resp.Dropped = s.backend.Evolution(req.From)
+	case OpEvents:
+		resp.Events, resp.Seq, resp.Dropped = s.backend.Events(req.From, req.Nodes)
 	case OpTraces:
 		if s.cfg.Tracer == nil {
 			return s.errReply(req.ID, ErrCodeBadRequest, "tracing not enabled")

@@ -232,32 +232,13 @@ func (l *lockedNetwork) Activeness(u, v int) (float64, error) {
 	return l.net.Activeness(u, v)
 }
 
-// Watch enables real-time change reporting for node v. It takes the
-// EXCLUSIVE lock, not the shared one: the first Watch call mutates the
-// index (it builds the vote-tracking structures via EnableVoteTracking),
-// so it cannot run concurrently with readers. Watch state is in memory
-// only — a DurableNetwork does not replay it on Recover.
-func (l *lockedNetwork) Watch(v int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.net.Watch(v)
-}
-
-// Unwatch stops watching v (exclusive lock: it mutates the watch set read
-// by the ingest path).
-func (l *lockedNetwork) Unwatch(v int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.net.Unwatch(v)
-}
-
-// DrainEvents returns and clears the accumulated cluster events plus the
-// overflow-drop count. It takes the EXCLUSIVE lock because draining
-// mutates the watcher's event buffer.
-func (l *lockedNetwork) DrainEvents() ([]ClusterEvent, uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.net.DrainEvents()
+// Events reads the cluster-change feed after the cursor since, filtered
+// to nodes (shared lock: the flip ring is a cursor read, and wrap turned
+// vote tracking on, so nothing here writes).
+func (l *lockedNetwork) Events(since uint64, nodes []int) ([]ClusterEvent, uint64, uint64) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.net.Events(since, nodes)
 }
 
 // Stats returns an aggregate snapshot of the network's shape and ingest
@@ -273,7 +254,6 @@ func (l *lockedNetwork) Stats() Stats {
 		SqrtLevel:          l.net.SqrtLevel(),
 		Activations:        l.acts,
 		Now:                l.net.Now(),
-		WatcherDrops:       l.net.WatcherDrops(),
 		CacheHits:          hits,
 		CacheMisses:        misses,
 		CacheInvalidations: inv,

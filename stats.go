@@ -16,17 +16,12 @@ type Stats struct {
 	Activations uint64
 	// Now is the network time: the largest activation timestamp seen.
 	Now float64
-	// WatcherDrops is the cumulative count of cluster events dropped on
-	// watcher buffer overflow — never reset by DrainEvents, so loss is observable
-	// without consuming events. Zero when Watch was never called.
-	WatcherDrops uint64
 	// CacheHits, CacheMisses and CacheInvalidations are the materialized
 	// clustering cache's cumulative counters (DESIGN.md §15). All zero when
 	// the cache was never enabled.
 	CacheHits, CacheMisses, CacheInvalidations uint64
 	// EvolutionDrops is the cumulative count of cluster-evolution events
-	// overwritten in the analytics ring before being read (DESIGN.md §16)
-	// — the analytics twin of WatcherDrops. Zero when analytics was never
-	// enabled.
+	// overwritten in the analytics ring before being read (DESIGN.md §16).
+	// Zero when analytics was never enabled.
 	EvolutionDrops uint64
 }
