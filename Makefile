@@ -104,11 +104,15 @@ fuzz-smoke:
 # writes and one touching half the nodes, to be read against
 # BenchmarkPower and BenchmarkEven (ns/op, B/op); BenchmarkLocal times the
 # output-proportional local query, the third kernel that binds a level's
-# votes (pyramid.Voter).
+# votes (pyramid.Voter). The similarity gate covers the reinforcement's σ
+# memo refresh on a 4,096-node graph, and BenchmarkFlush times one ANCOR
+# interval flush (reinforcement with its memo refreshes, then the index
+# repair) at the default ReinforceInterval.
 bench-smoke:
-	$(GO) test -run '^TestHotPathAllocs$$' -count=1 ./internal/serve ./internal/obs ./internal/obs/trace ./internal/decay ./internal/cluster/cache ./internal/analytics ./internal/pyramid ./internal/cluster
+	$(GO) test -run '^TestHotPathAllocs$$' -count=1 ./internal/serve ./internal/obs ./internal/obs/trace ./internal/decay ./internal/similarity ./internal/cluster/cache ./internal/analytics ./internal/pyramid ./internal/cluster
 	$(GO) test -run '^$$' -bench '^BenchmarkHotPath' -benchtime 100x -benchmem ./internal/serve ./internal/obs ./internal/obs/trace ./internal/decay ./internal/cluster/cache ./internal/analytics
 	$(GO) test -run '^$$' -bench '^(BenchmarkUpdateEdgesHub|BenchmarkUpdateEdgesBatch|BenchmarkPower|BenchmarkPowerRepair|BenchmarkEven|BenchmarkEvenRepair|BenchmarkLocal)$$' -benchtime 20x -benchmem ./internal/pyramid ./internal/cluster
+	$(GO) test -run '^$$' -bench '^BenchmarkFlush$$' -benchtime 20x -benchmem ./internal/core
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

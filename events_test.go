@@ -96,8 +96,21 @@ func TestEventsOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				if r.method == ANCF && call == 30 {
+					// The reconstruct reports exactly the pass states it
+					// changed, in ascending (level, edge) order.
+					pass := passBits(net)
+					at := len(flips)
 					if err := net.Snapshot(); err != nil {
 						t.Fatal(err)
+					}
+					var want []seenFlip
+					for i, now := range passBits(net) {
+						if now != pass[i] {
+							want = append(want, seenFlip{i/g.M() + 1, graph.EdgeID(i % g.M()), now, net.Now()})
+						}
+					}
+					if len(want) == 0 || !reflect.DeepEqual(flips[at:], want) {
+						t.Fatalf("the snapshot reported %d flips, its pass-state diff has %d", len(flips)-at, len(want))
 					}
 				}
 				for _, f := range flips[before:] {
@@ -114,7 +127,7 @@ func TestEventsOracle(t *testing.T) {
 			if seq != start+uint64(len(flips)) {
 				t.Fatalf("the feed's sequence is %d, the listener saw %d flips after %d", seq, len(flips), start)
 			}
-			if r.method != ANCF && len(flips) < 50 {
+			if len(flips) < 50 {
 				t.Fatalf("only %d flips: the stream exercises nothing", len(flips))
 			}
 			sets := [][]int{{0}, {3, 17, 40}, {5, 6, 7, 8, 20, 21, 60, 63}}
@@ -139,6 +152,87 @@ func TestEventsOracle(t *testing.T) {
 			}
 		})
 	}
+}
+
+// passBits returns whether each edge passes the vote at each level, level
+// by level in edge order.
+func passBits(net *Network) []bool {
+	ix := net.inner.Index()
+	vt := ix.EnableVoteTracking()
+	var out []bool
+	for l := 1; l <= ix.Levels(); l++ {
+		for e := 0; e < net.M(); e++ {
+			out = append(out, vt.Votes(graph.EdgeID(e), l) >= ix.MinSupport())
+		}
+	}
+	return out
+}
+
+// TestEventsReportANCFSnapshot: under ANCF the index changes only at a
+// Snapshot, and the change feed reports what it changed. A 64-node planted
+// graph takes 3,000 activations, then a Snapshot; the √n-level clustering
+// changes, and Events has a change at that level for a node whose cluster
+// changed.
+func TestEventsReportANCFSnapshot(t *testing.T) {
+	g := gen.PlantedPartition([]int{16, 16, 16, 16}, 0.35, 0.04, rand.New(rand.NewSource(1))).Graph
+	cfg := DefaultConfig()
+	cfg.Method = ANCF
+	net, err := FromGraph(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	level := net.SqrtLevel()
+	before := net.Clusters(level)
+	_, seq, _ := net.Events(0, nil)
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 3000; i++ {
+		u, v := g.Endpoints(graph.EdgeID(rng.Intn(g.M())))
+		if err := net.Activate(int(u), int(v), float64(i)*0.01); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, s, _ := net.Events(seq, nil); s != seq {
+		t.Fatalf("ANCF ingest changed the feed before any Snapshot: seq %d → %d", seq, s)
+	}
+	if err := net.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	label := func(cl [][]int) []int {
+		out := make([]int, g.N())
+		for i := range out {
+			out[i] = -1
+		}
+		for c, members := range cl {
+			for _, v := range members {
+				out[v] = c
+			}
+		}
+		return out
+	}
+	a, b := label(before), label(net.Clusters(level))
+	var moved []int
+	for v := range a {
+		for u := range a {
+			if (a[u] == a[v] && a[u] >= 0) != (b[u] == b[v] && b[u] >= 0) {
+				moved = append(moved, v)
+				break
+			}
+		}
+	}
+	if len(moved) == 0 {
+		t.Fatal("the snapshot left the √n-level clustering as it was: the scenario exercises nothing")
+	}
+	evs, _, missed := net.Events(seq, moved)
+	if missed != 0 {
+		t.Fatalf("%d events missed", missed)
+	}
+	for _, ev := range evs {
+		if ev.Level == level {
+			return
+		}
+	}
+	t.Fatalf("%d nodes changed cluster at level %d, but the feed has %d events on them and none at that level", len(moved), level, len(evs))
 }
 
 // TestEventsSeqSurvivesRestore: a durable network restoring a snapshot in

@@ -138,13 +138,11 @@ type Network struct {
 	flips   *ring.Ring[Flip]
 	readers sync.Pool
 
-	// Batch-ingest scratch: dirty-edge/node sets of the current batch and
-	// the weight buffer handed to the index. Lazily allocated on the first
+	// Batch-ingest scratch: the dirty-edge set of the current batch and the
+	// weight buffer handed to the index. Lazily allocated on the first
 	// ActivateBatch and reused, so steady batch ingest allocates nothing.
 	batchEdges    []graph.EdgeID
 	batchEdgeMark []bool
-	batchNodes    []graph.NodeID
-	batchNodeMark []bool
 	batchWeights  []float64
 	flushWeights  []float64
 
@@ -282,11 +280,12 @@ type Activation struct {
 // rejected as a unit with no state touched. Compared with a loop over
 // Activate, the batch path advances the decay clock once per distinct
 // timestamp, coalesces repeated activations of the same edge into one
-// σ-maintenance pass and one index update per distinct edge, and defers
-// the rescale check to batch end. The anchored similarity and activeness
-// arithmetic is per-impact identical to Activate's, so batched and per-op
-// ingest of the same stream produce the same clusterings and byte-identical
-// snapshots. ANCOR reinforcement fires at the same interval boundaries as
+// index update per distinct edge, and defers the rescale check to batch
+// end. The anchored similarity and activeness arithmetic is per-impact
+// identical to Activate's, so batched and per-op ingest of the same stream
+// produce the same state unless a rescale falls inside a batch: per-op
+// ingest folds it there, the batch at its end, and the fold rounds
+// differently. ANCOR reinforcement fires at the same interval boundaries as
 // the per-op path and once more at batch end.
 func (nw *Network) ActivateBatch(batch []Activation) error {
 	return nw.ActivateBatchTraced(batch, trace.SpanHandle{})
@@ -321,9 +320,8 @@ func (nw *Network) ActivateBatchTraced(batch []Activation, sp trace.SpanHandle) 
 			nw.clock.Advance(a.T)
 		}
 		if nw.opts.Method == ANCOR && a.T >= nw.lastFlush+nw.opts.ReinforceInterval {
-			// Interval boundary mid-batch: settle deferred σ maintenance so
-			// reinforcement reads exact similarities, then flush as the
-			// per-op path would.
+			// Interval boundary mid-batch: settle the index with the
+			// batch so far, then flush as the per-op path would.
 			nw.settleBatch(sp)
 			nw.flush()
 			nw.lastFlush = a.T
@@ -349,42 +347,24 @@ func (nw *Network) ActivateBatchTraced(batch []Activation, sp trace.SpanHandle) 
 	return nil
 }
 
-// markBatch records e and its endpoints in the batch's dirty sets.
+// markBatch records e in the batch's dirty-edge set.
 func (nw *Network) markBatch(e graph.EdgeID) {
 	if nw.batchEdgeMark == nil {
 		nw.batchEdgeMark = make([]bool, nw.g.M())
-		nw.batchNodeMark = make([]bool, nw.g.N())
 	}
 	if !nw.batchEdgeMark[e] {
 		nw.batchEdgeMark[e] = true
 		nw.batchEdges = append(nw.batchEdges, e)
 	}
-	u, v := nw.g.Endpoints(e)
-	if !nw.batchNodeMark[u] {
-		nw.batchNodeMark[u] = true
-		nw.batchNodes = append(nw.batchNodes, u)
-	}
-	if !nw.batchNodeMark[v] {
-		nw.batchNodeMark[v] = true
-		nw.batchNodes = append(nw.batchNodes, v)
-	}
 }
 
 // settleBatch applies the deferred per-distinct work of the running batch:
-// one σ-numerator fold per dirty edge, one σ/active-count refresh per
-// dirty node, and (except for the buffering ANCF) one batched index update
-// over the dirty edges' final weights. When the batch is traced, the index
-// update — the pyramid repair — is recorded as a child span.
+// except for the buffering ANCF, one batched index update over the dirty
+// edges' final weights. When the batch is traced, the index update — the
+// pyramid repair — is recorded as a child span.
 func (nw *Network) settleBatch(sp trace.SpanHandle) {
 	if len(nw.batchEdges) == 0 {
 		return
-	}
-	for _, e := range nw.batchEdges {
-		nw.sim.RefreshEdgeNum(e)
-	}
-	for _, x := range nw.batchNodes {
-		nw.sim.RefreshNodeSigma(x)
-		nw.batchNodeMark[x] = false
 	}
 	if nw.opts.Method != ANCF {
 		nw.batchWeights = nw.batchWeights[:0]
@@ -400,7 +380,6 @@ func (nw *Network) settleBatch(sp trace.SpanHandle) {
 		nw.batchEdgeMark[e] = false
 	}
 	nw.batchEdges = nw.batchEdges[:0]
-	nw.batchNodes = nw.batchNodes[:0]
 }
 
 // Close stops the index worker pool (when parallel updates are enabled),
@@ -490,11 +469,10 @@ func (nw *Network) Snapshot() error {
 	}
 	nw.pending = nw.pending[:0]
 	nw.ix.Reconstruct()
-	// The reconstruction rebuilds vote counts wholesale without firing
-	// flip events, so the cache cannot invalidate itself level by level —
-	// drop everything, baselines and logs included. The tracked level has
-	// no flip list to be repaired along either: recompute it whole, diff
-	// it whole.
+	// The reconstruction reports its net vote flips, so the change feed
+	// sees them, but it replaced every partition wholesale and may leave
+	// logs longer than a recompute costs: drop everything, baselines and
+	// logs included, and recompute and diff the tracked level whole.
 	nw.cache.InvalidateAll()
 	nw.rank.Invalidate()
 	nw.resetLogs()

@@ -95,9 +95,10 @@ func (c *Clock) Activated() { c.ActivatedN(1) }
 
 // ActivatedN records that n activations arrived and triggers a batched
 // rescale when the period is reached. Batch ingest calls this once per
-// batch, deferring the rescale check to batch end; deferral never changes
-// results, only when the (semantically invisible, Lemma 10) refold
-// happens.
+// batch, deferring the rescale check to batch end. The rescale is
+// invisible in exact arithmetic (Lemma 10), but its fold rounds: when the
+// period is reached inside a batch, per-op ingest of the same stream
+// rescales at a different point and ends with different last bits.
 func (c *Clock) ActivatedN(n int) {
 	c.pending += n
 	if c.every > 0 && c.pending >= c.every {
@@ -131,36 +132,23 @@ func (c *Clock) Rescale() {
 	c.rescales.Inc()
 }
 
-// Activeness stores the anchored activeness a* of every edge and the
-// per-node anchored weighted degree Σ_{x∈N(v)} a*(v,x), which the active
-// similarity needs as its denominator (Section IV-B). Both are PosM, so a
-// rescale multiplies them by g.
+// Activeness stores the anchored activeness a* of every edge. It is PosM,
+// so a rescale multiplies it by g.
 type Activeness struct {
 	clock *Clock
 	edge  []float64 // anchored activeness per edge ID
-	node  []float64 // anchored weighted degree per node ID
-	ends  func(e int32) (int32, int32)
 }
 
-// NewActiveness returns the activeness store for a graph with m edges and
-// n nodes. Initial activeness is initial on every edge (the paper's online
-// methods start from a_0(e) = 1; pass 0 for a cold start). ends maps an
-// edge ID to its endpoints so node sums can be maintained.
+// NewActiveness returns the activeness store for a graph with m edges.
+// Initial activeness is initial on every edge (the paper's online methods
+// start from a_0(e) = 1; pass 0 for a cold start). n and ends are unused:
+// the store keeps no per-node state (package similarity sums what it needs
+// where it reads it).
 func NewActiveness(clock *Clock, n, m int, initial float64, ends func(e int32) (int32, int32)) *Activeness {
-	a := &Activeness{
-		clock: clock,
-		edge:  make([]float64, m),
-		node:  make([]float64, n),
-		ends:  ends,
-	}
+	a := &Activeness{clock: clock, edge: make([]float64, m)}
 	if initial != 0 {
 		for i := range a.edge {
 			a.edge[i] = initial
-		}
-		for e := 0; e < m; e++ {
-			u, v := ends(int32(e))
-			a.node[u] += initial
-			a.node[v] += initial
 		}
 	}
 	clock.Register(a)
@@ -175,14 +163,11 @@ func (a *Activeness) OnRescale(g float64) {
 	for i := range a.edge {
 		a.edge[i] *= g
 	}
-	for i := range a.node {
-		a.node[i] *= g
-	}
 }
 
 // Activate applies the activation (e, t): advances the clock and adds
-// 1/g(t, t*) to the anchored activeness of e (Definition 1), keeping the
-// node sums in step. O(1) plus the amortized rescale cost.
+// 1/g(t, t*) to the anchored activeness of e (Definition 1). O(1) plus the
+// amortized rescale cost.
 //
 //anclint:hotpath
 func (a *Activeness) Activate(e int32, t float64) {
@@ -195,35 +180,24 @@ func (a *Activeness) Activate(e int32, t float64) {
 // without advancing it or counting toward the rescale period. Batch ingest
 // uses it to apply many impacts per clock advance: the caller advances the
 // clock once per distinct timestamp, Bumps each activation, and settles
-// the rescale accounting with Clock.ActivatedN at batch end. The arithmetic
-// is identical to Activate's, so per-op and batched ingest produce
-// bit-identical anchored state.
+// the rescale accounting with Clock.ActivatedN at batch end. Each impact
+// is Activate's arithmetic; the anchored state of the two paths differs
+// only when a rescale falls inside a batch, since Activate may rescale
+// between two activations and the batch only at its end.
 //
 //anclint:hotpath
 func (a *Activeness) Bump(e int32) {
-	inc := 1 / a.clock.G()
-	a.edge[e] += inc
-	u, v := a.ends(e)
-	a.node[u] += inc
-	a.node[v] += inc
+	a.edge[e] += 1 / a.clock.G()
 }
 
-// Restore overwrites every anchored edge activeness with the given values
-// and recomputes the node sums. Snapshot-persistence hook; values must be
-// anchored at the clock's current anchor time.
+// Restore overwrites every anchored edge activeness with the given values.
+// Snapshot-persistence hook; values must be anchored at the clock's current
+// anchor time.
 func (a *Activeness) Restore(values []float64) {
 	if len(values) != len(a.edge) {
 		panic("decay: Restore length mismatch")
 	}
 	copy(a.edge, values)
-	for i := range a.node {
-		a.node[i] = 0
-	}
-	for e := range a.edge {
-		u, v := a.ends(int32(e))
-		a.node[u] += a.edge[e]
-		a.node[v] += a.edge[e]
-	}
 }
 
 // Anchored returns the anchored activeness a*_t(e).
@@ -235,16 +209,6 @@ func (a *Activeness) Anchored(e int32) float64 { return a.edge[e] }
 //
 //anclint:hotpath
 func (a *Activeness) At(e int32) float64 { return a.edge[e] * a.clock.G() }
-
-// NodeAnchored returns the anchored weighted degree Σ_{x∈N(v)} a*_t(v, x).
-//
-//anclint:hotpath
-func (a *Activeness) NodeAnchored(v int32) float64 { return a.node[v] }
-
-// NodeAt returns the true weighted degree at the current time.
-//
-//anclint:hotpath
-func (a *Activeness) NodeAt(v int32) float64 { return a.node[v] * a.clock.G() }
 
 // Clock returns the clock the store is anchored to.
 func (a *Activeness) Clock() *Clock { return a.clock }

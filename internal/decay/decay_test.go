@@ -116,9 +116,6 @@ func TestInitialActiveness(t *testing.T) {
 	if a.At(0) != 1 || a.At(1) != 1 {
 		t.Fatal("initial edge activeness wrong")
 	}
-	if a.NodeAt(1) != 2 || a.NodeAt(0) != 1 {
-		t.Fatal("initial node sums wrong")
-	}
 	c.Advance(5)
 	g := math.Exp(-0.5)
 	if !almostEqual(a.At(0), g) {
@@ -148,47 +145,6 @@ func TestAnchoredMatchesDirect(t *testing.T) {
 			want := directActiveness(lambda, times, now)
 			if !almostEqual(a.At(0), want) {
 				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestNodeSumsMatchEdgeSums: node anchored sums always equal the sum of
-// incident anchored edge values, under random activations on a small graph.
-func TestNodeSumsMatchEdgeSums(t *testing.T) {
-	// Triangle: edges 0:(0,1) 1:(0,2) 2:(1,2).
-	ends := func(e int32) (int32, int32) {
-		switch e {
-		case 0:
-			return 0, 1
-		case 1:
-			return 0, 2
-		default:
-			return 1, 2
-		}
-	}
-	incident := [][]int32{{0, 1}, {0, 2}, {1, 2}}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		c := NewClock(0.2)
-		c.SetRescaleEvery(3)
-		a := NewActiveness(c, 3, 3, 1, ends)
-		now := 0.0
-		for i := 0; i < 40; i++ {
-			now += rng.Float64()
-			a.Activate(int32(rng.Intn(3)), now)
-			for v := int32(0); v < 3; v++ {
-				sum := 0.0
-				for _, e := range incident[v] {
-					sum += a.Anchored(e)
-				}
-				if !almostEqual(sum, a.NodeAnchored(v)) {
-					return false
-				}
 			}
 		}
 		return true

@@ -45,10 +45,6 @@ func TestActivenessRestore(t *testing.T) {
 	if a.Anchored(0) != 3 || a.Anchored(1) != 5 {
 		t.Fatalf("edge values wrong: %v %v", a.Anchored(0), a.Anchored(1))
 	}
-	// Node sums recomputed: node 1 touches both edges.
-	if a.NodeAnchored(1) != 8 || a.NodeAnchored(0) != 3 || a.NodeAnchored(2) != 5 {
-		t.Fatalf("node sums wrong: %v %v %v", a.NodeAnchored(0), a.NodeAnchored(1), a.NodeAnchored(2))
-	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("length mismatch accepted")

@@ -3,7 +3,7 @@
 // per-activation and per-frame kernels (metrics handles, frame-header
 // packing, decay arithmetic) run millions of times per second, and one
 // hidden allocation per call turns into GC pressure that caps ingest
-// throughput (ROADMAP item 1 demands allocation-free hot paths).
+// throughput, so steady ingest must allocate nothing on these paths.
 //
 // # What is flagged in a marked body
 //

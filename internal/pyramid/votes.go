@@ -184,13 +184,26 @@ func (vt *VoteTracker) applyBatch(p, l int, changed []graph.NodeID) {
 	}
 }
 
-// rebuild recomputes all memberships and counts from the partitions. It
-// fires no flip events (callers that need invalidation after a rebuild —
-// the ANCF reconstruction — handle it wholesale).
+// rebuild recomputes all memberships and counts from the partitions, when
+// the tracker is attached and at the ANCF reconstruction. With listeners
+// attached it then reports every net crossing, as an update cycle does: each (level, edge)'s pass state is kept
+// in wasPass before the recount (free between cycles), and listeners see
+// every change in ascending (level, edge) order. O(L·m), the order of the
+// recount itself.
 func (vt *VoteTracker) rebuild() {
+	min := vt.ix.MinSupport()
+	report := len(vt.onFlip) > 0
 	for l := 1; l <= vt.ix.levels; l++ {
-		cs := vt.counts[l-1]
+		cs, was := vt.counts[l-1], vt.wasPass[l-1]
 		for e := range cs {
+			if report {
+				w, b := e/64, uint64(1)<<(uint(e)%64)
+				if int(cs[e]) >= min {
+					was[w] |= b
+				} else {
+					was[w] &^= b
+				}
+			}
 			cs[e] = 0
 		}
 		for p := 0; p < vt.ix.cfg.K; p++ {
@@ -202,6 +215,20 @@ func (vt *VoteTracker) rebuild() {
 				if vt.sameSeed(p, l, graph.EdgeID(e)) {
 					vt.set(p, l, graph.EdgeID(e), true)
 					cs[e]++
+				}
+			}
+		}
+	}
+	if !report {
+		return
+	}
+	for l := 1; l <= vt.ix.levels; l++ {
+		cs, was := vt.counts[l-1], vt.wasPass[l-1]
+		for e := range cs {
+			pass := int(cs[e]) >= min
+			if pass != (was[e/64]&(1<<(uint(e)%64)) != 0) {
+				for _, fn := range vt.onFlip {
+					fn(l, graph.EdgeID(e), pass)
 				}
 			}
 		}

@@ -7,17 +7,20 @@
 // All dynamic quantities are kept *anchored* under the global decay factor
 // (package decay): activeness and S_t are PosM, so their anchored values
 // only change on activations and absorb ×g at batched rescales. The active
-// similarity σ is NeuM — a pure ratio in which g cancels (Lemma 3) — so the
-// cached σ values and the derived node types never change under pure decay.
+// similarity σ is NeuM — a pure ratio in which g cancels (Lemma 3).
 //
-// The package maintains, per edge, the anchored numerator of σ
-//
-//	num(u,v) = Σ_{x ∈ N(u)∩N(v)} (a(u,x) + a(v,x))
-//
-// so that σ(u,v) = num(u,v) / (A(u) + A(v)) is an O(1) read, where A(v) is
-// the weighted degree kept by decay.Activeness. An activation on (u,v)
-// changes num only on edges incident to u or v, giving the paper's
-// O(deg u + deg v) maintenance cost per activation (Lemma 5) exactly.
+// σ, the active neighbor counts |N_ε| and the node types are functions of
+// the current activeness, and local reinforcement is their only reader. So
+// the store keeps no incremental σ state: an activation costs O(1) (the
+// activeness bump and S's unit impact, against Lemma 5's O(deg u + deg v)
+// σ maintenance), and reinforcement computes what it reads. A per-node memo
+// stamped with an activeness-write counter holds σ on the node's incident
+// edges and its |N_ε|; a stale node is refreshed from the edge activeness
+// alone, in a canonical summation order, at cost Σ_{x∈N(u)} (deg u + deg x).
+// Between two activeness writes — all Rep rounds of an initialization or a
+// snapshot, one whole flush — each trigger node is refreshed at most once,
+// and the bits read depend only on the activeness, not on the history that
+// produced it, so a restored store reinforces exactly as its original.
 package similarity
 
 import (
@@ -85,19 +88,30 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// Store maintains the similarity function S_t and every quantity it is
-// derived from, on top of a fixed relation graph and a decay clock.
+// Store maintains the similarity function S_t on top of a fixed relation
+// graph and a decay clock, and reads σ and the node types off the current
+// activeness where reinforcement needs them.
 type Store struct {
 	g     *graph.Graph
 	act   *decay.Activeness
 	clock *decay.Clock
 	cfg   Config
 
-	s     []float64 // anchored similarity S* per edge (PosM)
-	num   []float64 // anchored σ numerator per edge (PosM)
-	prev  []float64 // last-seen anchored activeness per edge (PosM)
-	sigma []float64 // cached σ per edge (NeuM: scale-free)
-	cnt   []int32   // |N_ε(v)| per node, derived from sigma
+	s []float64 // anchored similarity S* per edge (PosM)
+
+	// The σ memo. ver counts activeness writes; stamp[x] == ver means x was
+	// refreshed since the last one, so σ on every edge incident to x and
+	// cnt[x] = |N_ε(x)| are current. An edge's σ may be written from either
+	// endpoint; both compute it the same way from the same activeness, so
+	// the value a current endpoint reads is the same whichever wrote it.
+	// The weighted degrees the refreshes divide by are memoized the same
+	// way, so a hub's is summed once per version, not once per neighbor.
+	ver    uint64
+	stamp  []uint64  // per node: ver at its last refresh
+	sigma  []float64 // σ per edge (NeuM: scale-free)
+	cnt    []int32   // |N_ε(v)| per node
+	sumVer []uint64  // per node: ver at which sum was computed
+	sum    []float64 // anchored weighted degree per node (PosM)
 }
 
 // New builds a similarity store over g with the given clock and an initial
@@ -109,65 +123,33 @@ func New(g *graph.Graph, clock *decay.Clock, initialActiveness float64, cfg Conf
 		return nil, err
 	}
 	st := &Store{
-		g:     g,
-		clock: clock,
-		cfg:   cfg,
-		s:     make([]float64, g.M()),
-		num:   make([]float64, g.M()),
-		prev:  make([]float64, g.M()),
-		sigma: make([]float64, g.M()),
-		cnt:   make([]int32, g.N()),
+		g:      g,
+		clock:  clock,
+		cfg:    cfg,
+		s:      make([]float64, g.M()),
+		ver:    1,
+		stamp:  make([]uint64, g.N()),
+		sigma:  make([]float64, g.M()),
+		cnt:    make([]int32, g.N()),
+		sumVer: make([]uint64, g.N()),
+		sum:    make([]float64, g.N()),
 	}
-	st.act = decay.NewActiveness(clock, g.N(), g.M(), initialActiveness,
-		func(e int32) (int32, int32) { return g.Endpoints(e) })
+	st.act = decay.NewActiveness(clock, g.N(), g.M(), initialActiveness, nil)
 	for i := range st.s {
 		st.s[i] = 1
-		st.prev[i] = st.act.Anchored(int32(i))
 	}
-	st.RebuildSigma()
 	clock.Register(st)
 	return st, nil
 }
 
-// RebuildSigma recomputes every σ numerator, cached σ, and active-neighbor
-// count from scratch. O(Σ_e (deg u + deg v)) — triangle-listing cost. It is
-// called at construction; the incremental path keeps everything exact, so
-// callers only need it after out-of-band mutation in tests.
-func (st *Store) RebuildSigma() {
-	for i := range st.cnt {
-		st.cnt[i] = 0
-	}
-	for e := 0; e < st.g.M(); e++ {
-		u, v := st.g.Endpoints(int32(e))
-		num := 0.0
-		st.g.CommonNeighbors(u, v, func(w graph.NodeID, eu, ev graph.EdgeID) {
-			num += st.act.Anchored(eu) + st.act.Anchored(ev)
-		})
-		st.num[e] = num
-		st.sigma[e] = st.sigmaFromNum(int32(e), u, v)
-		if st.sigma[e] >= st.cfg.Epsilon {
-			st.cnt[u]++
-			st.cnt[v]++
-		}
-	}
-}
-
-func (st *Store) sigmaFromNum(e int32, u, v graph.NodeID) float64 {
-	den := st.act.NodeAnchored(u) + st.act.NodeAnchored(v)
-	if den <= 0 {
-		return 0
-	}
-	return st.num[e] / den
-}
-
-// OnRescale implements decay.Rescalable. S, num and the activeness shadow
-// are PosM and absorb ×g; σ and the counts are NeuM and unchanged.
+// OnRescale implements decay.Rescalable. S is PosM and absorbs ×g. σ is
+// NeuM, but the rescaled activeness gives it new last bits, so the memo
+// goes stale like after any other activeness write.
 func (st *Store) OnRescale(g float64) {
 	for i := range st.s {
 		st.s[i] *= g
-		st.num[i] *= g
-		st.prev[i] *= g
 	}
+	st.ver++
 }
 
 // ExportState returns copies of the anchored similarity and activeness of
@@ -183,16 +165,15 @@ func (st *Store) ExportState() (s, act []float64) {
 }
 
 // RestoreState overwrites the similarity and activeness state with saved
-// values (anchored at the clock's current anchor) and rebuilds the derived
-// σ caches and active counts.
+// values (anchored at the clock's current anchor). σ and the node types
+// follow from the activeness when reinforcement next reads them.
 func (st *Store) RestoreState(s, act []float64) {
 	if len(s) != len(st.s) || len(act) != st.g.M() {
 		panic("similarity: RestoreState length mismatch")
 	}
 	copy(st.s, s)
 	st.act.Restore(act)
-	copy(st.prev, act)
-	st.RebuildSigma()
+	st.ver++
 }
 
 // Graph returns the underlying relation graph.
@@ -219,14 +200,18 @@ func (st *Store) At(e graph.EdgeID) float64 { return st.s[e] * st.clock.G() }
 // never changes shortest-path comparisons.
 func (st *Store) Weight(e graph.EdgeID) float64 { return 1 / st.s[e] }
 
-// Sigma returns the active similarity σ(u, v) of edge e. O(1).
-func (st *Store) Sigma(e graph.EdgeID) float64 { return st.sigma[e] }
+// Sigma returns the active similarity σ(u, v) of edge e, refreshing the
+// memo of e's first endpoint if it is stale.
+func (st *Store) Sigma(e graph.EdgeID) float64 {
+	u, _ := st.g.Endpoints(e)
+	st.memo(u)
+	return st.sigma[e]
+}
 
-// ActiveNeighborCount returns |N_ε(v)|.
-func (st *Store) ActiveNeighborCount(v graph.NodeID) int { return int(st.cnt[v]) }
-
-// NodeType classifies v as core, p-core or periphery.
+// NodeType classifies v as core, p-core or periphery, refreshing v's memo
+// if it is stale.
 func (st *Store) NodeType(v graph.NodeID) NodeType {
+	st.memo(v)
 	if int(st.cnt[v]) >= st.cfg.Mu {
 		return Core
 	}
@@ -236,12 +221,10 @@ func (st *Store) NodeType(v graph.NodeID) NodeType {
 	return Periphery
 }
 
-// Activate processes the activation (e, t): advances the clock, bumps the
-// activeness of e, exactly maintains σ on all edges incident to the
-// endpoints, applies the activation's direct unit impact to S_t(e), and
-// applies the local reinforcement. It returns the new anchored weight 1/S*
-// of e so callers can propagate the change into the distance index. Cost
-// O(deg u + deg v) per Lemma 5.
+// ActivateNoReinforce advances the clock to t and applies the activation
+// (e, t) to the activeness and, as a unit impact, to S, with no local
+// reinforcement — the per-op path of every method. It returns the new
+// anchored weight 1/S*(e).
 //
 // Like the activeness (Equation 1), the similarity accrues a decayed unit
 // impact per activation — "the similarity S_t(e) decays at the same ratio λ
@@ -249,97 +232,97 @@ func (st *Store) NodeType(v graph.NodeID) NodeType {
 // method ANCO update the index on every activation even though it applies
 // no further local reinforcement after initialization (Section VI). The
 // reinforcement terms AF/TF/WSF are layered on top per method policy.
-func (st *Store) Activate(e graph.EdgeID, t float64) (newWeight float64) {
-	st.ActivateNoReinforce(e, t)
-	return st.Reinforce(e)
-}
-
-// ActivateNoReinforce updates activeness, σ and the direct unit impact on
-// S for activation (e, t) but applies no local reinforcement — the ANCO
-// path, also used by ANCOR between reinforcement intervals. It returns the
-// new anchored weight 1/S*(e).
 func (st *Store) ActivateNoReinforce(e graph.EdgeID, t float64) (newWeight float64) {
-	u, v := st.g.Endpoints(e)
 	st.act.Activate(e, t)
-	st.refreshAround(e, u, v)
+	st.ver++
 	st.s[e] = st.clampAnchored(st.s[e] + 1/st.clock.G())
 	return 1 / st.s[e]
 }
 
 // BumpNoReinforce applies one activation impact on e at the clock's
-// current time without advancing the clock, touching the σ caches, or
-// applying reinforcement — the inner loop of batch ingest. The caller
-// advances the clock per distinct timestamp, Bumps every activation, and
-// settles the deferred σ maintenance with RefreshEdgeNum/RefreshNodeSigma
-// once per distinct edge/node at batch end. The activeness and similarity
-// arithmetic is exactly Activate's (one += 1/g, clamped, per impact), so
-// per-op and batched ingest leave bit-identical anchored state.
+// current time without advancing the clock or counting toward the rescale
+// period — the inner loop of batch ingest. The caller advances the clock
+// per distinct timestamp and counts the batch with Clock.ActivatedN at its
+// end. Each impact is ActivateNoReinforce's arithmetic (one += 1/g,
+// clamped); the two paths leave the same anchored state unless a rescale
+// falls inside a batch, which per-op ingest folds there and batch ingest
+// only at batch end.
 func (st *Store) BumpNoReinforce(e graph.EdgeID) {
 	st.act.Bump(e)
+	st.ver++
 	st.s[e] = st.clampAnchored(st.s[e] + 1/st.clock.G())
 }
 
-// RefreshEdgeNum folds the accumulated activeness delta of edge e into the
-// σ numerators of edges adjacent through common neighbors — the deferred
-// first half of refreshAround. Call once per distinct activated edge of a
-// batch, before RefreshNodeSigma on the affected nodes.
-func (st *Store) RefreshEdgeNum(e graph.EdgeID) {
-	delta := st.act.Anchored(e) - st.prev[e]
-	if delta == 0 {
-		return
+// RefreshEdgeNum does nothing: σ has no per-edge state to fold. It stays
+// because the benchmark's orchestration replica still calls it.
+func (st *Store) RefreshEdgeNum(graph.EdgeID) {}
+
+// RefreshNodeSigma recomputes x's memo — σ on every edge incident to x and
+// |N_ε(x)| — from scratch: it drops every memo first, so no neighbor's
+// refresh is reused. Reinforcement refreshes on its own; the benchmark's
+// orchestration replica times this kernel.
+func (st *Store) RefreshNodeSigma(x graph.NodeID) {
+	st.ver++
+	st.refresh(x)
+}
+
+// memo refreshes x's memo if an activeness write made it stale.
+func (st *Store) memo(x graph.NodeID) {
+	if st.stamp[x] != st.ver {
+		st.refresh(x)
 	}
-	st.prev[e] = st.act.Anchored(e)
-	u, v := st.g.Endpoints(e)
-	st.g.CommonNeighbors(u, v, func(w graph.NodeID, eu, ev graph.EdgeID) {
-		st.num[eu] += delta
-		st.num[ev] += delta
-	})
 }
 
-// RefreshNodeSigma re-evaluates σ and the active-neighbor counts on every
-// edge incident to x — the deferred second half of refreshAround. Call
-// once per distinct endpoint of a batch, after every RefreshEdgeNum.
-func (st *Store) RefreshNodeSigma(x graph.NodeID) { st.refreshIncidentSigma(x) }
-
-// refreshAround exactly updates σ numerators, cached σ, and active counts
-// after the activeness of edge e(u,v) changed. Numerators change only on
-// edges (w,u) and (w,v) for common neighbors w; denominators change for all
-// edges incident to u or v. The activeness delta is recovered from the
-// shadow copy so the arithmetic stays consistent across batched rescales
-// (both sides absorb the same ×g).
-func (st *Store) refreshAround(e graph.EdgeID, u, v graph.NodeID) {
-	delta := st.act.Anchored(e) - st.prev[e]
-	st.prev[e] = st.act.Anchored(e)
-	st.g.CommonNeighbors(u, v, func(w graph.NodeID, eu, ev graph.EdgeID) {
-		st.num[eu] += delta
-		st.num[ev] += delta
-	})
-	st.refreshIncidentSigma(u)
-	st.refreshIncidentSigma(v)
-}
-
-// refreshIncidentSigma re-evaluates σ for every edge incident to x and
-// adjusts the active counts of both endpoints on threshold crossings.
-func (st *Store) refreshIncidentSigma(x graph.NodeID) {
-	eps := st.cfg.Epsilon
+// refresh computes σ on every edge incident to x, and |N_ε(x)|, from the
+// anchored activeness alone (Section IV-B), in a canonical order, so the
+// bits depend on the activeness and not on how it was reached:
+//
+//	σ(u,v) = Σ_{w ∈ N(u)∩N(v)} (a(u,w) + a(v,w)) / (A(u) + A(v))
+//
+// with the numerator summed in graph.CommonNeighbors order over
+// Endpoints(e) and each weighted degree A summed in adjacency order. The
+// anchoring cancels in the ratio (Lemma 3). An edge to a neighbor already
+// refreshed at this version keeps the σ that refresh wrote. Cost at most
+// Σ_{y∈N(x)} (deg x + deg y).
+func (st *Store) refresh(x graph.NodeID) {
+	ax := st.nodeSum(x)
+	var n int32
 	for _, h := range st.g.Neighbors(x) {
-		old := st.sigma[h.Edge]
-		nu := st.sigmaFromNum(h.Edge, x, h.To)
-		//anclint:ignore floateq bit-exact change detection: a value recomputed from identical inputs is bit-identical, and an epsilon here would miss genuine threshold crossings
-		if nu == old {
-			continue
+		if st.stamp[h.To] != st.ver {
+			st.sigma[h.Edge] = st.sigmaOf(h.Edge, ax+st.nodeSum(h.To))
 		}
-		st.sigma[h.Edge] = nu
-		wasActive, isActive := old >= eps, nu >= eps
-		if wasActive != isActive {
-			d := int32(1)
-			if wasActive {
-				d = -1
-			}
-			st.cnt[x] += d
-			st.cnt[h.To] += d
+		if st.sigma[h.Edge] >= st.cfg.Epsilon {
+			n++
 		}
 	}
+	st.cnt[x] = n
+	st.stamp[x] = st.ver
+}
+
+// sigmaOf returns σ of edge e over the denominator den = A(u) + A(v).
+func (st *Store) sigmaOf(e graph.EdgeID, den float64) float64 {
+	if den <= 0 {
+		return 0
+	}
+	u, v := st.g.Endpoints(e)
+	num := 0.0
+	st.g.CommonNeighbors(u, v, func(_ graph.NodeID, eu, ev graph.EdgeID) {
+		num += st.act.Anchored(eu) + st.act.Anchored(ev)
+	})
+	return num / den
+}
+
+// nodeSum returns the anchored weighted degree A(x) = Σ_{y∈N(x)} a*(x,y),
+// summed in adjacency order once per version.
+func (st *Store) nodeSum(x graph.NodeID) float64 {
+	if st.sumVer[x] != st.ver {
+		sum := 0.0
+		for _, h := range st.g.Neighbors(x) {
+			sum += st.act.Anchored(h.Edge)
+		}
+		st.sum[x], st.sumVer[x] = sum, st.ver
+	}
+	return st.sum[x]
 }
 
 // Reinforce applies the local reinforcement of Section IV-B to the trigger
@@ -349,7 +332,9 @@ func (st *Store) refreshIncidentSigma(x graph.NodeID) {
 // pre-update S values (symmetric, order-independent), and the result is
 // clamped to [SMin, SMax]. The updated function remains PosM (Lemma 4)
 // because every term is a product of PosM factors and scale-free σ values.
-// It returns the new anchored weight 1/S*(e). Cost O(deg u + deg v).
+// It returns the new anchored weight 1/S*(e). Cost O(deg u + deg v), plus a
+// memo refresh of each trigger node the activeness changed under since its
+// last one.
 func (st *Store) Reinforce(e graph.EdgeID) (newWeight float64) {
 	u, v := st.g.Endpoints(e)
 	delta := st.reinforceDelta(e, u, v) + st.reinforceDelta(e, v, u)
@@ -364,7 +349,7 @@ func (st *Store) reinforceDelta(e graph.EdgeID, u, v graph.NodeID) float64 {
 	if deg == 0 {
 		return 0
 	}
-	typ := st.NodeType(u)
+	typ := st.NodeType(u) // refreshes u's memo: σ below is current
 	var af, tf, wsf float64
 	if typ == Core || typ == PCore {
 		// Direct consolidation: AF = F(e) σ(u,v) / deg(u).

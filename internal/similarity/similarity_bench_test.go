@@ -8,7 +8,7 @@ import (
 	"anc/internal/graph"
 )
 
-func benchStore(b *testing.B, n, extra int) (*Store, *graph.Graph) {
+func benchStore(b testing.TB, n, extra int) (*Store, *graph.Graph) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
 	gb := graph.NewBuilder(n)
@@ -29,19 +29,23 @@ func benchStore(b *testing.B, n, extra int) (*Store, *graph.Graph) {
 	return st, g
 }
 
-// BenchmarkActivate measures the full similarity maintenance per
-// activation: activeness bump, exact σ refresh, unit impact, local
-// reinforcement — the Lemma 5 primitive.
+// BenchmarkActivate measures one activation followed by the local
+// reinforcement of its edge, the per-activation worst case: the activation
+// makes both trigger nodes' memos stale, so the reinforcement refreshes
+// them.
 func BenchmarkActivate(b *testing.B) {
 	st, g := benchStore(b, 4096, 16384)
 	rng := rand.New(rand.NewSource(2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.Activate(graph.EdgeID(rng.Intn(g.M())), float64(i)*1e-3)
+		e := graph.EdgeID(rng.Intn(g.M()))
+		st.ActivateNoReinforce(e, float64(i)*1e-3)
+		st.Reinforce(e)
 	}
 }
 
-// BenchmarkActivateNoReinforce isolates the σ maintenance (the ANCO path).
+// BenchmarkActivateNoReinforce is the per-activation similarity cost of
+// every method: the activeness bump and S's unit impact.
 func BenchmarkActivateNoReinforce(b *testing.B) {
 	st, g := benchStore(b, 4096, 16384)
 	rng := rand.New(rand.NewSource(2))
@@ -51,7 +55,8 @@ func BenchmarkActivateNoReinforce(b *testing.B) {
 	}
 }
 
-// BenchmarkReinforce isolates the local reinforcement arithmetic.
+// BenchmarkReinforce isolates the local reinforcement arithmetic: no
+// activation intervenes, so every memo it reads is fresh after warm-up.
 func BenchmarkReinforce(b *testing.B) {
 	st, g := benchStore(b, 4096, 16384)
 	rng := rand.New(rand.NewSource(2))
@@ -61,12 +66,13 @@ func BenchmarkReinforce(b *testing.B) {
 	}
 }
 
-// BenchmarkRebuildSigma is the from-scratch cost the incremental path
-// avoids (triangle-listing over the whole graph).
-func BenchmarkRebuildSigma(b *testing.B) {
-	st, _ := benchStore(b, 4096, 16384)
+// BenchmarkRefreshNodeSigma is one node's memo refresh: σ on each incident
+// edge and the active-neighbor count, Σ_{y∈N(x)} (deg x + deg y).
+func BenchmarkRefreshNodeSigma(b *testing.B) {
+	st, g := benchStore(b, 4096, 16384)
+	rng := rand.New(rand.NewSource(2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.RebuildSigma()
+		st.RefreshNodeSigma(graph.NodeID(rng.Intn(g.N())))
 	}
 }

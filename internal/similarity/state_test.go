@@ -30,6 +30,9 @@ func TestAccessors(t *testing.T) {
 	}
 }
 
+// TestExportRestoreState: a store restored from exported state reads the
+// same σ and node types, bit for bit, as the store it came from — even when
+// its own memo was fresh before the restore.
 func TestExportRestoreState(t *testing.T) {
 	g := twoTriangles(t)
 	clock := decay.NewClock(0.2)
@@ -39,7 +42,9 @@ func TestExportRestoreState(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 30; i++ {
-		st.Activate(graph.EdgeID(i%g.M()), float64(i)*0.3)
+		e := graph.EdgeID(i % g.M())
+		st.ActivateNoReinforce(e, float64(i)*0.3)
+		st.Reinforce(e)
 	}
 	clock.Rescale()
 	s, act := st.ExportState()
@@ -49,19 +54,22 @@ func TestExportRestoreState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for v := 0; v < g.N(); v++ {
+		st2.NodeType(graph.NodeID(v)) // every memo fresh for the old state
+	}
 	st2.RestoreState(s, act)
 	clock2.RestoreTime(clock.Now(), clock.Anchor())
 	for e := 0; e < g.M(); e++ {
 		if math.Abs(st.At(graph.EdgeID(e))-st2.At(graph.EdgeID(e))) > 1e-9 {
 			t.Fatalf("S[%d] mismatch", e)
 		}
-		if math.Abs(st.Sigma(graph.EdgeID(e))-st2.Sigma(graph.EdgeID(e))) > 1e-9 {
-			t.Fatalf("σ[%d] mismatch", e)
+		if a, b := st.Sigma(graph.EdgeID(e)), st2.Sigma(graph.EdgeID(e)); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("σ[%d] mismatch: %v vs %v", e, a, b)
 		}
 	}
 	for v := 0; v < g.N(); v++ {
-		if st.ActiveNeighborCount(graph.NodeID(v)) != st2.ActiveNeighborCount(graph.NodeID(v)) {
-			t.Fatalf("count[%d] mismatch", v)
+		if a, b := st.NodeType(graph.NodeID(v)), st2.NodeType(graph.NodeID(v)); a != b || st.cnt[v] != st2.cnt[v] {
+			t.Fatalf("node %d: %v (cnt %d) vs %v (cnt %d)", v, a, st.cnt[v], b, st2.cnt[v])
 		}
 	}
 	// Length mismatches panic.
