@@ -85,7 +85,11 @@ type Config struct {
 	Theta float64
 	// Seed makes pyramid seed selection reproducible. Default 1.
 	Seed int64
-	// Parallel updates the K·⌈log₂ n⌉ partitions concurrently.
+	// Parallel repairs the K·⌈log₂ n⌉ partitions concurrently on live
+	// updates, on a worker pool the network keeps until Close. Off by
+	// default: a pooled repair costs concurrent readers latency. Building
+	// the index (NewNetwork, Load, Recover, a follower's Restore) uses
+	// every core whatever Parallel says, since nothing reads it yet.
 	Parallel bool
 }
 

@@ -66,7 +66,7 @@ func main() {
 		epsilon    = flag.Float64("epsilon", 0.4, "active-similarity threshold ε")
 		mu         = flag.Int("mu", 4, "core threshold μ")
 		k          = flag.Int("k", 4, "number of pyramids")
-		parallel   = flag.Bool("parallel", false, "update index partitions concurrently")
+		parallel   = flag.Bool("parallel", false, "repair index partitions concurrently on live updates (index builds use every core regardless)")
 
 		walDir          = flag.String("wal-dir", "", "durability directory (WAL + checkpoints); recovered if it already holds state")
 		checkpointEvery = flag.Int("checkpoint-every", 0, "activations between automatic checkpoints (0 = checkpoint only on shutdown)")

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"sort"
 	"text/tabwriter"
 	"time"
@@ -88,6 +89,15 @@ func timeIt(f func()) time.Duration {
 	start := time.Now()
 	f()
 	return time.Since(start)
+}
+
+// timeOneCore measures f at GOMAXPROCS 1, then restores it. Index builds
+// fan out over every core, but the rows timed with it (Fig. 5, the
+// pyramids-vs-PLL build, the parameter sweep's core.New) set build time
+// against the paper's single-core runs and single-threaded baselines.
+func timeOneCore(f func()) time.Duration {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	return timeIt(f)
 }
 
 // activenessTracker maintains plain decayed activeness weights for the

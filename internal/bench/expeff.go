@@ -51,7 +51,7 @@ func Exp3IndexTime(cfg Config, w io.Writer) []Exp3Row {
 		pl := genCounterpart(spec, effTarget(cfg, i, len(suite)), cfg.Seed+int64(i))
 		g := pl.Graph
 		for _, k := range []int{2, 4, 8, 16} {
-			secs := timeIt(func() { buildIndexOnly(g, k, cfg.Seed) }).Seconds()
+			secs := timeOneCore(func() { buildIndexOnly(g, k, cfg.Seed) }).Seconds()
 			rows = append(rows, Exp3Row{name, g.N(), g.M(), k, secs})
 			logf(cfg, w, "# exp3 %s n=%d k=%d: %.3fs\n", name, g.N(), k, secs)
 		}

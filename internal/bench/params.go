@@ -40,7 +40,7 @@ func ParamSensitivity(cfg Config, w io.Writer) []ParamRow {
 		opts := ancOptions(core.ANCF, 7, cfg.Seed)
 		mutate(&opts)
 		var nw *core.Network
-		secs := timeIt(func() {
+		secs := timeOneCore(func() {
 			var err error
 			nw, err = core.New(g, opts)
 			if err != nil {
@@ -173,7 +173,7 @@ func Ablations(cfg Config, w io.Writer) []AblationRow {
 	var pllIx *pll.Index
 	pllBuild := timeIt(func() { pllIx = pll.Build(g, wf) }).Seconds()
 	var pyrIx *pyramid.Index
-	pyrBuild := timeIt(func() {
+	pyrBuild := timeOneCore(func() {
 		var err error
 		pyrIx, err = pyramid.Build(g, wf, pyramid.DefaultConfig(), rand.New(rand.NewSource(cfg.Seed)))
 		if err != nil {

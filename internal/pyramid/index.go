@@ -19,11 +19,15 @@ type Config struct {
 	// nodes are co-clustered at a level if they share a seed in at least
 	// ⌈Theta·K⌉ pyramids. The paper's default is 0.7.
 	Theta float64
-	// Parallel runs partition builds and updates on a long-lived pool of
-	// min(GOMAXPROCS, ⌈log₂ n⌉) workers, one update task per granularity
-	// level (Lemma 13: partitions are mutually independent). Off by
-	// default so timing benchmarks match the paper's single-core setup.
-	// Call Index.Close to stop the pool.
+	// Parallel runs live updates (UpdateEdges, Reconstruct) on a
+	// long-lived pool of min(GOMAXPROCS, ⌈log₂ n⌉) workers, one update task
+	// per granularity level (Lemma 13: partitions are mutually
+	// independent). Off by default: a pooled repair costs concurrent
+	// readers latency. Whole-index builds (Build, BuildWithSeeds and the vote count
+	// of EnableVoteTracking) fan out over min(GOMAXPROCS, tasks) workers
+	// either way, since nothing reads while they run; callers timing a
+	// build against single-core work pin GOMAXPROCS to 1. Call Index.Close
+	// to stop the pool.
 	Parallel bool
 }
 
@@ -114,7 +118,7 @@ func Build(g *graph.Graph, weight func(e graph.EdgeID) float64, cfg Config, rng 
 	}
 	// Seed sets are drawn sequentially from rng for reproducibility; the
 	// partitions themselves are mutually independent (Lemma 13) and are
-	// built concurrently when requested.
+	// built concurrently.
 	seedSets := make([][]graph.NodeID, cfg.K*levels)
 	for p := 0; p < cfg.K; p++ {
 		for l := 1; l <= levels; l++ {
@@ -161,7 +165,7 @@ func BuildWithSeeds(g *graph.Graph, weight func(e graph.EdgeID) float64, cfg Con
 	if cfg.Parallel {
 		ix.pool = newPool(poolSize(ix.levels), n)
 	}
-	ix.each(cfg.K*ix.levels, func(slot int, s *scratch) {
+	ix.build(cfg.K*ix.levels, func(slot int, s *scratch) {
 		ix.parts[slot/ix.levels][slot%ix.levels] = newPartition(g, ix.weights, seedSets[slot], s)
 	})
 	ix.seedsAt = make([][][]graph.NodeID, ix.levels)
@@ -186,6 +190,23 @@ func (ix *Index) each(tasks int, fn func(task int, s *scratch)) {
 	for i := 0; i < tasks; i++ {
 		fn(i, ix.scratch)
 	}
+}
+
+// build schedules a whole-index construction: like each, but without a
+// pool it still fans out, on a transient pool of min(GOMAXPROCS, tasks)
+// workers closed before it returns, so no goroutine outlives the call. A
+// width of 1 runs inline. Nothing reads the index while it is being built,
+// so the build may take every core; live updates keep to each, where
+// Config.Parallel decides. The result does not depend on the scheduler:
+// every task writes only its own partition or level.
+func (ix *Index) build(tasks int, fn func(task int, s *scratch)) {
+	if w := poolSize(tasks); ix.pool == nil && w > 1 {
+		p := newPool(w, ix.g.N())
+		defer p.close()
+		p.run(tasks, fn)
+		return
+	}
+	ix.each(tasks, fn)
 }
 
 // Close stops the worker pool, waiting until every worker goroutine has
@@ -412,7 +433,7 @@ func (ix *Index) Reconstruct() {
 		ix.parts[slot/ix.levels][slot%ix.levels].rebuild(s)
 	})
 	if ix.votes != nil {
-		ix.votes.rebuild()
+		ix.votes.rebuild(ix.each)
 	}
 }
 

@@ -1,45 +1,78 @@
 package pyramid
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"anc/internal/graph"
 )
 
-// TestParallelBuildMatchesSequential: construction with Parallel set gives
-// the same partitions as sequential construction (seed sets are drawn
-// sequentially either way).
+// TestParallelBuildMatchesSequential: the built index does not depend on
+// its scheduler. BuildWithSeeds over one graph, one set of weights and one
+// set of seed sets — Parallel off and on, at GOMAXPROCS 1 (inline) and 4
+// (fanned out) — gives bit-identical seedOf, dist and parent in all K·L
+// partitions, and equal vote counts once EnableVoteTracking has counted.
 func TestParallelBuildMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	g := randomGraph(rng, 60, 120)
+	g := randomGraph(rng, 300, 900)
 	w := randomWeights(rng, g.M())
-	seq := buildIndex(t, g, w, Config{K: 3, Theta: 0.7}, 99)
-	par := buildIndex(t, g, w, Config{K: 3, Theta: 0.7, Parallel: true}, 99)
-	for p := 0; p < 3; p++ {
-		for l := 1; l <= seq.Levels(); l++ {
-			a, b := seq.Partition(p, l), par.Partition(p, l)
-			sa, sb := a.Seeds(), b.Seeds()
-			if len(sa) != len(sb) {
-				t.Fatalf("seed counts differ at p%d l%d", p, l)
+	wf := func(e graph.EdgeID) float64 { return w[e] }
+	cfg := Config{K: 3, Theta: 0.7}
+	seeds := buildIndex(t, g, w, cfg, 99).SeedSets()
+	var ref *Index
+	for _, procs := range []int{1, 4} {
+		for _, parallel := range []bool{false, true} {
+			cfg.Parallel = parallel
+			prev := runtime.GOMAXPROCS(procs)
+			ix, err := BuildWithSeeds(g, wf, cfg, seeds)
+			if err == nil {
+				ix.EnableVoteTracking()
 			}
-			for i := range sa {
-				if sa[i] != sb[i] {
-					t.Fatalf("seeds differ at p%d l%d", p, l)
-				}
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for v := 0; v < g.N(); v++ {
-				da, db := a.Dist(graph.NodeID(v)), b.Dist(graph.NodeID(v))
-				if math.IsInf(da, 1) != math.IsInf(db, 1) || (!math.IsInf(da, 1) && math.Abs(da-db) > 1e-12) {
-					t.Fatalf("dist differs at p%d l%d node %d: %v vs %v", p, l, v, da, db)
+			defer ix.Close()
+			if msg := ix.Validate(); msg != "" {
+				t.Fatalf("GOMAXPROCS %d parallel=%v: %s", procs, parallel, msg)
+			}
+			if ref == nil {
+				ref = ix
+				continue
+			}
+			if msg := diffIndex(ref, ix); msg != "" {
+				t.Fatalf("GOMAXPROCS %d parallel=%v vs serial build: %s", procs, parallel, msg)
+			}
+		}
+	}
+}
+
+// diffIndex describes the first difference between two indexes over one
+// graph — seeds, distance bits, parents, vote counts — or returns "".
+func diffIndex(a, b *Index) string {
+	for p := range a.parts {
+		for l := range a.parts[p] {
+			pa, pb := a.parts[p][l], b.parts[p][l]
+			for v := range pa.seedOf {
+				if pa.seedOf[v] != pb.seedOf[v] || pa.parent[v] != pb.parent[v] ||
+					math.Float64bits(pa.dist[v]) != math.Float64bits(pb.dist[v]) {
+					return fmt.Sprintf("p%d l%d node %d: (seed %d, parent %d, dist %v) vs (%d, %d, %v)",
+						p, l+1, v, pa.seedOf[v], pa.parent[v], pa.dist[v], pb.seedOf[v], pb.parent[v], pb.dist[v])
 				}
 			}
 		}
 	}
-	if msg := par.Validate(); msg != "" {
-		t.Fatal(msg)
+	for l := range a.votes.counts {
+		for e, c := range a.votes.counts[l] {
+			if b.votes.counts[l][e] != c {
+				return fmt.Sprintf("level %d edge %d: %d votes vs %d", l+1, e, c, b.votes.counts[l][e])
+			}
+		}
 	}
+	return ""
 }
 
 // TestBuildWithSeedsValidation: wrong seed-set count is rejected.

@@ -44,6 +44,47 @@ func TestPoolCloseLeaksNothing(t *testing.T) {
 	}
 }
 
+// TestBuildLeavesNoGoroutine: a build without Parallel fans out on a
+// transient pool that is gone when Build and EnableVoteTracking return, no
+// Close needed; a Parallel index holds exactly its pool until Close.
+func TestBuildLeavesNoGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // fan out even on one core
+	rng := rand.New(rand.NewSource(3))
+	g := randomGraph(rng, 200, 400)
+	w := randomWeights(rng, g.M())
+	before := runtime.NumGoroutine()
+	ix := buildIndex(t, g, w, Config{K: 3, Theta: 0.7}, 5)
+	if got := settleGoroutines(before); got > before {
+		t.Fatalf("Build: %d goroutines before, %d after", before, got)
+	}
+	ix.EnableVoteTracking()
+	if got := settleGoroutines(before); got > before {
+		t.Fatalf("EnableVoteTracking: %d goroutines before, %d after", before, got)
+	}
+	par := buildIndex(t, g, w, Config{K: 3, Theta: 0.7, Parallel: true}, 5)
+	par.EnableVoteTracking()
+	if got, want := settleGoroutines(before+poolSize(par.levels)), before+poolSize(par.levels); got != want {
+		t.Fatalf("Parallel index: %d goroutines, want %d (its pool)", got, want)
+	}
+	par.Close()
+	if got := settleGoroutines(before); got > before {
+		t.Fatalf("Close: %d goroutines before, %d after", before, got)
+	}
+}
+
+// settleGoroutines waits up to two seconds for the goroutine count to fall
+// to want — a worker that has signalled its exit may not have returned yet
+// — and returns the last count.
+func settleGoroutines(want int) int {
+	deadline := time.Now().Add(2 * time.Second)
+	n := runtime.NumGoroutine()
+	for n > want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
 // TestUpdateEdgesMatchesSequential: a batched UpdateEdges call must leave
 // the index in the same state as applying the same changes one at a time,
 // serially and in parallel, with vote tracking on.

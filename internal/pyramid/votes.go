@@ -52,8 +52,10 @@ func (vt *VoteTracker) OnFlip(fn func(l int, e graph.EdgeID, pass bool)) {
 }
 
 // EnableVoteTracking attaches a VoteTracker to the index and initializes
-// it from the current partitions. Subsequent UpdateEdge calls keep it
-// exact. Idempotent: a second call returns the tracker already attached.
+// it from the current partitions, one count task per level scheduled like
+// a build (every core, whatever Config.Parallel says). Subsequent
+// UpdateEdge calls keep it exact. Idempotent: a second call returns the
+// tracker already attached.
 // Memory: (K+2)·Levels·m bits + 2·Levels·m bytes. K is bounded by 65535
 // (Config.validate) so the uint16 counts cannot overflow.
 func (ix *Index) EnableVoteTracking() *VoteTracker {
@@ -79,7 +81,7 @@ func (ix *Index) EnableVoteTracking() *VoteTracker {
 		vt.wasPass[l] = make([]uint64, words)
 	}
 	ix.votes = vt
-	vt.rebuild()
+	vt.rebuild(ix.build)
 	return vt
 }
 
@@ -185,43 +187,18 @@ func (vt *VoteTracker) applyBatch(p, l int, changed []graph.NodeID) {
 }
 
 // rebuild recomputes all memberships and counts from the partitions, when
-// the tracker is attached and at the ANCF reconstruction. With listeners
-// attached it then reports every net crossing, as an update cycle does: each (level, edge)'s pass state is kept
-// in wasPass before the recount (free between cycles), and listeners see
-// every change in ascending (level, edge) order. O(L·m), the order of the
-// recount itself.
-func (vt *VoteTracker) rebuild() {
-	min := vt.ix.MinSupport()
+// the tracker is attached and at the ANCF reconstruction, one recount task
+// per level on the scheduler run (Index.build or Index.each). With
+// listeners attached it then reports every net crossing, as an update
+// cycle does: listeners see every change in ascending (level, edge) order.
+// O(L·m), the order of the recount itself.
+func (vt *VoteTracker) rebuild(run func(tasks int, fn func(task int, s *scratch))) {
 	report := len(vt.onFlip) > 0
-	for l := 1; l <= vt.ix.levels; l++ {
-		cs, was := vt.counts[l-1], vt.wasPass[l-1]
-		for e := range cs {
-			if report {
-				w, b := e/64, uint64(1)<<(uint(e)%64)
-				if int(cs[e]) >= min {
-					was[w] |= b
-				} else {
-					was[w] &^= b
-				}
-			}
-			cs[e] = 0
-		}
-		for p := 0; p < vt.ix.cfg.K; p++ {
-			bs := vt.same[p][l-1]
-			for w := range bs {
-				bs[w] = 0
-			}
-			for e := 0; e < vt.ix.g.M(); e++ {
-				if vt.sameSeed(p, l, graph.EdgeID(e)) {
-					vt.set(p, l, graph.EdgeID(e), true)
-					cs[e]++
-				}
-			}
-		}
-	}
+	run(vt.ix.levels, func(i int, _ *scratch) { vt.recount(i+1, report) })
 	if !report {
 		return
 	}
+	min := vt.ix.MinSupport()
 	for l := 1; l <= vt.ix.levels; l++ {
 		cs, was := vt.counts[l-1], vt.wasPass[l-1]
 		for e := range cs {
@@ -230,6 +207,38 @@ func (vt *VoteTracker) rebuild() {
 				for _, fn := range vt.onFlip {
 					fn(l, graph.EdgeID(e), pass)
 				}
+			}
+		}
+	}
+}
+
+// recount recomputes level l's memberships and counts from its K
+// partitions. With report set it first keeps each edge's pass state in
+// wasPass (free between cycles) for rebuild to report against. It writes
+// level l's state only, so the levels recount concurrently.
+func (vt *VoteTracker) recount(l int, report bool) {
+	min := vt.ix.MinSupport()
+	cs, was := vt.counts[l-1], vt.wasPass[l-1]
+	for e := range cs {
+		if report {
+			w, b := e/64, uint64(1)<<(uint(e)%64)
+			if int(cs[e]) >= min {
+				was[w] |= b
+			} else {
+				was[w] &^= b
+			}
+		}
+		cs[e] = 0
+	}
+	for p := 0; p < vt.ix.cfg.K; p++ {
+		bs := vt.same[p][l-1]
+		for w := range bs {
+			bs[w] = 0
+		}
+		for e := 0; e < vt.ix.g.M(); e++ {
+			if vt.sameSeed(p, l, graph.EdgeID(e)) {
+				vt.set(p, l, graph.EdgeID(e), true)
+				cs[e]++
 			}
 		}
 	}
