@@ -110,12 +110,15 @@ fuzz-smoke:
 # repair) at the default ReinforceInterval. BenchmarkLoad times Save→Load
 # of a warm 4,096-node network at -cpu 1,2: the index build fans out over
 # GOMAXPROCS, so the serial and the fanned-out rebuild print side by side.
+# BenchmarkActivateANCO times a per-op Activate, the one-element batch
+# (0 allocs/op; core.TestActivateBatchAllocsWithBaselines gates it).
 bench-smoke:
 	$(GO) test -run '^TestHotPathAllocs$$' -count=1 ./internal/serve ./internal/obs ./internal/obs/trace ./internal/decay ./internal/similarity ./internal/cluster/cache ./internal/analytics ./internal/pyramid ./internal/cluster
 	$(GO) test -run '^$$' -bench '^BenchmarkHotPath' -benchtime 100x -benchmem ./internal/serve ./internal/obs ./internal/obs/trace ./internal/decay ./internal/cluster/cache ./internal/analytics
 	$(GO) test -run '^$$' -bench '^(BenchmarkUpdateEdgesHub|BenchmarkUpdateEdgesBatch|BenchmarkPower|BenchmarkPowerRepair|BenchmarkEven|BenchmarkEvenRepair|BenchmarkLocal)$$' -benchtime 20x -benchmem ./internal/pyramid ./internal/cluster
 	$(GO) test -run '^$$' -bench '^BenchmarkFlush$$' -benchtime 20x -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkLoad$$' -benchtime 10x -benchmem -cpu 1,2 ./internal/core
+	$(GO) test -run '^$$' -bench '^BenchmarkActivateANCO$$' -benchtime 2000x -benchmem .
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

@@ -211,9 +211,10 @@ type Activation struct {
 // the Activate contract (existing edges, finite non-decreasing timestamps
 // starting no earlier than Now()); an invalid batch is rejected as a unit
 // with no state modified. The batch path advances the decay clock once per
-// distinct timestamp, coalesces repeated activations of the same edge into
-// one index update, and defers the rescale check to batch end; results are
-// identical to the equivalent sequence of Activate calls.
+// distinct timestamp and coalesces repeated activations of the same edge
+// into one index update; results are identical, byte for byte in Save, to
+// the equivalent sequence of Activate calls — an Activate is a one-element
+// batch — for every method (TestStateIsAFunctionOfTheStream).
 func (nw *Network) ActivateBatch(batch []Activation) error {
 	return nw.ActivateBatchTraced(batch, trace.SpanHandle{})
 }
@@ -572,11 +573,13 @@ func (nw *Network) Evolution(since uint64) ([]EvolutionEvent, uint64, uint64) {
 func (nw *Network) EvolutionDrops() uint64 { return nw.inner.EvolutionDrops() }
 
 // Save serializes the network to w: the relation graph, configuration,
-// decayed similarity/activeness state and index seeds, followed by a
-// version+CRC32C trailer so Load detects corruption instead of decoding
-// it. Buffered work is flushed first. Load reconstructs an equivalent
-// network (identical clusterings; the shortest-path forests are rebuilt
-// deterministically).
+// decayed similarity/activeness state with its clock, pending
+// reinforcement and index seeds, followed by a version+CRC32C trailer so
+// Load detects corruption instead of decoding it. Save only reads: it
+// flushes nothing, so saving never changes what the network does next.
+// Load reconstructs a network with the same future (identical clusterings
+// and, after the same activations, identical Save bytes; the shortest-path
+// forests are rebuilt deterministically).
 func (nw *Network) Save(w io.Writer) error { return nw.inner.Save(w) }
 
 // Load restores a network saved with Save. Torn, truncated or bit-flipped

@@ -60,7 +60,7 @@ func main() {
 		addr       = flag.String("addr", "127.0.0.1:7465", "listen address")
 		graphPath  = flag.String("graph", "", "edge-list file (required)")
 		streamPath = flag.String("stream", "", "activation stream to replay before serving (u v t per line)")
-		method     = flag.String("method", "anco", "anco | ancor | ancf")
+		method     = flag.String("method", "anco", "anco | ancor | ancf (under ancf the index moves only on an explicit Snapshot, which the server never issues; -checkpoint-every does not move it)")
 		lambda     = flag.Float64("lambda", 0.1, "decay factor λ")
 		rep        = flag.Int("rep", 7, "initialization reinforcement rounds")
 		epsilon    = flag.Float64("epsilon", 0.4, "active-similarity threshold ε")

@@ -76,9 +76,10 @@ func (c *ConcurrentNetwork) Close() {
 	c.net.Close()
 }
 
-// Save snapshots the network (exclusive lock: Save flushes buffers).
+// Save snapshots the network (shared lock: Save only reads, so queries
+// run beside it and only writers wait).
 func (c *ConcurrentNetwork) Save(w io.Writer) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	return c.net.Save(w)
 }

@@ -1,6 +1,7 @@
 package anc
 
 import (
+	"bytes"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -69,6 +70,67 @@ func TestConcurrentNetworkRace(t *testing.T) {
 	}
 	if got := c.SmallestClusterOf(7); len(got) == 0 {
 		t.Fatal("SmallestClusterOf empty")
+	}
+}
+
+// TestConcurrentSaveRace runs Save in a loop beside readers and one
+// writer under ANCF, so every Save has pending work to write. Save takes
+// only the shared lock; run with -race to verify it only reads. Every
+// saved snapshot must Load.
+func TestConcurrentSaveRace(t *testing.T) {
+	n, edges := barbell()
+	cfg := testConfig()
+	cfg.Method = ANCF
+	net, err := NewNetwork(n, edges, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewConcurrent(net)
+	var wg sync.WaitGroup
+	var writing atomic.Bool
+	writing.Store(true)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer writing.Store(false)
+		for i := 1; i <= 300; i++ {
+			e := edges[i%len(edges)]
+			if err := c.Activate(e[0], e[1], float64(i)); err != nil {
+				t.Error(err)
+				return
+			}
+			if i%100 == 0 {
+				if err := c.Snapshot(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	for q := 0; q < 2; q++ {
+		wg.Add(1)
+		go func(q int) {
+			defer wg.Done()
+			for writing.Load() {
+				c.Clusters(c.SqrtLevel())
+				c.ClusterOf(q, 2)
+				c.TieRank(1, 3)
+			}
+		}(q)
+	}
+	var saved [][]byte
+	for len(saved) < 3 || writing.Load() {
+		var buf bytes.Buffer
+		if err := c.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		saved = append(saved, buf.Bytes())
+	}
+	wg.Wait()
+	for i, snap := range saved {
+		if _, err := Load(bytes.NewReader(snap)); err != nil {
+			t.Fatalf("snapshot %d of %d does not load: %v", i, len(saved), err)
+		}
 	}
 }
 

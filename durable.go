@@ -184,20 +184,6 @@ func decodeFrame(rec []byte) ([]Activation, error) {
 	return acts, nil
 }
 
-// applyFrame applies one WAL frame's activations to net. It is the one
-// statement of the frame→apply rule: a 16-byte frame is an Activate, a
-// longer one a batch through the batched pipeline. The two differ
-// observably under ANCOR (the batch pipeline flushes reinforcement at batch
-// end, Activate only at interval boundaries), so live ingest, Recover's
-// replay and a follower's ApplyFrame all come through here — the state
-// after a frame is a function of the frame alone.
-func applyFrame(net *Network, acts []Activation, sp trace.SpanHandle) error {
-	if len(acts) == 1 {
-		return net.Activate(acts[0].U, acts[0].V, acts[0].T)
-	}
-	return net.ActivateBatchTraced(acts, sp)
-}
-
 func checkpointName(index uint64) string {
 	return fmt.Sprintf("checkpoint-%016x.snap", index)
 }
@@ -312,7 +298,7 @@ func Recover(dir string, cfg DurableConfig) (*DurableNetwork, error) {
 			if err != nil {
 				return err
 			}
-			if err := applyFrame(net, acts, trace.SpanHandle{}); err != nil {
+			if err := net.ActivateBatch(acts); err != nil {
 				return err
 			}
 			replayed += uint64(len(acts))
@@ -438,8 +424,8 @@ func (d *DurableNetwork) ingestLocked(batch []Activation, sp trace.SpanHandle) e
 }
 
 // commitFrame is the durable layer's one write path, shared by local
-// ingest and ApplyFrame: append the frame to the WAL, apply it (through
-// applyFrame, the same call Recover's replay makes), count it, and
+// ingest and ApplyFrame: append the frame to the WAL, apply it as one
+// batch (the call Recover's replay makes), count it, and
 // checkpoint when the configured cadence is due. The caller holds d.mu
 // exclusively and has validated acts, of which payload is the encoding.
 func (d *DurableNetwork) commitFrame(acts []Activation, payload []byte, sp trace.SpanHandle) error {
@@ -467,7 +453,7 @@ func (d *DurableNetwork) commitFrame(acts []Activation, payload []byte, sp trace
 		d.traces.record(index, tid)
 	}
 	csp := sp.StartChild("core.apply")
-	if err := applyFrame(d.net, acts, csp); err != nil {
+	if err := d.net.ActivateBatchTraced(acts, csp); err != nil {
 		csp.Fail()
 		csp.End()
 		return err
@@ -533,8 +519,8 @@ func (d *DurableNetwork) checkpointLocked() error {
 
 // writeCheckpoint persists whatever write produces — Network.Save, or a
 // snapshot shipped by a primary — as dir/checkpoint-<index>.snap via the
-// write-temp / fsync / rename dance. Note Save flushes buffered
-// reinforcement (Snapshot semantics) before serializing.
+// write-temp / fsync / rename dance. Save only reads the network, so a
+// checkpoint never changes what the network does next.
 func writeCheckpoint(dir string, index uint64, write func(io.Writer) error) error {
 	tmp := filepath.Join(dir, "checkpoint.tmp")
 	f, err := os.Create(tmp)

@@ -57,7 +57,7 @@ func TestDurableBatchGroupCommit(t *testing.T) {
 	defer rec.Close()
 	// Batched ingest is bit-identical to per-op under ANCO, so recovery of
 	// the batch-framed log must match the per-op reference exactly.
-	assertEquivalent(t, rec, referenceNetwork(t, stream, len(stream)), true)
+	assertEquivalent(t, rec, referenceNetwork(t, stream, len(stream)))
 }
 
 // TestDurableBatchRejectedAtomically: an invalid batch leaves both the WAL
@@ -121,8 +121,7 @@ func TestDurableBatchCheckpointing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec.Close()
-	// Checkpointing rescales mid-stream, so equality is to 1e-9 here.
-	assertEquivalent(t, rec, referenceNetwork(t, stream, len(stream)), false)
+	assertEquivalent(t, rec, referenceNetwork(t, stream, len(stream)))
 }
 
 // TestDurableFrameReplayParity: a frame's apply rule is a function of the

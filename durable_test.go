@@ -1,6 +1,7 @@
 package anc
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -56,10 +57,10 @@ func canonClusters(cs [][]int) string {
 }
 
 // assertEquivalent asserts the recovered network reproduces the reference
-// exactly: identical clusterings at the √n level and identical per-edge
-// similarity. exact toggles bitwise float comparison (true for recovery
-// paths that replay the same float trajectory) versus 1e-9 relative.
-func assertEquivalent(t *testing.T, got *DurableNetwork, ref *Network, exact bool) {
+// exactly: identical clusterings at the √n level, bit-identical per-edge
+// similarity and byte-identical Save output — the state is a function of
+// the activation stream alone, whatever was checkpointed or replayed.
+func assertEquivalent(t *testing.T, got *DurableNetwork, ref *Network) {
 	t.Helper()
 	if got.N() != ref.N() || got.M() != ref.M() {
 		t.Fatalf("shape: got %d/%d, ref %d/%d", got.N(), got.M(), ref.N(), ref.M())
@@ -70,27 +71,26 @@ func assertEquivalent(t *testing.T, got *DurableNetwork, ref *Network, exact boo
 	if g, r := canonClusters(got.Clusters(got.SqrtLevel())), canonClusters(ref.Clusters(ref.SqrtLevel())); g != r {
 		t.Fatalf("clusters differ:\n got %s\n ref %s", g, r)
 	}
-	n, edges := barbell()
-	_ = n
+	_, edges := barbell()
 	for _, e := range edges {
 		sg, err1 := got.Similarity(e[0], e[1])
 		sr, err2 := ref.Similarity(e[0], e[1])
 		if err1 != nil || err2 != nil {
 			t.Fatalf("similarity(%v): %v %v", e, err1, err2)
 		}
-		if exact {
-			if sg != sr {
-				t.Fatalf("similarity(%v): got %v, ref %v (exact)", e, sg, sr)
-			}
-		} else {
-			diff := sg - sr
-			if diff < 0 {
-				diff = -diff
-			}
-			if sr != 0 && diff/sr > 1e-9 {
-				t.Fatalf("similarity(%v): got %v, ref %v", e, sg, sr)
-			}
+		if sg != sr {
+			t.Fatalf("similarity(%v): got %v, ref %v", e, sg, sr)
 		}
+	}
+	var a, b bytes.Buffer
+	if err := got.Unwrap().Save(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Save(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("Save bytes differ from the reference's")
 	}
 }
 
@@ -129,7 +129,7 @@ func TestDurableRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec.Close()
-	assertEquivalent(t, rec, referenceNetwork(t, stream, 30), true)
+	assertEquivalent(t, rec, referenceNetwork(t, stream, 30))
 	// The recovered network keeps ingesting and logging.
 	if err := rec.Activate(4, 5, 100); err != nil {
 		t.Fatal(err)
@@ -240,7 +240,7 @@ func TestRecoveryEquivalenceAtEveryBoundary(t *testing.T) {
 		if got := rec.LoggedActivations(); got != uint64(c.want) {
 			t.Fatalf("cut@%d: recovered %d records, want %d", c.bytes, got, c.want)
 		}
-		assertEquivalent(t, rec, referenceNetwork(t, stream, c.want), true)
+		assertEquivalent(t, rec, referenceNetwork(t, stream, c.want))
 		rec.Close()
 	}
 }
@@ -284,7 +284,7 @@ func TestFaultInjectionRandomCrashPoints(t *testing.T) {
 		if got > records {
 			t.Fatalf("crash@%d: recovered %d > %d fed", crash, got, records)
 		}
-		assertEquivalent(t, rec, referenceNetwork(t, stream, got), true)
+		assertEquivalent(t, rec, referenceNetwork(t, stream, got))
 		rec.Close()
 	}
 }
@@ -329,8 +329,7 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 	if got := rec.LoggedActivations(); got != records {
 		t.Fatalf("recovered %d records, want %d", got, records)
 	}
-	// Checkpointing rescales mid-stream, so equality is to 1e-9 here.
-	assertEquivalent(t, rec, referenceNetwork(t, stream, records), false)
+	assertEquivalent(t, rec, referenceNetwork(t, stream, records))
 }
 
 // TestCorruptCheckpointFallsBack flips a byte in the newest checkpoint:
@@ -378,7 +377,7 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 	if got := rec.LoggedActivations(); got != records {
 		t.Fatalf("recovered %d records via fallback, want %d", got, records)
 	}
-	assertEquivalent(t, rec, referenceNetwork(t, stream, records), true)
+	assertEquivalent(t, rec, referenceNetwork(t, stream, records))
 	rec.Close()
 	flip(cps[0].path) // now both are corrupt
 	if _, err := Recover(dir, DurableConfig{}); err == nil {
@@ -446,7 +445,7 @@ func TestRecoverRepeatedlyWithoutCheckpoint(t *testing.T) {
 		if got := r.LoggedActivations(); got != 20 {
 			t.Fatalf("round %d: %d of 20 activations survive recovery", round, got)
 		}
-		assertEquivalent(t, r, referenceNetwork(t, stream, 20), true)
+		assertEquivalent(t, r, referenceNetwork(t, stream, 20))
 		if err := r.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"anc/internal/graph"
@@ -27,8 +29,16 @@ func TestActivateBatch(t *testing.T) {
 		if nw.Stats.Activations != 6 {
 			t.Fatalf("%v: activations = %d", m, nw.Stats.Activations)
 		}
-		if m == ANCOR && len(nw.pending) != 0 {
-			t.Fatalf("ANCOR batch left pending reinforcement")
+		// The interval boundary at t = 7 flushed what ANCOR had pending;
+		// only the edge activated since is left. ANCF keeps every
+		// activated edge pending until a Snapshot, ANCO none.
+		want := map[Method][]graph.EdgeID{
+			ANCO:  nil,
+			ANCOR: {0},
+			ANCF:  {0, 1, 2, g.FindEdge(5, 6)},
+		}[m]
+		if !slices.Equal(nw.pending, want) {
+			t.Fatalf("%v: pending %v, want %v", m, nw.pending, want)
 		}
 		if m != ANCF {
 			if msg := nw.Index().Validate(); msg != "" {
@@ -70,7 +80,9 @@ func TestActivateBatchRejectsBadInput(t *testing.T) {
 }
 
 // TestActivateBatchEquivalentToLoop: batched ingest of a stream matches
-// per-op ingest bit-for-bit on index weights, for every method.
+// per-op ingest bit-for-bit — index weights and Save bytes — for every
+// method: a per-op Activate is a one-element batch, and ANCOR flushes at
+// the same interval boundaries whatever the batch boundaries.
 func TestActivateBatchEquivalentToLoop(t *testing.T) {
 	g := cliquePairGraph(t)
 	for _, m := range []Method{ANCO, ANCOR, ANCF} {
@@ -94,18 +106,22 @@ func TestActivateBatchEquivalentToLoop(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// The per-op path has not seen the end-of-batch ANCOR flush yet;
-		// align it the way a stream consumer would.
-		if m == ANCOR {
-			b.Flush()
-		}
-		// σ is a function of the activeness, so the two reinforce alike.
 		for e := 0; e < g.M(); e++ {
 			wa, wb := a.Index().Weight(graph.EdgeID(e)), b.Index().Weight(graph.EdgeID(e))
-			//anclint:ignore floateq batched ingest is specified bit-identical to per-op when no rescale falls inside the batch
+			//anclint:ignore floateq batched ingest is specified bit-identical to per-op
 			if wa != wb {
 				t.Fatalf("%v: weights diverge at edge %d: %v vs %v", m, e, wa, wb)
 			}
+		}
+		var sa, sb bytes.Buffer
+		if err := a.Save(&sa); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Save(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sa.Bytes(), sb.Bytes()) {
+			t.Fatalf("%v: batched and per-op ingest saved different bytes", m)
 		}
 	}
 }

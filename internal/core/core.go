@@ -138,13 +138,14 @@ type Network struct {
 	flips   *ring.Ring[Flip]
 	readers sync.Pool
 
-	// Batch-ingest scratch: the dirty-edge set of the current batch and the
-	// weight buffer handed to the index. Lazily allocated on the first
-	// ActivateBatch and reused, so steady batch ingest allocates nothing.
+	// Ingest scratch: the dirty-edge set of the current batch and the
+	// weight buffers handed to the index, reused so steady ingest
+	// allocates nothing.
 	batchEdges    []graph.EdgeID
 	batchEdgeMark []bool
 	batchWeights  []float64
 	flushWeights  []float64
+	one           [1]Activation // Activate's batch
 
 	// Stats counts work done, for the experiment harness.
 	Stats struct {
@@ -180,14 +181,31 @@ func New(g *graph.Graph, opts Options) (*Network, error) {
 		return nil, err
 	}
 	clock.Register(ix)
-	return &Network{
-		g:           g,
-		opts:        opts,
-		clock:       clock,
-		sim:         sim,
-		ix:          ix,
-		pendingMark: make([]bool, g.M()),
-	}, nil
+	nw := &Network{
+		g:             g,
+		opts:          opts,
+		clock:         clock,
+		sim:           sim,
+		ix:            ix,
+		pendingMark:   make([]bool, g.M()),
+		batchEdgeMark: make([]bool, g.M()),
+	}
+	clock.Register(nw)
+	return nw, nil
+}
+
+// OnRescale implements decay.Rescalable, registered after the index. The
+// rescale folds g into S and 1/g into the index weights, which round
+// differently, so it gives every edge whose index weight stands for 1/S
+// that value back exactly: all but the running batch's unsettled edges
+// and ANCF's pending ones. The index weights then depend on the stream
+// alone, and a loaded copy, which builds them from 1/S, holds the same.
+func (nw *Network) OnRescale(float64) {
+	for e := range nw.batchEdgeMark {
+		if !nw.batchEdgeMark[e] && !(nw.opts.Method == ANCF && nw.pendingMark[e]) {
+			nw.ix.SetWeight(graph.EdgeID(e), nw.sim.Weight(graph.EdgeID(e)))
+		}
+	}
 }
 
 // Graph returns the relation graph.
@@ -221,72 +239,35 @@ func validateOptions(opts Options) error {
 	return nil
 }
 
-// checkTime enforces the ingest contract of anc.Network.Activate — the
-// single authoritative statement of the rule: timestamps are finite and
-// non-decreasing. Rejecting here, before any state is touched, keeps a bad
-// ingest record from corrupting the anchored activeness (a NaN impact
-// poisons every σ it reaches; a backwards timestamp breaks Observation 1).
-func (nw *Network) checkTime(t float64) error {
-	if math.IsNaN(t) || math.IsInf(t, 0) {
-		return fmt.Errorf("core: non-finite activation timestamp %v", t)
-	}
-	if t < nw.clock.Now() {
-		return fmt.Errorf("core: activation timestamp %v precedes current time %v (timestamps must be non-decreasing)", t, nw.clock.Now())
-	}
-	return nil
-}
-
-// Activate feeds the activation (e, t) into the network under the
-// configured method policy. It returns an error — before touching any
-// state — when t violates the ingest contract (see anc.Network.Activate).
+// Activate feeds the activation (e, t) into the network: it is
+// ActivateBatch of the one-element batch, over an array the network owns,
+// so it allocates nothing and there is one ingest semantics. It returns an
+// error — before touching any state — when e is out of range or t violates
+// the ingest contract (see anc.Network.Activate).
 func (nw *Network) Activate(e graph.EdgeID, t float64) error {
-	if err := nw.checkTime(t); err != nil {
-		return err
-	}
-	nw.Stats.Activations++
-	nw.met.activated(1)
-	switch nw.opts.Method {
-	case ANCO:
-		// ANCO applies no local reinforcement after initialization
-		// (Section VI); the activation's unit impact still changes S and
-		// triggers a bounded index update.
-		nw.ix.UpdateEdge(e, nw.sim.ActivateNoReinforce(e, t))
-	case ANCOR:
-		if t >= nw.lastFlush+nw.opts.ReinforceInterval {
-			nw.flush()
-			nw.lastFlush = t
-		}
-		nw.ix.UpdateEdge(e, nw.sim.ActivateNoReinforce(e, t))
-		nw.addPending(e)
-	case ANCF:
-		nw.sim.ActivateNoReinforce(e, t)
-		nw.addPending(e)
-	}
-	nw.afterRepair()
-	return nil
+	nw.one[0] = Activation{Edge: e, T: t}
+	return nw.ActivateBatchTraced(nw.one[:], trace.SpanHandle{})
 }
 
-// Activation is one timestamped edge activation — the unit of batched
-// ingest.
+// Activation is one timestamped edge activation — the unit of ingest.
 type Activation struct {
 	Edge graph.EdgeID
 	T    float64
 }
 
-// ActivateBatch feeds a batch of activations through the batched ingest
-// pipeline — the per-minute batch processing of Exp 6 (Figure 9). The
-// whole batch is validated up front (edges in range, timestamps finite,
-// non-decreasing, and not before the current time); an invalid batch is
-// rejected as a unit with no state touched. Compared with a loop over
-// Activate, the batch path advances the decay clock once per distinct
-// timestamp, coalesces repeated activations of the same edge into one
-// index update per distinct edge, and defers the rescale check to batch
-// end. The anchored similarity and activeness arithmetic is per-impact
-// identical to Activate's, so batched and per-op ingest of the same stream
-// produce the same state unless a rescale falls inside a batch: per-op
-// ingest folds it there, the batch at its end, and the fold rounds
-// differently. ANCOR reinforcement fires at the same interval boundaries as
-// the per-op path and once more at batch end.
+// ActivateBatch feeds a batch of activations through the ingest pipeline —
+// the per-minute batch processing of Exp 6 (Figure 9). The whole batch is
+// validated up front (edges in range, timestamps finite, non-decreasing,
+// and not before the current time); an invalid batch is rejected as a unit
+// with no state touched. The decay clock advances once per distinct
+// timestamp, and repeated activations of the same edge coalesce into one
+// index update per distinct edge. Every decision that shapes the state is
+// taken per activation, at the same point whatever the batch boundaries:
+// a rescale runs when time strictly advances past the rescale period
+// (decay.Clock.Advance), and ANCOR's reinforcement flushes at each interval
+// boundary before the clock advances to it. So the state after a stream is
+// a function of the stream alone, however it was chunked into calls
+// (TestStateIsAFunctionOfTheStream).
 func (nw *Network) ActivateBatch(batch []Activation) error {
 	return nw.ActivateBatchTraced(batch, trace.SpanHandle{})
 }
@@ -317,30 +298,26 @@ func (nw *Network) ActivateBatchTraced(batch []Activation, sp trace.SpanHandle) 
 	}
 	for _, a := range batch {
 		if a.T > nw.clock.Now() {
+			if nw.opts.Method == ANCOR && a.T >= nw.lastFlush+nw.opts.ReinforceInterval {
+				// Interval boundary: settle the index with the batch so
+				// far, then flush at the time the interval ended.
+				nw.settleBatch(sp)
+				nw.flush()
+				nw.lastFlush = a.T
+			}
 			nw.clock.Advance(a.T)
 		}
-		if nw.opts.Method == ANCOR && a.T >= nw.lastFlush+nw.opts.ReinforceInterval {
-			// Interval boundary mid-batch: settle the index with the
-			// batch so far, then flush as the per-op path would.
-			nw.settleBatch(sp)
-			nw.flush()
-			nw.lastFlush = a.T
-		}
 		nw.sim.BumpNoReinforce(a.Edge)
+		nw.clock.ActivatedN(1)
 		nw.markBatch(a.Edge)
 		if nw.opts.Method != ANCO {
 			nw.addPending(a.Edge)
 		}
 	}
 	nw.settleBatch(sp)
-	if nw.opts.Method == ANCOR {
-		nw.flush()
-		nw.lastFlush = nw.clock.Now()
-	}
 	nw.Stats.Activations += int64(len(batch))
 	nw.met.activated(len(batch))
 	nw.met.batched()
-	nw.clock.ActivatedN(len(batch))
 	isp := sp.StartChild("core.invalidate")
 	nw.afterRepair()
 	isp.End()
@@ -349,9 +326,6 @@ func (nw *Network) ActivateBatchTraced(batch []Activation, sp trace.SpanHandle) 
 
 // markBatch records e in the batch's dirty-edge set.
 func (nw *Network) markBatch(e graph.EdgeID) {
-	if nw.batchEdgeMark == nil {
-		nw.batchEdgeMark = make([]bool, nw.g.M())
-	}
 	if !nw.batchEdgeMark[e] {
 		nw.batchEdgeMark[e] = true
 		nw.batchEdges = append(nw.batchEdges, e)

@@ -2,20 +2,23 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"anc/internal/graph"
 )
 
-func fuzzSeedSnapshot(f *testing.F) []byte {
+// fuzzSeedSnapshot saves a small network of method m after ten
+// activations; under ANCF they are all still pending.
+func fuzzSeedSnapshot(f *testing.F, m Method) []byte {
 	b := graph.NewBuilder(6)
 	for _, e := range [][2]int32{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}, {4, 5}} {
 		if err := b.AddEdge(e[0], e[1]); err != nil {
 			f.Fatal(err)
 		}
 	}
-	nw, err := New(b.Build(), DefaultOptions())
+	o := DefaultOptions()
+	o.Method = m
+	nw, err := New(b.Build(), o)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -36,21 +39,15 @@ func fuzzSeedSnapshot(f *testing.F) []byte {
 // and never an absurd allocation (bounds checks keep corrupt headers from
 // demanding gigabytes).
 func FuzzLoad(f *testing.F) {
-	valid := fuzzSeedSnapshot(f)
+	valid := fuzzSeedSnapshot(f, ANCO)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:8])
 	f.Add([]byte{})
 	f.Add([]byte("junk that is not a snapshot at all"))
-	// A legacy (pre-CRC) snapshot: the bare gob payload with a corrupted
-	// field, so the fuzzer starts with a foothold in the legacy path too.
-	legacy := snapshotV1{Magic: snapshotMagic, Opts: DefaultOptions(), N: 3,
-		Edges: [][2]int32{{0, 1}}, S: []float64{1}, Act: []float64{1}}
-	var lbuf bytes.Buffer
-	if err := gob.NewEncoder(&lbuf).Encode(&legacy); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(lbuf.Bytes())
+	// A snapshot with a non-empty pending list, so the fuzzer starts with
+	// a foothold in the pending edges and their index weights too.
+	f.Add(fuzzSeedSnapshot(f, ANCF))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
 			return

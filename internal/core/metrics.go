@@ -18,7 +18,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		activations: reg.Counter("anc_core_activations_total",
 			"activations applied to the network"),
 		batches: reg.Counter("anc_core_batches_total",
-			"ingest batches applied through ActivateBatch"),
+			"ingest calls applied (an Activate is a one-element batch)"),
 		flushes: reg.Counter("anc_core_flushes_total",
 			"reinforcement flushes (ANCOR interval boundaries and explicit Flush)"),
 		reconstructs: reg.Counter("anc_core_reconstructs_total",

@@ -377,8 +377,8 @@ func TestTrackedEvenKeepsEveryFlipOfTheBatch(t *testing.T) {
 
 // TestActivateBatchAllocsWithBaselines: with the cache on, analytics off
 // and every level read once, every level a write flips carries a baseline
-// and a log, yet steady batched ingest allocates nothing — the flip
-// listener reuses the log arrays it emptied at each rebase.
+// and a log, yet steady ingest — batched or per-op — allocates nothing:
+// the flip listener reuses the log arrays it emptied at each rebase.
 func TestActivateBatchAllocsWithBaselines(t *testing.T) {
 	g := gen.PlantedPartition([]int{40, 40, 40, 40, 40, 40, 40, 40}, 0.2, 0.01, rand.New(rand.NewSource(1))).Graph
 	nw, err := New(g, options(ANCO))
@@ -425,5 +425,16 @@ func TestActivateBatchAllocsWithBaselines(t *testing.T) {
 	}
 	if logged() == before {
 		t.Fatal("the measured batches logged no flip")
+	}
+	// A per-op Activate is a one-element batch over the network's own
+	// array: it allocates nothing either.
+	activate := func() {
+		now += 0.05
+		if err := nw.Activate(graph.EdgeID(rng.Intn(g.M())), now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a := testing.AllocsPerRun(1000, activate); a != 0 {
+		t.Fatalf("Activate with every level logged allocated %v objects per call, want 0", a)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"math/rand"
 
 	"anc/internal/decay"
 	"anc/internal/graph"
@@ -16,24 +15,34 @@ import (
 	"anc/internal/similarity"
 )
 
-// snapshotV1 is the on-disk representation of a Network. Anchored values
-// are saved after a Rescale, so they equal true values at Now and the
-// restored clock anchors at Now.
-type snapshotV1 struct {
-	Magic string
-	Opts  Options
-	Now   float64
-	N     int32
-	Edges [][2]int32
-	S     []float64
-	Act   []float64
-	Seeds [][]int32
+// snapshotV3 is the on-disk representation of a Network: everything its
+// future depends on, as the network holds it. The similarity and
+// activeness are anchored at Anchor, and the clock has counted Count
+// activations toward its next rescale; ANCOR's last interval flush was at
+// LastFlush; Pending lists the edges awaiting reinforcement (ANCOR, ANCF),
+// and PendingWeights the weight the index holds for each — under ANCF the
+// index lags the similarity on exactly those edges until the next Snapshot.
+// The shortest-path forests are not stored: Load rebuilds them from Seeds
+// and the index's weights.
+type snapshotV3 struct {
+	Opts           Options
+	Now            float64
+	Anchor         float64
+	Count          int
+	LastFlush      float64
+	N              int32
+	Edges          [][2]int32
+	S              []float64
+	Act            []float64
+	Seeds          [][]int32
+	Pending        []int32
+	PendingWeights []float64
 }
 
-// Snapshot file layout (version 2):
+// Snapshot file layout (version 3):
 //
 //	8 bytes  fileMagic "ANCSNP2\n"
-//	payload  gob(snapshotV1)
+//	payload  gob(snapshotV3)
 //	16 bytes trailer, little-endian:
 //	           uint32  format version (snapshotVersion)
 //	           uint64  payload byte count
@@ -41,12 +50,11 @@ type snapshotV1 struct {
 //
 // Load verifies the trailer before the gob decoder ever sees the payload:
 // a torn or bit-flipped snapshot is reported as corruption instead of
-// being decoded into a silently wrong network. Files without the magic are
-// decoded as legacy (pre-CRC) snapshots.
+// being decoded into a silently wrong network. Any other version is
+// refused.
 const (
-	snapshotMagic   = "ANCSNAP1"
 	fileMagic       = "ANCSNP2\n"
-	snapshotVersion = 2
+	snapshotVersion = 3
 	trailerSize     = 4 + 8 + 4
 
 	// maxIsolatedNodes bounds how far a snapshot's node count may exceed
@@ -57,27 +65,31 @@ const (
 
 var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// Save serializes the network — graph, options, decayed state and index
-// seed sets — so Load can reconstruct an equivalent network, then appends
-// a version+CRC32C trailer so corruption is detected at load time. Pending
-// reinforcement work is flushed first (Snapshot semantics), and the
-// anchored state is rescaled to the current time. The shortest-path
+// Save serializes the network — graph, options, decayed state with its
+// clock, pending reinforcement and index seed sets — so Load can
+// reconstruct a network whose future is the same as this one's, then
+// appends a version+CRC32C trailer so corruption is detected at load time.
+// Save only reads: it flushes nothing and rescales nothing, so saving (and
+// so checkpointing) never changes what the network does next, and two
+// Saves with nothing in between write the same bytes. The shortest-path
 // forests themselves are not stored; Load rebuilds them deterministically
 // from the saved seeds and weights, trading O(index build) load time for a
 // compact file.
 func (nw *Network) Save(w io.Writer) error {
-	if err := nw.Snapshot(); err != nil {
-		return err
-	}
-	nw.clock.Rescale()
 	s, act := nw.sim.ExportState()
-	snap := snapshotV1{
-		Magic: snapshotMagic,
-		Opts:  nw.opts,
-		Now:   nw.clock.Now(),
-		N:     int32(nw.g.N()),
-		S:     s,
-		Act:   act,
+	snap := snapshotV3{
+		Opts:      nw.opts,
+		Now:       nw.clock.Now(),
+		Anchor:    nw.clock.Anchor(),
+		Count:     nw.clock.Pending(),
+		LastFlush: nw.lastFlush,
+		N:         int32(nw.g.N()),
+		S:         s,
+		Act:       act,
+		Pending:   nw.pending,
+	}
+	for _, e := range nw.pending {
+		snap.PendingWeights = append(snap.PendingWeights, nw.ix.Weight(e))
 	}
 	for _, e := range nw.g.Edges() {
 		snap.Edges = append(snap.Edges, [2]int32{e.U, e.V})
@@ -106,60 +118,59 @@ func (nw *Network) Save(w io.Writer) error {
 // Load reconstructs a network saved with Save. The snapshot's CRC trailer
 // is verified before decoding, and every decoded field is bounds-checked,
 // so a torn, truncated or bit-flipped file yields an error — never a
-// panic, an absurd allocation or a silently wrong network. Snapshots from
-// before the trailer was introduced load through a legacy path.
+// panic, an absurd allocation or a silently wrong network.
 func Load(r io.Reader) (*Network, error) {
-	head := make([]byte, len(fileMagic))
-	n, err := io.ReadFull(r, head)
-	if err != nil && err != io.ErrUnexpectedEOF {
+	body, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("core: reading snapshot: %w", err)
 	}
-	var snap snapshotV1
-	if string(head) == fileMagic {
-		body, err := io.ReadAll(r)
-		if err != nil {
-			return nil, fmt.Errorf("core: reading snapshot: %w", err)
-		}
-		if len(body) < trailerSize {
-			return nil, fmt.Errorf("core: snapshot truncated (no trailer)")
-		}
-		payload, trailer := body[:len(body)-trailerSize], body[len(body)-trailerSize:]
-		version := binary.LittleEndian.Uint32(trailer[0:4])
-		length := binary.LittleEndian.Uint64(trailer[4:12])
-		crc := binary.LittleEndian.Uint32(trailer[12:16])
-		if version != snapshotVersion {
-			return nil, fmt.Errorf("core: unsupported snapshot version %d", version)
-		}
-		if length != uint64(len(payload)) {
-			return nil, fmt.Errorf("core: snapshot truncated: trailer says %d payload bytes, have %d", length, len(payload))
-		}
-		if got := crc32.Checksum(payload, snapshotCRC); got != crc {
-			return nil, fmt.Errorf("core: snapshot corrupt: CRC mismatch (got %08x, want %08x)", got, crc)
-		}
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
-			return nil, fmt.Errorf("core: decoding snapshot: %w", err)
-		}
-	} else {
-		// Legacy (pre-CRC) snapshot: the stream starts with gob data.
-		dec := gob.NewDecoder(io.MultiReader(bytes.NewReader(head[:n]), r))
-		if err := dec.Decode(&snap); err != nil {
-			return nil, fmt.Errorf("core: decoding snapshot: %w", err)
-		}
+	if !bytes.HasPrefix(body, []byte(fileMagic)) {
+		return nil, fmt.Errorf("core: not an ANC snapshot")
+	}
+	body = body[len(fileMagic):]
+	if len(body) < trailerSize {
+		return nil, fmt.Errorf("core: snapshot truncated (no trailer)")
+	}
+	payload, trailer := body[:len(body)-trailerSize], body[len(body)-trailerSize:]
+	version := binary.LittleEndian.Uint32(trailer[0:4])
+	length := binary.LittleEndian.Uint64(trailer[4:12])
+	crc := binary.LittleEndian.Uint32(trailer[12:16])
+	if version != snapshotVersion {
+		return nil, fmt.Errorf("core: unsupported snapshot version %d", version)
+	}
+	if length != uint64(len(payload)) {
+		return nil, fmt.Errorf("core: snapshot truncated: trailer says %d payload bytes, have %d", length, len(payload))
+	}
+	if got := crc32.Checksum(payload, snapshotCRC); got != crc {
+		return nil, fmt.Errorf("core: snapshot corrupt: CRC mismatch (got %08x, want %08x)", got, crc)
+	}
+	var snap snapshotV3
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
+		return nil, fmt.Errorf("core: decoding snapshot: %w", err)
 	}
 	return restore(&snap)
 }
 
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // validate bounds-checks every decoded field before any of it is used to
 // size an allocation or index a slice.
-func (snap *snapshotV1) validate() error {
-	if snap.Magic != snapshotMagic {
-		return fmt.Errorf("core: not an ANC snapshot (magic %q)", snap.Magic)
-	}
+func (snap *snapshotV3) validate() error {
 	if err := validateOptions(snap.Opts); err != nil {
 		return fmt.Errorf("core: corrupt snapshot: %w", err)
 	}
-	if math.IsNaN(snap.Now) || math.IsInf(snap.Now, 0) || snap.Now < 0 {
+	if !finite(snap.Now) || snap.Now < 0 {
 		return fmt.Errorf("core: corrupt snapshot: invalid time %v", snap.Now)
+	}
+	if !finite(snap.Anchor) || snap.Anchor > snap.Now {
+		return fmt.Errorf("core: corrupt snapshot: anchor %v at time %v", snap.Anchor, snap.Now)
+	}
+	if snap.Count < 0 {
+		return fmt.Errorf("core: corrupt snapshot: negative rescale count %d", snap.Count)
+	}
+	if !finite(snap.LastFlush) || snap.LastFlush > snap.Now {
+		return fmt.Errorf("core: corrupt snapshot: last flush %v at time %v", snap.LastFlush, snap.Now)
 	}
 	if snap.N < 0 {
 		return fmt.Errorf("core: corrupt snapshot: negative node count %d", snap.N)
@@ -187,11 +198,24 @@ func (snap *snapshotV1) validate() error {
 			}
 		}
 	}
+	if len(snap.PendingWeights) != len(snap.Pending) {
+		return fmt.Errorf("core: corrupt snapshot: %d pending weights for %d pending edges", len(snap.PendingWeights), len(snap.Pending))
+	}
+	listed := make(map[int32]bool, len(snap.Pending))
+	for i, e := range snap.Pending {
+		if e < 0 || int(e) >= len(snap.Edges) || listed[e] {
+			return fmt.Errorf("core: corrupt snapshot: pending[%d] = edge %d (out of range or listed twice)", i, e)
+		}
+		listed[e] = true
+		if w := snap.PendingWeights[i]; !(w > 0) || math.IsInf(w, 1) {
+			return fmt.Errorf("core: corrupt snapshot: pending weight[%d] = %v", i, w)
+		}
+	}
 	return nil
 }
 
 // restore rebuilds the in-memory network from a decoded snapshot.
-func restore(snap *snapshotV1) (*Network, error) {
+func restore(snap *snapshotV3) (*Network, error) {
 	if err := snap.validate(); err != nil {
 		return nil, err
 	}
@@ -217,29 +241,34 @@ func restore(snap *snapshotV1) (*Network, error) {
 		return nil, err
 	}
 	sim.RestoreState(snap.S, snap.Act)
-	clock.RestoreTime(snap.Now, snap.Now)
+	clock.RestoreTime(snap.Now, snap.Anchor, snap.Count)
+	nw := &Network{
+		g:             g,
+		opts:          opts,
+		clock:         clock,
+		sim:           sim,
+		pending:       snap.Pending,
+		pendingMark:   make([]bool, g.M()),
+		batchEdgeMark: make([]bool, g.M()),
+		lastFlush:     snap.LastFlush,
+	}
+	weights := make([]float64, g.M())
+	for e := range weights {
+		weights[e] = sim.Weight(graph.EdgeID(e))
+	}
+	for i, e := range snap.Pending {
+		nw.pendingMark[e] = true
+		weights[e] = snap.PendingWeights[i]
+	}
 	seedSets := make([][]graph.NodeID, len(snap.Seeds))
 	for i, s := range snap.Seeds {
 		seedSets[i] = s
 	}
-	var ix *pyramid.Index
-	if len(seedSets) == 0 {
-		// Legacy or hand-built snapshot without seeds: draw fresh ones.
-		ix, err = pyramid.Build(g, sim.Weight, opts.Pyramid, rand.New(rand.NewSource(opts.Seed)))
-	} else {
-		ix, err = pyramid.BuildWithSeeds(g, sim.Weight, opts.Pyramid, seedSets)
-	}
+	nw.ix, err = pyramid.BuildWithSeeds(g, func(e graph.EdgeID) float64 { return weights[e] }, opts.Pyramid, seedSets)
 	if err != nil {
 		return nil, err
 	}
-	clock.Register(ix)
-	return &Network{
-		g:           g,
-		opts:        opts,
-		clock:       clock,
-		sim:         sim,
-		ix:          ix,
-		pendingMark: make([]bool, g.M()),
-		lastFlush:   snap.Now,
-	}, nil
+	clock.Register(nw.ix)
+	clock.Register(nw)
+	return nw, nil
 }

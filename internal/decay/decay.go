@@ -82,42 +82,43 @@ func (c *Clock) G() float64 { return math.Exp(-c.lambda * (c.now - c.anchor)) }
 
 // Advance moves the current time forward to t. Time never goes backwards;
 // Advance panics if t < Now(), since an activation stream is ordered.
+// When time strictly advances with the count at the rescale period, the
+// batched rescale runs at t, before any activation at t: the rescale
+// points are a function of the activation stream alone.
 func (c *Clock) Advance(t float64) {
 	if t < c.now {
 		panic(fmt.Sprintf("decay: time moved backwards: %v -> %v", c.now, t))
 	}
-	c.now = t
-}
-
-// Activated records that one activation arrived and triggers a batched
-// rescale when the period is reached.
-func (c *Clock) Activated() { c.ActivatedN(1) }
-
-// ActivatedN records that n activations arrived and triggers a batched
-// rescale when the period is reached. Batch ingest calls this once per
-// batch, deferring the rescale check to batch end. The rescale is
-// invisible in exact arithmetic (Lemma 10), but its fold rounds: when the
-// period is reached inside a batch, per-op ingest of the same stream
-// rescales at a different point and ends with different last bits.
-func (c *Clock) ActivatedN(n int) {
-	c.pending += n
-	if c.every > 0 && c.pending >= c.every {
-		c.Rescale()
+	if t > c.now {
+		c.now = t
+		if c.every > 0 && c.pending >= c.every {
+			c.Rescale()
+		}
 	}
 }
 
-// RestoreTime sets the clock to a saved (now, anchor) state without
-// touching registered stores. It exists for snapshot persistence, where
-// anchored values are saved after a Rescale (so anchor == now and the
-// stored values are true values); the caller restores those values
-// directly and then re-aligns the clock with this method.
-func (c *Clock) RestoreTime(now, anchor float64) {
+// Activated counts one activation toward the rescale period.
+func (c *Clock) Activated() { c.ActivatedN(1) }
+
+// ActivatedN counts n activations toward the rescale period. It only
+// counts: the rescale itself waits for the next strict time advance
+// (Advance), so activations sharing a timestamp are never split by one.
+func (c *Clock) ActivatedN(n int) { c.pending += n }
+
+// Pending returns the activations counted since the last rescale.
+func (c *Clock) Pending() int { return c.pending }
+
+// RestoreTime sets the clock to a saved (now, anchor, pending) state
+// without touching registered stores. It exists for snapshot persistence:
+// the caller restores the anchored values saved alongside, which are
+// anchored at anchor, and then re-aligns the clock with this method.
+func (c *Clock) RestoreTime(now, anchor float64, pending int) {
 	if anchor > now {
 		panic(fmt.Sprintf("decay: anchor %v after now %v", anchor, now))
 	}
 	c.now = now
 	c.anchor = anchor
-	c.pending = 0
+	c.pending = pending
 }
 
 // Rescale folds the current global decay factor into every registered
@@ -179,11 +180,10 @@ func (a *Activeness) Activate(e int32, t float64) {
 // Bump adds one activation impact 1/g at the clock's *current* time
 // without advancing it or counting toward the rescale period. Batch ingest
 // uses it to apply many impacts per clock advance: the caller advances the
-// clock once per distinct timestamp, Bumps each activation, and settles
-// the rescale accounting with Clock.ActivatedN at batch end. Each impact
-// is Activate's arithmetic; the anchored state of the two paths differs
-// only when a rescale falls inside a batch, since Activate may rescale
-// between two activations and the batch only at its end.
+// clock once per distinct timestamp, Bumps each activation and counts it
+// with Clock.ActivatedN. Each impact is Activate's arithmetic, and the
+// rescale points do not depend on the chunking, so the two paths leave
+// bit-identical anchored state.
 //
 //anclint:hotpath
 func (a *Activeness) Bump(e int32) {

@@ -187,3 +187,27 @@ func TestRescaleIsAmortizedNoop(t *testing.T) {
 		t.Fatalf("double rescale drifted: %v vs %v", a.At(0), before)
 	}
 }
+
+// TestRescaleWaitsForTimeToAdvance: counting activations never rescales;
+// the rescale runs at the first strict time advance after the count
+// reaches the period, so activations that share a timestamp are never
+// split by one.
+func TestRescaleWaitsForTimeToAdvance(t *testing.T) {
+	c := NewClock(0.5)
+	c.SetRescaleEvery(4)
+	c.Advance(1)
+	c.ActivatedN(5)
+	c.Advance(1)
+	if c.Anchor() != 0 || c.Pending() != 5 {
+		t.Fatalf("rescaled without a time advance: anchor %v, pending %d", c.Anchor(), c.Pending())
+	}
+	c.Advance(2)
+	if c.Anchor() != 2 || c.Pending() != 0 {
+		t.Fatalf("no rescale at the advance: anchor %v, pending %d", c.Anchor(), c.Pending())
+	}
+	c.ActivatedN(3)
+	c.Advance(3)
+	if c.Anchor() != 2 || c.Pending() != 3 {
+		t.Fatalf("rescaled below the period: anchor %v, pending %d", c.Anchor(), c.Pending())
+	}
+}

@@ -21,12 +21,12 @@ func TestAccessors(t *testing.T) {
 
 func TestRestoreTime(t *testing.T) {
 	c := NewClock(0.1)
-	c.RestoreTime(10, 10)
+	c.RestoreTime(10, 10, 3)
 	if c.Now() != 10 || c.Anchor() != 10 {
 		t.Fatalf("restore: now=%v anchor=%v", c.Now(), c.Anchor())
 	}
-	if c.G() != 1 {
-		t.Fatalf("g after restore = %v, want 1", c.G())
+	if c.G() != 1 || c.Pending() != 3 {
+		t.Fatalf("after restore: g = %v, pending = %d; want 1, 3", c.G(), c.Pending())
 	}
 	// Anchor after now panics.
 	defer func() {
@@ -34,7 +34,7 @@ func TestRestoreTime(t *testing.T) {
 			t.Fatal("anchor > now accepted")
 		}
 	}()
-	c.RestoreTime(5, 8)
+	c.RestoreTime(5, 8, 0)
 }
 
 func TestActivenessRestore(t *testing.T) {

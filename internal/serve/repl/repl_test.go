@@ -303,7 +303,9 @@ func TestFollowerCatchUpMidStream(t *testing.T) {
 // Evolution parity is the strong half: it holds because one WAL frame is
 // exactly one Activate/ActivateBatch call, so the follower repairs its
 // pyramid — and diffs successive clusterings — at the primary's cadence,
-// not just toward the primary's final state.
+// not just toward the primary's final state. The follower checkpoints
+// every 97 activations and the primary never does: a checkpoint only
+// reads, so the two still end with the same Save bytes.
 func TestFollowerAnalyticsParity(t *testing.T) {
 	dcfg := anc.DurableConfig{Sync: anc.SyncNever}
 	primary, server := newPrimary(t, dcfg)
@@ -311,7 +313,9 @@ func TestFollowerAnalyticsParity(t *testing.T) {
 
 	// Subscribe from frame 0 (default retention keeps the whole log), so
 	// the follower replays every repair the primary ever ran.
-	follower := newFollower(t, server.Addr().String(), "follower", dcfg, nil)
+	fcfg := dcfg
+	fcfg.CheckpointEvery = 97
+	follower := newFollower(t, server.Addr().String(), "follower", fcfg, nil)
 	defer follower.Close()
 	fsrv := serve.New(follower, serve.Config{Repl: follower, Logf: t.Logf})
 	if err := fsrv.Start("127.0.0.1:0"); err != nil {
@@ -412,6 +416,13 @@ func TestFollowerAnalyticsParity(t *testing.T) {
 					since, nodes, len(gotEv), gotSeq, gotMissed, len(wantEv), wantSeq, wantMissed)
 			}
 		}
+	}
+
+	if index, _, _, err := follower.NewestCheckpoint(); err != nil || index == 0 {
+		t.Errorf("the follower wrote no checkpoint past the first (newest at frame %d, err %v)", index, err)
+	}
+	if !bytes.Equal(saveBytes(t, follower), saveBytes(t, primary)) {
+		t.Error("a follower checkpointing at another cadence saved different bytes than its primary")
 	}
 
 	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -153,8 +153,8 @@ func (st *Store) OnRescale(g float64) {
 }
 
 // ExportState returns copies of the anchored similarity and activeness of
-// every edge — the snapshot-persistence payload. Call after a clock
-// Rescale so the anchored values equal the true values.
+// every edge — the snapshot-persistence payload, anchored at the clock's
+// anchor time, which the snapshot saves beside them.
 func (st *Store) ExportState() (s, act []float64) {
 	s = append([]float64(nil), st.s...)
 	act = make([]float64, st.g.M())
@@ -223,8 +223,9 @@ func (st *Store) NodeType(v graph.NodeID) NodeType {
 
 // ActivateNoReinforce advances the clock to t and applies the activation
 // (e, t) to the activeness and, as a unit impact, to S, with no local
-// reinforcement — the per-op path of every method. It returns the new
-// anchored weight 1/S*(e).
+// reinforcement. It returns the new anchored weight 1/S*(e). The network's
+// ingest goes through BumpNoReinforce; this one-call form remains for the
+// benchmark's orchestration replica.
 //
 // Like the activeness (Equation 1), the similarity accrues a decayed unit
 // impact per activation — "the similarity S_t(e) decays at the same ratio λ
@@ -241,12 +242,9 @@ func (st *Store) ActivateNoReinforce(e graph.EdgeID, t float64) (newWeight float
 
 // BumpNoReinforce applies one activation impact on e at the clock's
 // current time without advancing the clock or counting toward the rescale
-// period — the inner loop of batch ingest. The caller advances the clock
-// per distinct timestamp and counts the batch with Clock.ActivatedN at its
-// end. Each impact is ActivateNoReinforce's arithmetic (one += 1/g,
-// clamped); the two paths leave the same anchored state unless a rescale
-// falls inside a batch, which per-op ingest folds there and batch ingest
-// only at batch end.
+// period — the inner loop of ingest. The caller advances the clock per
+// distinct timestamp and counts each activation with Clock.ActivatedN.
+// Each impact is ActivateNoReinforce's arithmetic (one += 1/g, clamped).
 func (st *Store) BumpNoReinforce(e graph.EdgeID) {
 	st.act.Bump(e)
 	st.ver++

@@ -58,7 +58,7 @@ func TestExportRestoreState(t *testing.T) {
 		st2.NodeType(graph.NodeID(v)) // every memo fresh for the old state
 	}
 	st2.RestoreState(s, act)
-	clock2.RestoreTime(clock.Now(), clock.Anchor())
+	clock2.RestoreTime(clock.Now(), clock.Anchor(), clock.Pending())
 	for e := 0; e < g.M(); e++ {
 		if math.Abs(st.At(graph.EdgeID(e))-st2.At(graph.EdgeID(e))) > 1e-9 {
 			t.Fatalf("S[%d] mismatch", e)

@@ -88,9 +88,10 @@ func (l *lockedNetwork) Now() float64 {
 	return l.net.Now()
 }
 
-// Snapshot finalizes buffered work (exclusive lock). On a DurableNetwork
-// note that under ANCF this mutates state outside the log; only the
-// activation history itself is replayed on recovery.
+// Snapshot finalizes buffered work (exclusive lock). It is not logged: on
+// a DurableNetwork under ANCOR or ANCF, what a Snapshot changed survives a
+// crash only if a checkpoint taken after it does, since recovery replays
+// the activation history alone.
 func (l *lockedNetwork) Snapshot() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
